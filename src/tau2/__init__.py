@@ -33,6 +33,7 @@ from .recursion import (
     genus_row,
     one_point,
     one_point_at,
+    recursive_row,
     two_point_recursive,
 )
 from .verification import (
@@ -77,6 +78,7 @@ __all__ = [
     "one_point_at",
     "parse_rational",
     "rational_str",
+    "recursive_row",
     "residual_rec_a",
     "residual_rec_b",
     "residual_rec_tau",

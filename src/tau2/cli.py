@@ -7,7 +7,11 @@ an optional on-disk cache), ``verify`` (the exact check suite), and ``bench``
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
-error, 3 mismatch between the two computation paths.
+error, 3 mismatch between the two computation paths, 4 internal error (any
+other exception, reported as one line on stderr).
+
+Values past Python's default int -> str digit limit are printed in full: the
+limit is lifted while a command runs, and kept while argv is parsed.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -27,7 +32,7 @@ from .recursion import (
     TwoPointTable,
     build_table,
     genus_row,
-    two_point_recursive,
+    recursive_row,
 )
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
@@ -36,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -83,8 +89,7 @@ def cmd_value(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         closed = two_point_closed(g, k)
     if args.method in ("recursive", "both"):
-        table = build_table(g - 1) if g > 1 else None
-        recursive = two_point_recursive(g, k, table)
+        recursive = recursive_row(g)[k]
     if args.method == "both":
         if closed != recursive:
             _diag(
@@ -306,9 +311,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _int_str_unlimited():
+    # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with _int_str_unlimited():
+            return args.func(args)
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        _diag(f"internal error: {detail} (at {where})")
+        return EXIT_INTERNAL
 
 
 def run() -> None:

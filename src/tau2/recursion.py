@@ -1,13 +1,34 @@
 """Two-point correlator table built by the genus recursion.
 
 The two-point correlators <tau_k tau_{3g-1-k}> of 2D topological gravity are
-computed genus by genus.  Genus 1 is seeded from the string and dilaton
-equations applied to <tau_1> = 1/24; every genus g >= 2 row is then filled
-left to right in k: entry (g, k) is obtained from entry (g, k-1), four entries
-of the genus g-1 row, and a product of one-point correlators (see
-:func:`_step`).  The row is always computed over the full range k = 0..3g-1,
-never by mirroring, so the k <-> 3g-1-k symmetry of the result stays an
-independent consistency check.
+computed genus by genus, in integers.  With the per-genus denominator
+
+    N(g) = 24^g g! (6g-1)!!
+
+every T(g, k) = N(g) <tau_k tau_{3g-1-k}> is an integer.  Genus 1 is seeded
+from the string and dilaton equations applied to <tau_1> = 1/24, which gives
+T(1, .) = (15, 15, 15); every genus g >= 2 row is then filled left to right
+in k from T(g, 0) = (6g-1)!! by
+
+    (2k+1) T(g, k) = (2g-1-2k) T(g, k-1)
+                   + 4g(6g-1)(6g-3)(6g-5) (B(k-4) + 3 B(k-3) + 3 B(k-2) + B(k-1))
+                   + (6g-1)!! C(g, j)        only when k = 3j, 1 <= j <= g-1
+
+where B(i) = T(g-1, i), read as 0 outside the genus g-1 row.  This is the
+correlator recursion
+
+    (2k+1) <tau_k tau_{3g-1-k}> = (2g-1-2k) <tau_{k-1} tau_{3g-k}>
+        + 1/6 (bracket of genus g-1 correlators) + <tau_{k-2}> <tau_{3g-2-k}>
+
+multiplied through by N(g): N(g)/N(g-1) = 24g(6g-1)(6g-3)(6g-5) absorbs the
+1/6, and the one-point product 1/(24^g j! (g-j)!) becomes (6g-1)!! C(g, j).
+Every division by 2k+1 is exact; a nonzero remainder raises
+``ArithmeticError`` instead of truncating.  Rows become ``Fraction`` values
+T(g, k) / N(g) only at the boundary, when a row is handed out.
+
+The row is always computed over the full range k = 0..3g-1, never by
+mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
+consistency check.
 
 Tables serialize to a line-oriented UTF-8 text format (header
 ``tau2-table v1``, then one ``g<TAB>k<TAB>p/q`` line per entry, sorted) used
@@ -18,11 +39,11 @@ file.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .combinatorics import multinomial, parse_rational, rational_str
+from .combinatorics import double_factorial_odd, multinomial, parse_rational, rational_str
 
 __all__ = [
     "one_point",
@@ -30,6 +51,7 @@ __all__ = [
     "genus0_npoint",
     "genus1_seed",
     "genus_row",
+    "recursive_row",
     "two_point_recursive",
     "build_table",
     "TwoPointTable",
@@ -38,7 +60,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-_SIXTH = Fraction(1, 6)
 
 TABLE_HEADER = "tau2-table v1"
 
@@ -88,34 +109,75 @@ def genus1_seed() -> dict[tuple[int, int], Fraction]:
     return {(1, 0): v, (1, 1): v}
 
 
-def _step(g: int, k: int, prev_value: Fraction, row_below: Sequence[Fraction]) -> Fraction:
-    """Solve the genus recursion for entry (g, k), with g >= 2 and k >= 1:
+def _denominator(g: int) -> int:
+    """N(g) = 24^g g! (6g-1)!!, the common denominator of the genus g row."""
+    return 24**g * factorial(g) * double_factorial_odd(6 * g - 1)
 
-        (2k+1) <tau_k tau_{3g-1-k}> =
-              (2g-1-2k) <tau_{k-1} tau_{3g-k}>
-            + 1/6 (T(k-4) + 3 T(k-3) + 3 T(k-2) + T(k-1))
-            + <tau_{k-2}> <tau_{3g-2-k}>
 
-    where T(i) is the genus g-1 entry with first index i (0 outside the row)
-    and prev_value is the already computed entry (g, k-1).
+def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The integers N(g) * v for a genus g row; ValueError if one is not integral."""
+    n = _denominator(g)
+    out = []
+    for k, v in enumerate(row):
+        q, r = divmod(n, v.denominator)
+        if r:
+            raise ValueError(
+                f"({g},{k}): {rational_str(v)} times N({g}) is not an integer"
+            )
+        out.append(v.numerator * q)
+    return tuple(out)
+
+
+def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
+    """The correlators T(g, k) / N(g) of an integer genus g row."""
+    n = _denominator(g)
+    return tuple(Fraction(t, n) for t in row)
+
+
+def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
+    """Integer row T(g, .) for g >= 2 from the integer row T(g-1, .).
+
+    See the module docstring for the recursion.  The genus g-1 row is padded
+    with zeros so that B(k-4)..B(k-1) are always the four entries
+    padded[k..k+3].
     """
+    top = double_factorial_odd(6 * g - 1)
+    c = 4 * g * (6 * g - 1) * (6 * g - 3) * (6 * g - 5)
+    padded = (0, 0, 0, 0, *below, 0, 0)
+    row = [top]
+    prev = top
+    for k in range(1, 3 * g):
+        rhs = (2 * g - 1 - 2 * k) * prev + c * (
+            padded[k] + 3 * (padded[k + 1] + padded[k + 2]) + padded[k + 3]
+        )
+        if k % 3 == 0:
+            # k = 3j with 1 <= j <= g-1 holds for every multiple of 3 in 1..3g-1
+            rhs += top * comb(g, k // 3)
+        prev, r = divmod(rhs, 2 * k + 1)
+        if r:
+            raise ArithmeticError(
+                f"inexact division at ({g},{k}): remainder {r} mod {2 * k + 1}"
+            )
+        row.append(prev)
+    return tuple(row)
 
-    def below(i: int) -> Fraction:
-        return row_below[i] if 0 <= i < len(row_below) else ZERO
 
-    rhs = (
-        (2 * g - 1 - 2 * k) * prev_value
-        + _SIXTH * (below(k - 4) + 3 * below(k - 3) + 3 * below(k - 2) + below(k - 1))
-        + one_point_at(k - 2) * one_point_at(3 * g - 2 - k)
-    )
-    return rhs / (2 * k + 1)
+def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
+    """Integer rows T(1, .), ..., T(g_max, .) in order."""
+    row = _scaled(1, genus_row(1))
+    yield row
+    for g in range(2, g_max + 1):
+        row = _int_row(g, row)
+        yield row
 
 
 def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Fraction, ...]:
     """Full row (<tau_0 tau_{3g-1}>, ..., <tau_{3g-1} tau_0>) for one genus.
 
     Genus 1 returns the seed row; for g >= 2 the complete genus g-1 row is
-    required.  Entry 0 is the string-equation endpoint one_point(g).
+    required, and every entry of it times N(g-1) must be an integer
+    (``ValueError`` otherwise).  Entry 0 is the string-equation endpoint
+    one_point(g).
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
@@ -125,10 +187,19 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
         return (seed[(1, 0)], seed[(1, 1)], seed[(1, 0)])
     if row_below is None or len(row_below) != 3 * (g - 1):
         raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
-    row = [one_point(g)]
-    for k in range(1, 3 * g):
-        row.append(_step(g, k, row[-1], row_below))
-    return tuple(row)
+    return _fractions(g, _int_row(g, _scaled(g - 1, row_below)))
+
+
+def recursive_row(g: int) -> tuple[Fraction, ...]:
+    """Genus g row by the recursion, with no table.
+
+    Rows 1..g-1 stay integers; only row g is converted to ``Fraction``.
+    """
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    for row in _int_rows(g):
+        pass
+    return _fractions(g, row)
 
 
 def two_point_recursive(g: int, k: int, table: "TwoPointTable | None" = None) -> Fraction:
@@ -136,8 +207,8 @@ def two_point_recursive(g: int, k: int, table: "TwoPointTable | None" = None) ->
 
     For g >= 2 the table must be complete through genus g-1 (genus 1 needs no
     table).  If the table already holds genus g the stored value is returned;
-    otherwise the genus-g row is advanced from k = 0 without mutating the
-    table.
+    otherwise the genus-g row is computed from the table's row g-1 without
+    mutating the table.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
@@ -153,22 +224,14 @@ def two_point_recursive(g: int, k: int, table: "TwoPointTable | None" = None) ->
         )
     if table.max_genus_complete >= g:
         return table.value(g, k)
-    row_below = table.row(g - 1)
-    value = one_point(g)
-    for kk in range(1, k + 1):
-        value = _step(g, kk, value, row_below)
-    return value
+    return genus_row(g, table.row(g - 1))[k]
 
 
 def build_table(g_max: int) -> "TwoPointTable":
     """Complete two-point table for every genus 1..g_max.  Deterministic."""
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
-    rows: dict[int, tuple[Fraction, ...]] = {}
-    row: tuple[Fraction, ...] | None = None
-    for g in range(1, g_max + 1):
-        row = genus_row(g, row)
-        rows[g] = row
+    rows = {g: _fractions(g, row) for g, row in enumerate(_int_rows(g_max), start=1)}
     return TwoPointTable(rows)
 
 

@@ -9,7 +9,13 @@ import pytest
 
 import tau2.cli as cli
 import tau2.verification as verification
+from tau2.closedform import normalize
 from tau2.verification import CheckFailure, CheckReport
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no int -> str digit limit",
+)
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +67,42 @@ class TestValue:
         code, _, err = run_cli(capsys, "value", "--g", "0", "--k", "0")
         assert code == 2
         assert "g must be >= 1" in err
+
+    @pytest.mark.parametrize("k", [0, 1, 179, 358, 359])
+    def test_recursive_prints_closed_bytes_at_genus_120(self, capsys, k):
+        argv = ["value", "--g", "120", "--k", str(k), "--method"]
+        recursive = run_cli(capsys, *argv, "recursive")
+        assert recursive == run_cli(capsys, *argv, "closed")
+        assert recursive[0] == 0
+
+    @needs_digit_limit
+    def test_values_past_the_digit_limit_print(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tau2", "value", "--g", "1100", "--k", "1600",
+             "--method", "closed"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert max(len(line) for line in proc.stdout.splitlines()) > 4300
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            corr, norm = (Fraction(line) for line in proc.stdout.splitlines())
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert normalize(1100, 1600, corr) == norm
+
+    @needs_digit_limit
+    def test_argv_keeps_the_digit_limit(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        if saved == 0:
+            pytest.skip("the digit limit is switched off in this interpreter")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["value", "--g", "1" * (saved + 1), "--k", "0"])
+        assert exc.value.code == 2
+        assert cli.main(["value", "--g", "2", "--k", "2"]) == 0
+        assert sys.get_int_max_str_digits() == saved
 
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
         real = cli.two_point_closed
@@ -312,6 +354,17 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             cli.run()
         assert exc.value.code == 0
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("row store\nunavailable")
+
+        monkeypatch.setattr(cli, "recursive_row", broken)
+        code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: RuntimeError: row store unavailable (at ")
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau2.closedform import two_point_closed
 from tau2.recursion import (
     TABLE_HEADER,
     TableValidationError,
@@ -25,6 +26,7 @@ from tau2.recursion import (
     genus_row,
     one_point,
     one_point_at,
+    recursive_row,
     two_point_recursive,
 )
 
@@ -219,6 +221,37 @@ class TestGenusRow:
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError):
             genus_row(0)
+
+    def test_inexact_division_is_loud(self):
+        # 2/45 = 16/N(1) is integral but wrong, so (2,2) divides 5 with remainder 4
+        forged = (Fraction(1, 24), Fraction(2, 45), Fraction(1, 24))
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(2,2\)"):
+            genus_row(2, forged)
+
+    def test_rejects_row_below_off_the_denominator(self):
+        forged = (Fraction(1, 24), Fraction(1, 7), Fraction(1, 24))
+        with pytest.raises(ValueError, match=r"\(1,1\): 1/7 times N\(1\)"):
+            genus_row(2, forged)
+
+
+class TestRecursiveRow:
+    def test_matches_closed_row_to_genus_80(self):
+        for g in range(1, 81):
+            closed = tuple(two_point_closed(g, k) for k in range(3 * g))
+            assert recursive_row(g) == closed, g
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_agrees_with_table_and_single_values(self, g, data):
+        row = recursive_row(g)
+        assert build_table(g).row(g) == row
+        k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
+        table = build_table(g - 1) if g > 1 else None
+        assert two_point_recursive(g, k, table) == row[k]
+
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError):
+            recursive_row(0)
 
 
 class TestTwoPointRecursive:
