@@ -20,12 +20,9 @@ from .combinatorics import (
     double_factorial_odd,
     factorial,
     multinomial,
-    parse_rational,
     rational_str,
 )
 from .recursion import (
-    TABLE_HEADER,
-    TableValidationError,
     TwoPointTable,
     build_table,
     genus0_npoint,
@@ -76,14 +73,11 @@ __all__ = [
     "normalize",
     "one_point",
     "one_point_at",
-    "parse_rational",
     "rational_str",
     "recursive_row",
     "residual_rec_a",
     "residual_rec_b",
     "residual_rec_tau",
-    "TABLE_HEADER",
-    "TableValidationError",
     "two_point_closed",
     "two_point_recursive",
     "TwoPointTable",

@@ -1,9 +1,9 @@
 """Command-line front end for the two-point correlator library.
 
 Four subcommands: ``value`` (one correlator, default cross-checked on both
-computation paths), ``table`` (one full genus row, default closed form, with
-an optional on-disk cache), ``verify`` (the exact check suite), and ``bench``
-(wall time and value bit-size per genus for either path).
+computation paths), ``table`` (one full genus row, default closed form),
+``verify`` (the exact check suite), and ``bench`` (wall time and value
+bit-size per genus for either path).
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -27,13 +27,7 @@ from time import perf_counter
 from . import verification
 from .closedform import clear_caches, normalize, two_point_closed
 from .combinatorics import rational_str
-from .recursion import (
-    TableValidationError,
-    TwoPointTable,
-    build_table,
-    genus_row,
-    recursive_row,
-)
+from .recursion import build_table, genus_row, recursive_row
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
 
@@ -114,56 +108,21 @@ def cmd_value(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_cache(path: Path) -> TwoPointTable | None:
-    if not path.exists():
-        return None
-    start = perf_counter()
-    try:
-        table = TwoPointTable.load(path)
-    except (TableValidationError, OSError, UnicodeDecodeError) as exc:
-        _diag(f"cache: invalid ({exc}); recomputing")
-        return None
-    ms = (perf_counter() - start) * 1000
-    _diag(f"cache: loaded genera 1..{table.max_genus_complete} from {path} in {ms:.1f} ms")
-    return table
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     g = args.g
     if g < 1:
         _diag(f"g must be >= 1, got {g}")
         return EXIT_USAGE
 
-    cache_path = Path(args.cache) if args.cache else None
-    cached = _load_cache(cache_path) if cache_path else None
-    rows: dict[int, tuple[Fraction, ...]] = {}
-    if cached is not None:
-        rows = {gg: cached.row(gg) for gg in range(1, cached.max_genus_complete + 1)}
-    have = len(rows)
-
-    computed = False
-    if have < g:
-        start = perf_counter()
-        if args.method == "closed":
-            for gg in range(have + 1, g + 1):
-                rows[gg] = _closed_row(gg)
-        else:
-            # recursive and both fill the table by the genus recursion
-            prev = rows[have] if have else None
-            for gg in range(have + 1, g + 1):
-                prev = genus_row(gg, prev)
-                rows[gg] = prev
-        ms = (perf_counter() - start) * 1000
-        _diag(f"table: computed genera {have + 1}..{g} ({args.method}) in {ms:.1f} ms")
-        computed = True
-    else:
-        _diag("table: all rows from cache, no computation")
+    start = perf_counter()
+    row = _closed_row(g) if args.method == "closed" else recursive_row(g)
+    ms = (perf_counter() - start) * 1000
+    _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
         # emitted rows only leave after both paths agree entry by entry
         start = perf_counter()
-        check = _closed_row(g)
-        for k, (closed, recursive) in enumerate(zip(check, rows[g])):
+        for k, (closed, recursive) in enumerate(zip(_closed_row(g), row)):
             if closed != recursive:
                 _diag(
                     f"path mismatch at ({g},{k}): closed {rational_str(closed)}, "
@@ -173,13 +132,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
 
-    if cache_path and computed:
-        start = perf_counter()
-        TwoPointTable(rows).save(cache_path)
-        ms = (perf_counter() - start) * 1000
-        _diag(f"cache: wrote genera 1..{g} to {cache_path} in {ms:.1f} ms")
-
-    for line in _row_lines(g, rows[g], args.format):
+    for line in _row_lines(g, row, args.format):
         print(line)
     return EXIT_OK
 
@@ -294,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--g", type=int, required=True, help="genus, >= 1")
     table.add_argument("--method", choices=("closed", "recursive", "both"), default="closed")
     table.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    table.add_argument("--cache", help="table cache file to honor and update")
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the exact cross-check suite")

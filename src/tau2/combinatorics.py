@@ -3,13 +3,12 @@
 Everything here is integer or rational arithmetic with no rounding, built on
 Python's arbitrary-precision ``int`` and :class:`fractions.Fraction`.  A
 ``Fraction`` is always stored in lowest terms with a positive denominator,
-which is exactly the canonical form required by the serialization format
+which is exactly the canonical text form that :func:`rational_str` prints
 ("p/q" with q > 0, or "p" alone when q = 1).
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -21,7 +20,6 @@ __all__ = [
     "double_factorial_odd",
     "multinomial",
     "rational_str",
-    "parse_rational",
 ]
 
 binomial = comb
@@ -62,7 +60,7 @@ def multinomial(parts: Sequence[int]) -> int:
 
 
 def rational_str(x: Fraction | int) -> str:
-    """Canonical serialization of an exact rational.
+    """Canonical text form of an exact rational.
 
     Lowest terms, ASCII, "p/q" with q > 0, or just "p" when q == 1; the sign
     sits on the numerator.  Examples: "29/5760", "-2/11", "1".
@@ -71,30 +69,3 @@ def rational_str(x: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse the canonical "p/q" form back into a ``Fraction``.
-
-    Strict inverse of :func:`rational_str`: rejects anything that would not
-    round-trip byte-for-byte (whitespace, q <= 0, a denominator of 1 written
-    out, or a fraction not in lowest terms).
-    """
-    m = _RATIONAL_RE.match(s)
-    if m is None:
-        raise ValueError(f"malformed rational {s!r}")
-    p = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(p)
-    q = int(m.group(2))
-    if q == 0:
-        raise ValueError(f"zero denominator in {s!r}")
-    if q == 1:
-        raise ValueError(f"non-canonical denominator 1 in {s!r}")
-    f = Fraction(p, q)
-    if f.denominator != q:
-        raise ValueError(f"rational {s!r} is not in lowest terms")
-    return f

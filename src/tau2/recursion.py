@@ -29,21 +29,15 @@ T(g, k) / N(g) only at the boundary, when a row is handed out.
 The row is always computed over the full range k = 0..3g-1, never by
 mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
 consistency check.
-
-Tables serialize to a line-oriented UTF-8 text format (header
-``tau2-table v1``, then one ``g<TAB>k<TAB>p/q`` line per entry, sorted) used
-as an on-disk cache; loading re-validates all invariants before trusting the
-file.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from pathlib import Path
 from typing import Iterator, Sequence
 
-from .combinatorics import double_factorial_odd, multinomial, parse_rational, rational_str
+from .combinatorics import double_factorial_odd, multinomial, rational_str
 
 __all__ = [
     "one_point",
@@ -55,13 +49,9 @@ __all__ = [
     "two_point_recursive",
     "build_table",
     "TwoPointTable",
-    "TableValidationError",
-    "TABLE_HEADER",
 ]
 
 ZERO = Fraction(0)
-
-TABLE_HEADER = "tau2-table v1"
 
 
 def one_point(g: int) -> Fraction:
@@ -235,10 +225,6 @@ def build_table(g_max: int) -> "TwoPointTable":
     return TwoPointTable(rows)
 
 
-class TableValidationError(ValueError):
-    """A serialized two-point table failed format or invariant checks."""
-
-
 class TwoPointTable:
     """Immutable map (g, k) -> <tau_k tau_{3g-1-k}>, complete per genus.
 
@@ -275,94 +261,8 @@ class TwoPointTable:
             raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
         return row[k]
 
-    def value_or_zero(self, g: int, k: int) -> Fraction:
-        """Stored value, or exact 0 for any index outside the table."""
-        if g < 1 or g > self.max_genus_complete or k < 0 or k > 3 * g - 1:
-            return ZERO
-        return self._rows[g][k]
-
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """All ((g, k), value) pairs sorted by (g, k)."""
         for g in range(1, self.max_genus_complete + 1):
             for k, v in enumerate(self._rows[g]):
                 yield (g, k), v
-
-    def validate(self) -> None:
-        """Check positivity, symmetry, and both endpoint identities.
-
-        Raises :class:`TableValidationError` at the first violated invariant;
-        a table that passes is fit to serve as a trusted cache.
-        """
-        for g in range(1, self.max_genus_complete + 1):
-            row = self._rows[g]
-            anchor = one_point(g)
-            if row[0] != anchor:
-                raise TableValidationError(
-                    f"genus {g}: string endpoint is {rational_str(row[0])}, "
-                    f"expected {rational_str(anchor)}"
-                )
-            if row[1] != (2 * g - 1) * anchor:
-                raise TableValidationError(
-                    f"genus {g}: dilaton endpoint is {rational_str(row[1])}, "
-                    f"expected {rational_str((2 * g - 1) * anchor)}"
-                )
-            for k, v in enumerate(row):
-                if v <= 0:
-                    raise TableValidationError(f"({g},{k}): non-positive value {rational_str(v)}")
-                if v != row[3 * g - 1 - k]:
-                    raise TableValidationError(
-                        f"({g},{k}): symmetry broken, {rational_str(v)} != "
-                        f"{rational_str(row[3 * g - 1 - k])}"
-                    )
-
-    def serialize(self) -> str:
-        lines = [TABLE_HEADER]
-        for (g, k), v in self.items():
-            lines.append(f"{g}\t{k}\t{rational_str(v)}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.serialize(), encoding="utf-8")
-
-    @classmethod
-    def deserialize(cls, text: str) -> "TwoPointTable":
-        """Parse and fully validate a serialized table.
-
-        Strict: canonical rationals only, entries sorted by (g, k), contiguous
-        complete genera, and all semantic invariants of :meth:`validate`.
-        """
-        lines = text.splitlines()
-        if not lines or lines[0] != TABLE_HEADER:
-            raise TableValidationError(f"missing or unknown header (expected {TABLE_HEADER!r})")
-        rows: dict[int, dict[int, Fraction]] = {}
-        last = (0, 0)
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TableValidationError(f"line {lineno}: expected 'g<TAB>k<TAB>value'")
-            try:
-                g, k = int(parts[0]), int(parts[1])
-                v = parse_rational(parts[2])
-            except ValueError as exc:
-                raise TableValidationError(f"line {lineno}: {exc}") from exc
-            if g < 1 or not 0 <= k <= 3 * g - 1:
-                raise TableValidationError(f"line {lineno}: index ({g},{k}) out of range")
-            if (g, k) <= last:
-                raise TableValidationError(f"line {lineno}: entries not sorted by (g, k)")
-            last = (g, k)
-            rows.setdefault(g, {})[k] = v
-        genera = sorted(rows)
-        if genera != list(range(1, len(genera) + 1)):
-            raise TableValidationError("genera are not a contiguous block starting at 1")
-        full: dict[int, tuple[Fraction, ...]] = {}
-        for g in genera:
-            if sorted(rows[g]) != list(range(3 * g)):
-                raise TableValidationError(f"genus {g}: row incomplete")
-            full[g] = tuple(rows[g][k] for k in range(3 * g))
-        table = cls(full)
-        table.validate()
-        return table
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TwoPointTable":
-        return cls.deserialize(Path(path).read_text(encoding="utf-8"))

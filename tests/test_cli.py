@@ -1,11 +1,18 @@
-"""Command-line behavior: formats, exit codes, cache flow, diagnostics."""
+"""Command-line behavior: formats, exit codes, diagnostics, documented flags."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tau2.cli as cli
 import tau2.verification as verification
@@ -176,59 +183,22 @@ class TestTable:
         assert out == ""
         assert "mismatch at (2,3)" in err
 
-
-class TestTableCache:
-    def test_write_then_hit(self, capsys, tmp_path):
-        cache = tmp_path / "cache.tsv"
-        code1, out1, err1 = run_cli(capsys, "table", "--g", "3", "--cache", str(cache))
-        assert code1 == 0
-        assert "cache: wrote genera 1..3" in err1
-        assert cache.exists()
-
-        code2, out2, err2 = run_cli(capsys, "table", "--g", "3", "--cache", str(cache))
-        assert code2 == 0
-        assert out2 == out1
-        assert "cache: loaded genera 1..3" in err2
-        assert "no computation" in err2
-        assert "cache: wrote" not in err2
-
-    def test_cache_extends_to_higher_genus(self, capsys, tmp_path):
-        cache = tmp_path / "cache.tsv"
-        run_cli(capsys, "table", "--g", "2", "--cache", str(cache))
-        code, _, err = run_cli(capsys, "table", "--g", "4", "--cache", str(cache))
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("g", [1, 2, 30, 120])
+    def test_recursive_and_both_print_closed_bytes(self, capsys, g, fmt):
+        argv = ["table", "--g", str(g), "--format", fmt, "--method"]
+        code, closed, _ = run_cli(capsys, *argv, "closed")
         assert code == 0
-        assert "cache: loaded genera 1..2" in err
-        assert "computed genera 3..4" in err
-        assert "cache: wrote genera 1..4" in err
+        for method in ("recursive", "both"):
+            assert run_cli(capsys, *argv, method)[:2] == (0, closed)
 
-    def test_cache_with_more_genera_than_requested(self, capsys, tmp_path):
-        cache = tmp_path / "cache.tsv"
-        run_cli(capsys, "table", "--g", "5", "--cache", str(cache))
-        before = cache.read_text()
-        code, out, err = run_cli(capsys, "table", "--g", "2", "--cache", str(cache))
-        assert code == 0
-        assert out.splitlines()[0] == "2 0 1/1152 1"
-        assert cache.read_text() == before
-
-    def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
-        cache = tmp_path / "cache.tsv"
-        run_cli(capsys, "table", "--g", "3", "--cache", str(cache))
-        cache.write_text(cache.read_text().replace("2\t1\t1/384", "2\t1\t1/385"))
-        code, out, err = run_cli(capsys, "table", "--g", "3", "--cache", str(cache))
-        assert code == 0
-        assert "cache: invalid" in err
-        assert "cache: wrote genera 1..3" in err
-        assert out.splitlines()[0] == "3 0 1/82944 1"
-        assert "1/385" not in cache.read_text()
-
-    def test_recursive_method_seeds_chain_from_cache(self, capsys, tmp_path):
-        cache = tmp_path / "cache.tsv"
-        run_cli(capsys, "table", "--g", "2", "--cache", str(cache))
-        code, out, _ = run_cli(
-            capsys, "table", "--g", "3", "--method", "recursive", "--cache", str(cache)
-        )
-        assert code == 0
-        assert out.splitlines()[4] == "3 4 607/1451520 10926/12155"
+    def test_cache_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--g", "3", "--cache", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -374,3 +344,50 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["29/5760", "29/33"]
+
+
+@st.composite
+def well_formed_argv(draw):
+    """Well-formed argv for value, table or verify; g, k and g-max may be out of range."""
+    command = draw(st.sampled_from(["value", "table", "verify"]))
+    fmt = draw(st.sampled_from(["plain", "csv", "json"]))
+    if command == "verify":
+        argv = ["verify", f"--g-max={draw(st.integers(-2, 4))}", f"--format={fmt}"]
+        checks = draw(st.lists(st.sampled_from([*cli._CHECKS, "typo"]), max_size=3))
+        return argv + [f"--checks={','.join(checks)}"] if checks else argv
+    method = draw(st.sampled_from(["closed", "recursive", "both"]))
+    argv = [command, f"--g={draw(st.integers(-2, 6))}", f"--method={method}", f"--format={fmt}"]
+    return argv + [f"--k={draw(st.integers(-3, 20))}"] if command == "value" else argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(well_formed_argv())
+    def test_success_prints_and_usage_error_is_one_line(self, argv):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+        else:
+            assert out.getvalue()
+
+
+class TestReadme:
+    def test_flags_line_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        flags_line = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", flags_line))
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        offered = {
+            flag
+            for subparser in sub.choices.values()
+            for action in subparser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert documented == offered

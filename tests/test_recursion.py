@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from tau2.closedform import two_point_closed
 from tau2.recursion import (
-    TABLE_HEADER,
-    TableValidationError,
     TwoPointTable,
     build_table,
     genus0_npoint,
@@ -29,6 +27,7 @@ from tau2.recursion import (
     recursive_row,
     two_point_recursive,
 )
+from tau2.verification import check_symmetry, cross_validate
 
 
 def _df(m: int) -> int:
@@ -324,11 +323,19 @@ class TestBuildTable:
             build_table(0)
 
     def test_deterministic_serialization(self):
-        assert build_table(5).serialize() == build_table(5).serialize()
+        assert list(build_table(5).items()) == list(build_table(5).items())
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_validate_passes(self, g):
-        build_table(g).validate()
+        """Every row keeps positivity, symmetry and both endpoint identities."""
+        table = build_table(g)
+        for gg in range(1, g + 1):
+            row = table.row(gg)
+            assert row[0] == one_point(gg)
+            assert row[1] == (2 * gg - 1) * one_point(gg)
+            for k, v in enumerate(row):
+                assert v > 0, (gg, k)
+                assert v == row[3 * gg - 1 - k], (gg, k)
 
     def test_string_endpoint(self):
         table = build_table(8)
@@ -353,14 +360,6 @@ class TestTwoPointTable:
         with pytest.raises(ValueError):
             build_table(2).value(2, 6)
 
-    def test_value_or_zero(self):
-        table = build_table(2)
-        assert table.value_or_zero(2, 3) == Fraction(29, 5760)
-        assert table.value_or_zero(2, -1) == 0
-        assert table.value_or_zero(2, 6) == 0
-        assert table.value_or_zero(3, 0) == 0
-        assert table.value_or_zero(0, 0) == 0
-
     def test_items_sorted(self):
         keys = [key for key, _ in build_table(3).items()]
         assert keys == sorted(keys)
@@ -376,91 +375,29 @@ class TestTwoPointTable:
         with pytest.raises(ValueError, match="entries"):
             TwoPointTable({1: (Fraction(1, 24),) * 2})
 
+    # A table built in memory is checked by the verification engine: the
+    # symmetry check, and cross-validation against the closed form.
+
     def test_validate_rejects_broken_symmetry(self):
         row = list(genus_row(1))
         row[2] = Fraction(1, 25)
-        with pytest.raises(TableValidationError, match="symmetry"):
-            TwoPointTable({1: row}).validate()
+        report = check_symmetry(1, TwoPointTable({1: row}))
+        assert [(f.g, f.k) for f in report.failures] == [(1, 0)]
 
     def test_validate_rejects_nonpositive(self):
         row = list(build_table(2).row(2))
         row[2] = row[3] = Fraction(-1, 5760)
-        with pytest.raises(TableValidationError, match="non-positive"):
-            TwoPointTable({1: genus_row(1), 2: row}).validate()
+        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+        assert [(f.g, f.k) for f in report.failures] == [(2, 2), (2, 3)]
 
     def test_validate_rejects_bad_string_endpoint(self):
         row = list(build_table(2).row(2))
         row[0] = row[5] = Fraction(1, 1153)
-        with pytest.raises(TableValidationError, match="string"):
-            TwoPointTable({1: genus_row(1), 2: row}).validate()
+        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+        assert [(f.g, f.k) for f in report.failures] == [(2, 0), (2, 5)]
 
     def test_validate_rejects_bad_dilaton_endpoint(self):
         row = list(build_table(2).row(2))
         row[1] = row[4] = Fraction(1, 385)
-        with pytest.raises(TableValidationError, match="dilaton"):
-            TwoPointTable({1: genus_row(1), 2: row}).validate()
-
-
-class TestSerialization:
-    def test_header_and_layout(self):
-        text = build_table(2).serialize()
-        lines = text.splitlines()
-        assert lines[0] == TABLE_HEADER
-        assert lines[1] == "1\t0\t1/24"
-        assert lines[4] == "2\t0\t1/1152"
-        assert len(lines) == 1 + 3 + 6
-        assert text.endswith("\n")
-
-    @pytest.mark.parametrize("g", range(1, 7))
-    def test_round_trip(self, g):
-        table = build_table(g)
-        again = TwoPointTable.deserialize(table.serialize())
-        assert again.serialize() == table.serialize()
-        assert list(again.items()) == list(table.items())
-
-    def test_save_load(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        table = build_table(3)
-        table.save(path)
-        assert TwoPointTable.load(path).serialize() == table.serialize()
-
-    def test_missing_header(self):
-        with pytest.raises(TableValidationError, match="header"):
-            TwoPointTable.deserialize("1\t0\t1/24\n")
-
-    def test_bad_field_count(self):
-        with pytest.raises(TableValidationError, match="expected"):
-            TwoPointTable.deserialize(f"{TABLE_HEADER}\n1\t0\n")
-
-    def test_non_canonical_rational(self):
-        text = build_table(1).serialize().replace("1\t0\t1/24", "1\t0\t2/48")
-        with pytest.raises(TableValidationError):
-            TwoPointTable.deserialize(text)
-
-    def test_unsorted_entries(self):
-        lines = build_table(1).serialize().splitlines()
-        swapped = "\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n"
-        with pytest.raises(TableValidationError, match="sorted"):
-            TwoPointTable.deserialize(swapped)
-
-    def test_out_of_range_index(self):
-        text = f"{TABLE_HEADER}\n1\t3\t1/24\n"
-        with pytest.raises(TableValidationError, match="out of range"):
-            TwoPointTable.deserialize(text)
-
-    def test_incomplete_row(self):
-        lines = build_table(1).serialize().splitlines()
-        with pytest.raises(TableValidationError, match="incomplete"):
-            TwoPointTable.deserialize("\n".join(lines[:3]) + "\n")
-
-    def test_non_contiguous_genera(self):
-        genus2_only = [TABLE_HEADER] + [
-            line for line in build_table(2).serialize().splitlines()[1:] if line.startswith("2")
-        ]
-        with pytest.raises(TableValidationError, match="contiguous"):
-            TwoPointTable.deserialize("\n".join(genus2_only) + "\n")
-
-    def test_corrupted_value_rejected(self):
-        text = build_table(2).serialize().replace("2\t1\t1/384", "2\t1\t1/385")
-        with pytest.raises(TableValidationError):
-            TwoPointTable.deserialize(text)
+        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+        assert [(f.g, f.k) for f in report.failures] == [(2, 1), (2, 4)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tau2.recursion import TableValidationError, TwoPointTable, build_table
+from tau2.recursion import TwoPointTable, build_table
 from tau2.verification import (
     CheckFailure,
     CheckReport,
@@ -35,13 +35,13 @@ class TestResidualTau:
         table = build_table(6)
         for g in range(2, 7):
             for k in range(3 * g - 1):
-                assert residual_rec_tau(g, k, table.value_or_zero) == 0, (g, k)
+                assert residual_rec_tau(g, k, table.value) == 0, (g, k)
 
     def test_detects_corrupt_backend(self):
         table = build_table(3)
 
         def corrupted(g, k):
-            value = table.value_or_zero(g, k)
+            value = table.value(g, k)
             return value + Fraction(1, 7) if (g, k) == (3, 4) else value
 
         assert any(residual_rec_tau(3, k, corrupted) != 0 for k in range(8))
@@ -195,19 +195,12 @@ class TestCheckReport:
 
 class TestCorruptionSweep:
     def test_every_single_entry_corruption_is_detected(self):
-        """Each corrupted cache entry trips loader validation or a check."""
+        """Each single corrupted table entry fails cross-validation at its (g, k)."""
         clean = build_table(3)
-        baseline = clean.serialize()
         for g in range(1, 4):
             for k in range(3 * g):
-                bad = Fraction(clean.value(g, k) + Fraction(1, 7))
-                needle = f"{g}\t{k}\t{clean.value(g, k)}"
-                replacement = f"{g}\t{k}\t{bad}"
-                corrupted_text = baseline.replace(needle, replacement, 1)
-                assert corrupted_text != baseline
-                try:
-                    table = TwoPointTable.deserialize(corrupted_text)
-                except TableValidationError:
-                    continue
-                report = cross_validate(3, table)
+                rows = {gg: list(clean.row(gg)) for gg in range(1, 4)}
+                rows[g][k] += Fraction(1, 7)
+                report = cross_validate(3, TwoPointTable(rows))
                 assert not report.passed, (g, k)
+                assert [(f.g, f.k) for f in report.failures] == [(g, k)]
