@@ -25,7 +25,8 @@ Every division (by 2k+3, and by g inside core) is exact; a nonzero remainder
 raises ``ArithmeticError`` instead of truncating.  No recursion over genus is
 involved: each genus row is a direct O(g) computation.  Whole-row callers
 (``two_point_closed``, ``a_closed``) read a per-genus cache of the half row;
-``two_point_streamed`` runs the same loop to one k and keeps no row.
+``two_point_streamed`` runs the same loop over the whole half row and keeps
+one entry, so its time depends on g and not on k.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import comb, factorial
 from typing import Iterator
 
@@ -178,10 +178,16 @@ def two_point_closed(g: int, k: int) -> Fraction:
 def two_point_streamed(g: int, k: int) -> Fraction:
     """<tau_k tau_{3g-1-k}> like ``two_point_closed``, but caching no row.
 
-    Runs the telescoping loop only to min(k, 3g-1-k) and keeps one T at a
-    time, so a single value at a large genus costs no more memory than it.
+    Runs the whole half-row pass and keeps only T(g, min(k, 3g-1-k)), so a
+    single value at a large genus costs no more memory than it, and its time
+    depends on g alone: stopping at k would make it vary tenfold with k.
     """
-    return Fraction(next(islice(_t_half(g), _mirror(g, k), None)), _denominator(g))
+    m = _mirror(g, k)
+    t = 0
+    for i, ti in enumerate(_t_half(g)):
+        if i == m:
+            t = ti
+    return Fraction(t, _denominator(g))
 
 
 def clear_caches() -> None:
