@@ -24,9 +24,9 @@ fills the first half of the row; T(g, k) = T(g, 3g-1-k) gives the rest.
 Every division (by 2k+3, and by g inside core) is exact; a nonzero remainder
 raises ``ArithmeticError`` instead of truncating.  No recursion over genus is
 involved: each genus row is a direct O(g) computation.  Whole-row callers
-(``two_point_closed``, ``a_closed``) read a per-genus cache of the half row;
-``two_point_streamed`` runs the same loop over the whole half row and keeps
-one entry, so its time depends on g and not on k.
+(``two_point_closed``, ``a_closed``, ``verification``) read a per-genus cache
+of the half row; ``two_point_streamed`` runs the same loop over the whole
+half row and keeps one entry, so its time depends on g and not on k.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -124,16 +124,6 @@ def _t_half_row(g: int) -> tuple[int, ...]:
     return tuple(_t_half(g))
 
 
-@lru_cache(maxsize=32)
-def _a_half_row(g: int) -> tuple[Fraction, ...]:
-    """a(g, k) = (2k+1)!! (6g-1-2k)!! T(g, k) / ((6g-1)!!)^2 on the first half row."""
-    d2 = double_factorial_odd(6 * g - 1) ** 2
-    return tuple(
-        Fraction(double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 1 - 2 * k) * t, d2)
-        for k, t in enumerate(_t_half_row(g))
-    )
-
-
 def _mirror(g: int, k: int) -> int:
     _check_gk(g, k)
     return min(k, 3 * g - 1 - k)
@@ -146,11 +136,13 @@ def _denominator(g: int) -> int:
 def a_closed(g: int, k: int) -> Fraction:
     """Normalized two-point value a(g, k), for 0 <= k <= 3g-1.
 
-    Read from the cached integer half row T(g, .), continued by the symmetry
-    a(g, k) = a(g, 3g-1-k) past the middle.  Rows are cached per genus, so
-    evaluating a whole row costs one telescoping pass.
+    Equal to (2m+1)!! (6g-1-2m)!! T(g, m) / ((6g-1)!!)^2 with m = min(k, 3g-1-k),
+    by the symmetry a(g, k) = a(g, 3g-1-k); T(g, m) is read from the cached
+    integer half row, so evaluating a whole row costs one telescoping pass.
     """
-    return _a_half_row(g)[_mirror(g, k)]
+    m = _mirror(g, k)
+    scale = double_factorial_odd(2 * m + 1) * double_factorial_odd(6 * g - 1 - 2 * m)
+    return Fraction(scale * _t_half_row(g)[m], double_factorial_odd(6 * g - 1) ** 2)
 
 
 def _scale(g: int, k: int) -> Fraction:
@@ -191,6 +183,5 @@ def two_point_streamed(g: int, k: int) -> Fraction:
 
 
 def clear_caches() -> None:
-    """Drop the per-genus half-row caches of T and a (used for honest benchmarking)."""
+    """Drop the per-genus cache of integer half rows T (used for honest benchmarking)."""
     _t_half_row.cache_clear()
-    _a_half_row.cache_clear()

@@ -1,27 +1,59 @@
 """Cross-checks between the recursion route and the closed-form route.
 
-Every identity the two routes must satisfy is evaluated in exact rational
-arithmetic: residuals of the three recursions (on correlators, on normalized
-values, and on their differences), cross-path equality of all values,
-symmetry, and the strict window bounds.  The residuals are evaluated on the
-closed-form values on purpose: the recursion route satisfies its own
-recursion by construction, so only the closed form makes the residual an
-informative check.
+Every check compares exact integers.  With D(g) = (6g-1)!! and
+N(g) = 24^g g! D(g), genus rows are read as
+
+    T(g, k) = N(g) <tau_k tau_{3g-1-k}>                       (either route)
+    A(g, k) = D(g) a(g, k) = (2k+1)!! (6g-1-2k)!! T(g, k) / D(g)
+    B(g, k) = D(g) b(g, k) = core(g, k) (6g-3-2k)!!
+
+for the normalized values a and their differences b (see ``closedform``).
+The division giving A is exact; a remainder raises ``ArithmeticError``.  B is
+read from ``closedform._core``, not from differences of A.  T and A are 0
+outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0),
+and past the middle of the row B(g, k) = -B(g, 3g-2-k).
+
+The residuals test the closed form against three recursions it was not built
+from (the recursion route satisfies its own by construction), each multiplied
+through by a scale that makes every term an integer.  With s = 2k+1, the
+bracket over a genus g-1 row X is
+
+    P(X, u) = s(s-2)(s-4) X(g-1,k-3) + 3s(s-2)u X(g-1,k-2)
+            + 3su(u-2) X(g-1,k-1) + u(u-2)(u-4) X(g-1,k)
+
+and [k = 3j-1] C(g, j) is C(g, j) at k = 3j-1 and 0 otherwise:
+
+- residual-tau, scale N(g), 0 <= k <= 3g-2:
+    (2k+3) T(g,k+1) - (2g-3-2k) T(g,k) - [k = 3j-1] D(g) C(g,j)
+    - 4g(6g-1)(6g-3)(6g-5) (T(g-1,k-3) + 3T(g-1,k-2) + 3T(g-1,k-1) + T(g-1,k))
+- residual-a, scale D(g), 0 <= k <= 3g-2, u = 6g-1-2k:
+    u A(g,k+1) - (2g-3-2k) A(g,k) - 4g P(A, u) - [k = 3j-1] C(g,j) (2k+1)!! u!!
+- residual-b, scale D(g), 0 <= k < b_domain_max(g), u = 6g-3-2k:
+    u B(g,k+1) - (2g-3-2k) B(g,k) - 4g P(B, u)
+    - [k = 3j-2] C(g,j) (2k+3)!! u!! + [k = 3j-1] C(g,j) (2k+1)!! (u+2)!!
+
+Over its scale each is LHS - RHS of the rational recursion (4g A(g-1, .) is
+4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares closed
+and recursive rows T(g, .), ``symmetry`` a recursive row with its reverse,
+and ``bounds`` checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
+Genera are walked in order, keeping only rows g-1 and g.
 
 Checks never abort mid-scan.  They return a :class:`CheckReport` whose
-failure list pinpoints every offending (g, k) locus in deterministic (g, k)
-order; an empty list means the check passed.
+failure list pinpoints every offending (g, k) locus in (g, k) order; an empty
+list means the check passed.  Only a failure builds a ``Fraction``: each
+integer over its scale, exactly the value the rational comparison has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
-from .closedform import a_closed, b_domain_max, b_value, two_point_closed
+from . import closedform
+from .closedform import _denominator, _exact, b_domain_max
 from .combinatorics import binomial, double_factorial_odd, rational_str
-from .recursion import TwoPointTable, build_table, one_point_at
+from .recursion import TwoPointTable, _int_rows
 
 __all__ = [
     "CheckFailure",
@@ -36,10 +68,6 @@ __all__ = [
     "check_residual_a",
     "check_residual_b",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -85,194 +113,183 @@ class CheckReport:
         }
 
 
-def _require_g_max(g_max: int, minimum: int = 1) -> None:
-    if g_max < minimum:
-        raise ValueError(f"g_max must be >= {minimum}, got {g_max}")
+def _require_g_max(g_max: int) -> None:
+    if g_max < 1:
+        raise ValueError(f"g_max must be >= 1, got {g_max}")
 
 
-def _gamma(g: int) -> Fraction:
-    # shared coefficient of the genus g-1 bracket in both normalized recursions
-    return Fraction(4 * g, (6 * g - 1) * (6 * g - 3) * (6 * g - 5))
+def _require_step(g: int, k: int, top: int) -> None:
+    if g < 2:
+        raise ValueError(f"recursion steps need genus g >= 2, got {g}")
+    if not 0 <= k <= top:
+        raise ValueError(f"step index must be in 0..{top} at genus {g}, got {k}")
+
+
+def _d(g: int) -> int:
+    return double_factorial_odd(6 * g - 1)
+
+
+def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
+    return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
+
+
+def _mirrored(g: int, half: Sequence) -> tuple:
+    """Full genus g row, symmetric under k <-> 3g-1-k, from its first half."""
+    return (*half, *half[3 * g - 1 - len(half) :: -1])
+
+
+# Rows handed to the identities are padded: row[k + 3] holds the entry at k,
+# so the genus g-1 terms at k-3..k of step k are row[k..k+3].
+def _padded(row: Sequence) -> tuple:
+    return (0, 0, 0, *row, 0, 0)
+
+
+def _t_row(g: int) -> tuple[int, ...]:
+    return _padded(_mirrored(g, closedform._t_half_row(g)))
+
+
+def _a_row(g: int) -> tuple[int, ...]:
+    # A(g, k) = (6g-1-2k)!! T(g, k) / E(k) with E(k) = D(g)/(2k+1)!!: the
+    # common factor (2k+1)!! is cancelled, so the big division is cheaper
+    e = _d(g)
+    half = []
+    for k, t in enumerate(closedform._t_half_row(g)):
+        half.append(_exact(double_factorial_odd(6 * g - 1 - 2 * k) * t, e, g, k))
+        e = _exact(e, 2 * k + 3, g, k + 1)
+    return _padded(_mirrored(g, half))
+
+
+def _b_row(g: int) -> tuple[int, ...]:
+    first = [
+        closedform._core(g, k) * double_factorial_odd(6 * g - 3 - 2 * k)
+        for k in range(b_domain_max(g) + 1)
+    ]
+    middle = [0] if g % 2 == 0 else []  # b(g, k) = 0 at 2k = 3g-2
+    return (0, 0, _d(g), *first, *middle, *(-b for b in reversed(first)))
+
+
+def _tau_step(g: int, k: int, t: Sequence, below: Sequence):
+    c = 4 * g * (6 * g - 1) * (6 * g - 3) * (6 * g - 5)
+    r = (2 * k + 3) * t[k + 4] - (2 * g - 3 - 2 * k) * t[k + 3]
+    r -= c * (below[k] + 3 * below[k + 1] + 3 * below[k + 2] + below[k + 3])
+    if k % 3 == 2:
+        # k = 3j-1 with 1 <= j <= g-1 holds on every such step
+        r -= _d(g) * binomial(g, (k + 1) // 3)
+    return r
+
+
+def _normalized_step(g: int, k: int, u: int, row: Sequence, below: Sequence):
+    """The homogeneous part u X(g,k+1) - (2g-3-2k) X(g,k) - 4g P(X, u)."""
+    s = 2 * k + 1
+    bracket = s * (
+        (s - 2) * ((s - 4) * below[k] + 3 * u * below[k + 1]) + 3 * u * (u - 2) * below[k + 2]
+    ) + u * (u - 2) * (u - 4) * below[k + 3]
+    return u * row[k + 4] - (2 * g - 3 - 2 * k) * row[k + 3] - 4 * g * bracket
+
+
+def _one_point(g: int, k: int) -> int:
+    """D(g) times the one-point term of the normalized recursion at k = 3j-1."""
+    odd = double_factorial_odd
+    return binomial(g, (k + 1) // 3) * odd(2 * k + 1) * odd(6 * g - 1 - 2 * k)
+
+
+def _a_step(g: int, k: int, a: Sequence, below: Sequence):
+    r = _normalized_step(g, k, 6 * g - 1 - 2 * k, a, below)
+    return r - _one_point(g, k) if k % 3 == 2 else r
+
+
+def _b_step(g: int, k: int, b: Sequence, below: Sequence):
+    # the one-point terms of the a recursion at k+1 and at k
+    r = _normalized_step(g, k, 6 * g - 3 - 2 * k, b, below)
+    if k % 3 == 1:
+        return r - _one_point(g, k + 1)
+    return r + _one_point(g, k) if k % 3 == 2 else r
 
 
 def residual_rec_tau(
     g: int, k: int, backend: Callable[[int, int], Fraction] | None = None
 ) -> Fraction:
-    """LHS - RHS of the correlator recursion at step (g, k), g >= 2.
+    """LHS - RHS of the correlator recursion at step (g, k), g >= 2:
 
-    Step k relates entry (g, k+1) to entry (g, k), four genus g-1 entries and
-    a one-point product; valid for 0 <= k <= 3g-2.  Two-point values come
-    from ``backend`` (default: the closed form), with indices outside
-    0..3g-1 evaluating to 0.  An exact 0 result means the backend satisfies
-    the recursion at this locus.
+        (2k+3) <tau_{k+1} tau_{3g-2-k}> = (2g-3-2k) <tau_k tau_{3g-1-k}>
+            + 1/6 (bracket of four genus g-1 values) + <tau_{k-1}> <tau_{3g-3-k}>
+
+    that is, residual-tau of the module docstring over N(g); 0 <= k <= 3g-2.
+    Values come from ``backend`` (default: the closed form), read as 0 outside
+    0..3g-1 and scaled by N(g), so a wrong one stays a non-integral Fraction.
     """
-    if g < 2:
-        raise ValueError(f"recursion steps need genus g >= 2, got {g}")
-    if not 0 <= k <= 3 * g - 2:
-        raise ValueError(f"step index must be in 0..{3 * g - 2} at genus {g}, got {k}")
-    src = backend if backend is not None else two_point_closed
-
-    def tp(gg: int, kk: int) -> Fraction:
-        if kk < 0 or kk > 3 * gg - 1:
-            return ZERO
-        return src(gg, kk)
-
-    lhs = (2 * k + 3) * tp(g, k + 1)
-    rhs = (
-        (2 * g - 3 - 2 * k) * tp(g, k)
-        + Fraction(1, 6)
-        * (tp(g - 1, k - 3) + 3 * tp(g - 1, k - 2) + 3 * tp(g - 1, k - 1) + tp(g - 1, k))
-        + one_point_at(k - 1) * one_point_at(3 * g - 3 - k)
+    _require_step(g, k, 3 * g - 2)
+    row = _t_row if backend is None else (
+        lambda gg: _padded(_scaled(gg, [backend(gg, i) for i in range(3 * gg)]))
     )
-    return lhs - rhs
-
-
-def _a_at(g: int, k: int) -> Fraction:
-    """a(g, k) extended by 0 outside 0..3g-1 (vanishing correlator)."""
-    if k < 0 or k > 3 * g - 1:
-        return ZERO
-    return a_closed(g, k)
+    return Fraction(_tau_step(g, k, row(g), row(g - 1)), _denominator(g))
 
 
 def residual_rec_a(g: int, k: int) -> Fraction:
-    """LHS - RHS of the normalized recursion at step (g, k), g >= 2:
+    """LHS - RHS of the normalized recursion on closed-form values a(g, .).
 
-        (6g-1-2k) a(g,k+1) = (2g-3-2k) a(g,k)
-            + 4g/((6g-1)(6g-3)(6g-5)) * [  (2k+1)(2k-1)(2k-3)        a(g-1,k-3)
-                                         + 3(2k+1)(2k-1)(6g-1-2k)    a(g-1,k-2)
-                                         + 3(2k+1)(6g-1-2k)(6g-3-2k) a(g-1,k-1)
-                                         + (6g-1-2k)(6g-3-2k)(6g-5-2k) a(g-1,k) ]
-            + C(g,j) (2k+1)!!(6g-1-2k)!!/(6g-1)!!   if k = 3j-1, else 0
-
-    evaluated on closed-form values, with out-of-range a(g-1, .) equal to 0
-    on both sides of the row (the underlying correlators vanish there).
-    Valid for 0 <= k <= 3g-2.
+    This is residual-a of the module docstring over D(g), at step (g, k) with
+    g >= 2 and 0 <= k <= 3g-2.
     """
-    if g < 2:
-        raise ValueError(f"recursion steps need genus g >= 2, got {g}")
-    if not 0 <= k <= 3 * g - 2:
-        raise ValueError(f"step index must be in 0..{3 * g - 2} at genus {g}, got {k}")
-    lhs = (6 * g - 1 - 2 * k) * a_closed(g, k + 1)
-    bracket = (
-        (2 * k + 1) * (2 * k - 1) * (2 * k - 3) * _a_at(g - 1, k - 3)
-        + 3 * (2 * k + 1) * (2 * k - 1) * (6 * g - 1 - 2 * k) * _a_at(g - 1, k - 2)
-        + 3 * (2 * k + 1) * (6 * g - 1 - 2 * k) * (6 * g - 3 - 2 * k) * _a_at(g - 1, k - 1)
-        + (6 * g - 1 - 2 * k) * (6 * g - 3 - 2 * k) * (6 * g - 5 - 2 * k) * _a_at(g - 1, k)
-    )
-    if k % 3 == 2:
-        j = (k + 1) // 3
-        inhom = binomial(g, j) * Fraction(
-            double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 1 - 2 * k),
-            double_factorial_odd(6 * g - 1),
-        )
-    else:
-        inhom = ZERO
-    rhs = (2 * g - 3 - 2 * k) * a_closed(g, k) + _gamma(g) * bracket + inhom
-    return lhs - rhs
-
-
-def _b_at(g: int, k: int) -> Fraction:
-    """Difference a(g, k+1) - a(g, k) extended to every integer k.
-
-    Since a(g, .) vanishes outside 0..3g-1, the differences are 0 for
-    k <= -2 and k > 3g-2, equal 1 at k = -1 (that is a(g,0) - 0), follow the
-    closed-form branch values on the first half, and continue antisymmetric
-    about the middle of the row on the second half.
-    """
-    if k <= -2 or k > 3 * g - 2:
-        return ZERO
-    if k == -1:
-        return ONE
-    if k <= b_domain_max(g):
-        return b_value(g, k)
-    if 2 * k == 3 * g - 2:
-        return ZERO
-    return -b_value(g, 3 * g - 2 - k)
+    _require_step(g, k, 3 * g - 2)
+    return Fraction(_a_step(g, k, _a_row(g), _a_row(g - 1)), _d(g))
 
 
 def residual_rec_b(g: int, k: int) -> Fraction:
-    """LHS - RHS of the difference recursion at step (g, k), g >= 2:
+    """LHS - RHS of the difference recursion on closed-form differences b(g, .).
 
-        (6g-3-2k) b(g,k+1) = (2g-3-2k) b(g,k)
-            + 4g/((6g-1)(6g-3)(6g-5)) * [  (2k+1)(2k-1)(2k-3)        b(g-1,k-3)
-                                         + 3(2k+1)(2k-1)(6g-3-2k)    b(g-1,k-2)
-                                         + 3(2k+1)(6g-3-2k)(6g-5-2k) b(g-1,k-1)
-                                         + (6g-3-2k)(6g-5-2k)(6g-7-2k) b(g-1,k) ]
-            + C(g,j) (2k+3)!!(6g-3-2k)!!/(6g-1)!!   if k = 3j-2
-            - C(g,j) (2k+1)!!(6g-1-2k)!!/(6g-1)!!   if k = 3j-1
-            + 0                                      if k = 3j
-
-    evaluated on closed-form difference values, with b(g-1, .) extended per
-    :func:`_b_at`: in particular b(g-1, -1) = 1, not 0, since it is the
-    difference a(g-1, 0) - a(g-1, -1) of a unit and a vanishing value.
-    Valid while both k and k+1 lie in the difference formula's domain.
+    This is residual-b of the module docstring over D(g), at step (g, k) with
+    g >= 2 and k, k+1 in the difference domain; b(g-1, -1) = a(g-1, 0) = 1.
     """
-    if g < 2:
-        raise ValueError(f"recursion steps need genus g >= 2, got {g}")
-    top = b_domain_max(g) - 1
-    if not 0 <= k <= top:
-        raise ValueError(f"step index must be in 0..{top} at genus {g}, got {k}")
-    lhs = (6 * g - 3 - 2 * k) * b_value(g, k + 1)
-    bracket = (
-        (2 * k + 1) * (2 * k - 1) * (2 * k - 3) * _b_at(g - 1, k - 3)
-        + 3 * (2 * k + 1) * (2 * k - 1) * (6 * g - 3 - 2 * k) * _b_at(g - 1, k - 2)
-        + 3 * (2 * k + 1) * (6 * g - 3 - 2 * k) * (6 * g - 5 - 2 * k) * _b_at(g - 1, k - 1)
-        + (6 * g - 3 - 2 * k) * (6 * g - 5 - 2 * k) * (6 * g - 7 - 2 * k) * _b_at(g - 1, k)
-    )
-    r = k % 3
-    if r == 1:
-        j = (k + 2) // 3
-        inhom = binomial(g, j) * Fraction(
-            double_factorial_odd(2 * k + 3) * double_factorial_odd(6 * g - 3 - 2 * k),
-            double_factorial_odd(6 * g - 1),
-        )
-    elif r == 2:
-        j = (k + 1) // 3
-        inhom = -binomial(g, j) * Fraction(
-            double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 1 - 2 * k),
-            double_factorial_odd(6 * g - 1),
-        )
-    else:
-        inhom = ZERO
-    rhs = (2 * g - 3 - 2 * k) * b_value(g, k) + _gamma(g) * bracket + inhom
-    return lhs - rhs
+    _require_step(g, k, b_domain_max(g) - 1)
+    return Fraction(_b_step(g, k, _b_row(g), _b_row(g - 1)), _d(g))
+
+
+def _scaled(g: int, values) -> list:
+    # a wrong value times N(g) stays a non-integral Fraction, unequal to any T
+    return [_denominator(g) * v for v in values]
+
+
+def _recursive_rows(g_max: int, table: TwoPointTable | None):
+    """Rows T(g, .), g = 1..g_max: a table complete through g_max, or the recursion."""
+    if table is None or table.max_genus_complete < g_max:
+        return _int_rows(g_max)
+    return (_scaled(g, table.row(g)) for g in range(1, g_max + 1))
 
 
 def cross_validate(g_max: int, table: TwoPointTable | None = None) -> CheckReport:
     """Compare the closed form against the recursion for every (g, k), g <= g_max.
 
-    Builds the recursive table if one is not supplied.  Failures record the
-    recursive value as expected and the closed-form value as actual.
+    Runs the recursion if no complete table is supplied.  Failures record
+    the recursive value as expected and the closed-form value as actual.
     """
     _require_g_max(g_max)
-    if table is None or table.max_genus_complete < g_max:
-        table = build_table(g_max)
     failures = []
     checked = 0
-    for g in range(1, g_max + 1):
-        row = table.row(g)
-        for k, recursive in enumerate(row):
-            closed = two_point_closed(g, k)
-            checked += 1
-            if closed != recursive:
-                failures.append(CheckFailure(g, k, recursive, closed))
+    for g, recursive in enumerate(_recursive_rows(g_max, table), start=1):
+        closed = _mirrored(g, closedform._t_half_row(g))
+        checked += 3 * g
+        failures += [
+            _failure(g, k, r, c, _denominator(g))
+            for k, (r, c) in enumerate(zip(recursive, closed))
+            if r != c
+        ]
     return CheckReport("cross", (1, g_max), tuple(failures), checked)
 
 
 def check_symmetry(g_max: int, table: TwoPointTable | None = None) -> CheckReport:
-    """Assert table(g, k) = table(g, 3g-1-k) on the recursive path, g <= g_max."""
+    """Assert T(g, k) = T(g, 3g-1-k) on the recursive path, g <= g_max."""
     _require_g_max(g_max)
-    if table is None or table.max_genus_complete < g_max:
-        table = build_table(g_max)
     failures = []
     checked = 0
-    for g in range(1, g_max + 1):
-        row = table.row(g)
-        for k in range((3 * g - 1) // 2 + 1):
-            mirror = row[3 * g - 1 - k]
-            checked += 1
-            if row[k] != mirror:
-                failures.append(CheckFailure(g, k, mirror, row[k]))
+    for g, row in enumerate(_recursive_rows(g_max, table), start=1):
+        half = range((3 * g - 1) // 2 + 1)
+        checked += len(half)
+        failures += [
+            _failure(g, k, row[-1 - k], row[k], _denominator(g))
+            for k in half
+            if row[k] != row[-1 - k]
+        ]
     return CheckReport("symmetry", (1, g_max), tuple(failures), checked)
 
 
@@ -285,48 +302,47 @@ def check_bounds(g_max: int) -> CheckReport:
     failures = []
     checked = 0
     for g in range(2, g_max + 1):
-        lower = Fraction(6 * g - 3, 6 * g - 1)
+        d = _d(g)
+        row = _a_row(g)
         for k in range(2, 3 * g - 2):
-            a = a_closed(g, k)
+            a = row[k + 3]
             checked += 1
-            if not a > lower:
-                failures.append(CheckFailure(g, k, lower, a))
-            elif not a < 1:
-                failures.append(CheckFailure(g, k, ONE, a))
+            if not (6 * g - 3) * d < (6 * g - 1) * a:
+                failures.append(_failure(g, k, (6 * g - 3) * d, (6 * g - 1) * a, (6 * g - 1) * d))
+            elif not a < d:
+                failures.append(_failure(g, k, d, a, d))
     return CheckReport("bounds", (2, g_max), tuple(failures), checked)
 
 
-def _residual_scan(name, g_max, loci, residual) -> CheckReport:
+def _residual_scan(name, g_max, row, step, steps, scale) -> CheckReport:
+    """Evaluate a scaled identity at steps 0..steps(g)-1 of every genus 2..g_max."""
+    _require_g_max(g_max)
     failures = []
     checked = 0
+    below = row(1)
     for g in range(2, g_max + 1):
-        for k in loci(g):
-            value = residual(g, k)
-            checked += 1
-            if value != 0:
-                failures.append(CheckFailure(g, k, ZERO, value))
+        current = row(g)
+        for k in range(steps(g)):
+            r = step(g, k, current, below)
+            if r:
+                failures.append(_failure(g, k, 0, r, scale(g)))
+        checked += steps(g)
+        below = current
     return CheckReport(name, (2, g_max), tuple(failures), checked)
 
 
 def check_residual_tau(g_max: int) -> CheckReport:
     """Residual of the correlator recursion over its full domain, g <= g_max."""
-    _require_g_max(g_max)
     return _residual_scan(
-        "residual-tau", g_max, lambda g: range(3 * g - 1), residual_rec_tau
+        "residual-tau", g_max, _t_row, _tau_step, lambda g: 3 * g - 1, _denominator
     )
 
 
 def check_residual_a(g_max: int) -> CheckReport:
     """Residual of the normalized recursion over its full domain, g <= g_max."""
-    _require_g_max(g_max)
-    return _residual_scan(
-        "residual-a", g_max, lambda g: range(3 * g - 1), residual_rec_a
-    )
+    return _residual_scan("residual-a", g_max, _a_row, _a_step, lambda g: 3 * g - 1, _d)
 
 
 def check_residual_b(g_max: int) -> CheckReport:
     """Residual of the difference recursion over its full domain, g <= g_max."""
-    _require_g_max(g_max)
-    return _residual_scan(
-        "residual-b", g_max, lambda g: range(b_domain_max(g)), residual_rec_b
-    )
+    return _residual_scan("residual-b", g_max, _b_row, _b_step, b_domain_max, _d)

@@ -1,10 +1,13 @@
 """Cross-checks: residual identities, cross-path equality, symmetry, bounds."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+import tau2.cli as cli
+from tau2 import closedform, verification
 from tau2.recursion import TwoPointTable, build_table
 from tau2.verification import (
     CheckFailure,
@@ -204,3 +207,168 @@ class TestCorruptionSweep:
                 report = cross_validate(3, TwoPointTable(rows))
                 assert not report.passed, (g, k)
                 assert [(f.g, f.k) for f in report.failures] == [(g, k)]
+
+
+def run_verify(capsys, *argv):
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+# Output of `verify --g-max 4` with core(3, 1) shifted by one, recorded when
+# every check still evaluated Fractions point by point.
+SHIFTED_CORE_PLAIN = """\
+cross: FAIL (checked 30)
+  (3,2): expected 77/414720, got 29/155520
+  (3,3): expected 503/1451520, got 433/1244160
+  (3,4): expected 607/1451520, got 4703/11197440
+  (3,5): expected 503/1451520, got 433/1244160
+  (3,6): expected 77/414720, got 29/155520
+symmetry: PASS (checked 16)
+bounds: PASS (checked 15)
+residual-tau: FAIL (checked 24)
+  (3,1): expected 0, got 1/248832
+  (3,2): expected 0, got 7/622080
+  (3,3): expected 0, got 13/622080
+  (3,4): expected 0, got 143/5598720
+  (3,5): expected 0, got 13/622080
+  (3,6): expected 0, got 1/138240
+  (4,2): expected 0, got -1/7464960
+  (4,3): expected 0, got -17/26127360
+  (4,4): expected 0, got -683/470292480
+  (4,5): expected 0, got -1/489888
+  (4,6): expected 0, got -1/489888
+  (4,7): expected 0, got -683/470292480
+  (4,8): expected 0, got -17/26127360
+  (4,9): expected 0, got -1/7464960
+residual-a: FAIL (checked 24)
+  (3,1): expected 0, got 1/17
+  (3,2): expected 0, got 14/255
+  (3,3): expected 0, got 14/255
+  (3,4): expected 0, got 14/255
+  (3,5): expected 0, got 14/255
+  (3,6): expected 0, got 3/85
+  (4,2): expected 0, got -16/483
+  (4,3): expected 0, got -544/9177
+  (4,4): expected 0, got -10928/156009
+  (4,5): expected 0, got -11264/156009
+  (4,6): expected 0, got -11264/156009
+  (4,7): expected 0, got -10928/156009
+  (4,8): expected 0, got -544/9177
+  (4,9): expected 0, got -16/483
+residual-b: FAIL (checked 8)
+  (3,0): expected 0, got 1/17
+  (3,1): expected 0, got -1/255
+  (4,1): expected 0, got -16/483
+  (4,2): expected 0, got -80/3059
+  (4,3): expected 0, got -80/7429
+"""
+
+
+class TestShiftedCore:
+    """A closed form built from core(3, 1) + 1 fails loudly, with the same report as before."""
+
+    @pytest.fixture(autouse=True)
+    def shifted_core(self, monkeypatch):
+        real = closedform._core
+        monkeypatch.setattr(
+            closedform, "_core", lambda g, k: real(g, k) + (1 if (g, k) == (3, 1) else 0)
+        )
+        closedform.clear_caches()
+        yield
+        closedform.clear_caches()
+
+    def test_failure_loci(self):
+        def loci(report):
+            return [(f.g, f.k) for f in report.failures]
+
+        assert loci(cross_validate(4)) == [(3, k) for k in range(2, 7)]
+        assert loci(check_residual_tau(4)) == [(3, k) for k in range(1, 7)] + [
+            (4, k) for k in range(2, 10)
+        ]
+        assert loci(check_residual_b(4)) == [(3, 0), (3, 1), (4, 1), (4, 2), (4, 3)]
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("plain", "98239e004739e7b49374bc6d62c46ec7"),
+            ("csv", "33d7d47d32313a9a637d94b8bebecac4"),
+            ("json", "680d9b4be316274a8ff1c59722b44496"),
+        ],
+    )
+    def test_failure_output_is_pinned(self, capsys, fmt, digest):
+        code, out, _ = run_verify(capsys, "--g-max", "4", "--format", fmt)
+        assert code == 1
+        if fmt == "plain":
+            assert out == SHIFTED_CORE_PLAIN
+        assert md5(out) == digest
+
+
+class TestInexactDivision:
+    @pytest.fixture(autouse=True)
+    def broken_top_double_factorial(self, monkeypatch):
+        # 10007 divides no A(4, k), so A(4, 1) = 21!! T(4, 1) / (E(1) 10007) is inexact
+        real = verification.double_factorial_odd
+        monkeypatch.setattr(
+            verification,
+            "double_factorial_odd",
+            lambda m: real(m) * 10007 if m == 23 else real(m),
+        )
+
+    @pytest.mark.parametrize("check", [check_bounds, check_residual_a])
+    def test_raises(self, check):
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(4,1\): remainder"):
+            check(4)
+
+    def test_exits_4(self, capsys):
+        code, out, err = run_verify(capsys, "--g-max", "4", "--checks", "residual-a")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: ArithmeticError: inexact division at (4,1)")
+
+
+def closed_counts(g_max):
+    """Comparisons each check must report, counted from the definitions."""
+    return {
+        "cross": sum(3 * g for g in range(1, g_max + 1)),
+        "symmetry": sum((3 * g - 1) // 2 + 1 for g in range(1, g_max + 1)),
+        "bounds": sum(3 * g - 4 for g in range(2, g_max + 1)),
+        "residual-tau": sum(3 * g - 1 for g in range(2, g_max + 1)),
+        "residual-a": sum(3 * g - 1 for g in range(2, g_max + 1)),
+        "residual-b": sum((3 * g - 1) // 2 - 1 for g in range(2, g_max + 1)),
+    }
+
+
+class TestPassingOutput:
+    """Passing stdout of `verify` is pinned to digests recorded before the integer checks."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("--g-max", "60"), "80531e7adb452fa072010e00860069a1"),
+            (("--g-max", "60", "--format", "csv"), "de9fad12c696a848b12dea1f53f7dc81"),
+            (("--g-max", "60", "--format", "json"), "43fcd0f94d4e49ea9c99d38c26925ee7"),
+            (
+                ("--g-max", "5", "--checks", "bounds,residual-b", "--format", "json"),
+                "d08afd18e570fa94c2f9484fbd17dfbc",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run_verify(capsys, *argv)
+        assert code == 0
+        assert md5(out) == digest
+
+    @pytest.mark.parametrize("g_max", [1, 2, 7, 30, 60])
+    def test_checked_counts_are_the_closed_counts(self, capsys, g_max):
+        code, out, _ = run_verify(capsys, "--g-max", str(g_max), "--format", "csv")
+        assert code == 0
+        expected = ["check,passed,checked,failures"] + [
+            f"{name},true,{count},0" for name, count in closed_counts(g_max).items()
+        ]
+        assert out.splitlines() == expected
