@@ -7,26 +7,29 @@ The normalized value
 satisfies a(g, 0) = 1 and is symmetric under k <-> 3g-1-k (the two double
 factorials swap).  Its consecutive differences b(g, k) = a(g, k+1) - a(g, k)
 have an explicit product formula on the first half of the row.  With
-D = (6g-1)!! it reads b(g, k) = (6g-3-2k)!!/D * core(g, k), where core is
+D = (6g-1)!! it reads b(g, k) = (2k+1)!! (6g-3-2k)!!/D * q(g, k), where q is
 the integer selected by k mod 3, writing k as 3j-1, 3j, or 3j+1:
 
-    k = 3j-1:   (6j-1)!! C(g, j) (g-2j) / g      (the division by g is exact)
-    k = 3j:    -2 (6j+1)!! C(g-1, j)
-    k = 3j+1:   2 (6j+3)!! C(g-1, j)
+    k = 3j-1:   C(g, j) (g-2j) / g      (the division by g is exact)
+    k = 3j:    -2 C(g-1, j)
+    k = 3j+1:   2 C(g-1, j)
 
 The differences are telescoped in the integers T(g, k) = N(g) <tau_k
 tau_{3g-1-k}> over N(g) = 24^g g! D, so no rescaling of rationals is needed.
-With E(k) = D/(2k+1)!!, T(g, 0) = D and, for k = 0..floor((3g-1)/2)-1,
+With T(g, 0) = D and, for k = 0..floor((3g-1)/2)-1,
 
-    (2k+3) T(g, k+1) = (6g-1-2k) T(g, k) + core(g, k) E(k)
+    (2k+3) T(g, k+1) = (6g-1-2k) T(g, k) + D q(g, k)
 
 fills the first half of the row; T(g, k) = T(g, 3g-1-k) gives the rest.
-Every division (by 2k+3, and by g inside core) is exact; a nonzero remainder
-raises ``ArithmeticError`` instead of truncating.  No recursion over genus is
-involved: each genus row is a direct O(g) computation.  Whole-row callers
-(``two_point_closed``, ``a_closed``, ``verification``) read a per-genus cache
-of the half row; ``two_point_streamed`` runs the same loop over the whole
-half row and keeps one entry, so its time depends on g and not on k.
+D q(g, k) comes from two running values, D C(g-1, j) and D C(g, j), each
+advanced by its ratio (g-1-j)/(j+1) or (g-j+1)/j, so the only big number,
+D, is only ever multiplied or divided by small integers.  Every division is
+exact; a nonzero remainder raises ``ArithmeticError`` instead of truncating.
+Each genus row is a direct O(g) computation with no recursion over genus.
+Whole-row callers (``two_point_closed``, ``a_closed``, ``verification``)
+read a per-genus cache of the half row; ``two_point_streamed`` runs the same
+loop over the whole half row and keeps one entry, so its time depends on g
+and not on k.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Iterator
 
 from .combinatorics import double_factorial_odd
@@ -72,12 +75,29 @@ def b_domain_max(g: int) -> int:
     return (3 * g - 1) // 2 - 1
 
 
-def _core(g: int, k: int) -> int:
-    """The integer core(g, k) = (6g-1)!! b(g, k) / (6g-3-2k)!! (module docstring).
+def _scaled_q(g: int, s: int) -> Iterator[int]:
+    """s q(g, k) for k = 0..b_domain_max(g) in order (module docstring).
 
-    Valid for 0 <= k <= b_domain_max(g).  Each branch checks its binomial
-    arguments explicitly, so a call outside the stated domain fails fast
-    instead of producing a wrong value.
+    Keeps s C(g-1, j) and s C(g, j) and advances each by its binomial ratio,
+    so only small integers ever multiply or divide s.
+    """
+    c1 = c0 = s  # s C(g-1, j) and s C(g, j), both at j = 0
+    for k in range(b_domain_max(g) + 1):
+        j, r = divmod(k + 1, 3)  # k = 3j-1, 3j, 3j+1 for r = 0, 1, 2
+        if r == 0:
+            c0 = _exact(c0 * (g - j + 1), j, g, k)
+            yield _exact(c0 * (g - 2 * j), g, g, k)
+        elif r == 1:
+            yield -2 * c1
+        else:
+            yield 2 * c1
+            c1 = _exact(c1 * (g - 1 - j), j + 1, g, k)
+
+
+def b_value(g: int, k: int) -> Fraction:
+    """Difference a(g, k+1) - a(g, k) = (2k+1)!! (6g-3-2k)!!/(6g-1)!! * q(g, k).
+
+    Valid for 0 <= k <= b_domain_max(g); see the module docstring for q.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
@@ -85,37 +105,17 @@ def _core(g: int, k: int) -> int:
         raise ValueError(
             f"difference index must be in 0..{b_domain_max(g)} at genus {g}, got {k}"
         )
-    r = k % 3
-    if r == 2:
-        j = (k + 1) // 3
-        if g - j < 0:
-            raise ValueError(f"branch k=3j-1 needs g-j >= 0, got g={g}, j={j}")
-        return _exact(double_factorial_odd(6 * j - 1) * comb(g, j) * (g - 2 * j), g, g, k)
-    j = k // 3
-    if g - 1 - j < 0:
-        raise ValueError(f"branch k=3j{'+1' if r else ''} needs g-1-j >= 0, got g={g}, j={j}")
-    if r == 0:
-        return -2 * double_factorial_odd(6 * j + 1) * comb(g - 1, j)
-    return 2 * double_factorial_odd(6 * j + 3) * comb(g - 1, j)
-
-
-def b_value(g: int, k: int) -> Fraction:
-    """Difference a(g, k+1) - a(g, k) = (6g-3-2k)!!/(6g-1)!! * core(g, k).
-
-    Valid for 0 <= k <= b_domain_max(g); see the module docstring for core.
-    """
-    return Fraction(
-        _core(g, k) * double_factorial_odd(6 * g - 3 - 2 * k), double_factorial_odd(6 * g - 1)
-    )
+    q = list(_scaled_q(g, 1))[k]
+    odd = double_factorial_odd
+    return Fraction(odd(2 * k + 1) * odd(6 * g - 3 - 2 * k) * q, odd(6 * g - 1))
 
 
 def _t_half(g: int) -> Iterator[int]:
     """T(g, k) for k = 0..floor((3g-1)/2) in order, telescoped from T(g, 0) = (6g-1)!!."""
-    t = e = double_factorial_odd(6 * g - 1)
+    t = d = double_factorial_odd(6 * g - 1)
     yield t
-    for k in range((3 * g - 1) // 2):
-        t = _exact((6 * g - 1 - 2 * k) * t + _core(g, k) * e, 2 * k + 3, g, k + 1)
-        e = _exact(e, 2 * k + 3, g, k + 1)
+    for k, dq in enumerate(_scaled_q(g, d)):
+        t = _exact((6 * g - 1 - 2 * k) * t + dq, 2 * k + 3, g, k + 1)
         yield t
 
 

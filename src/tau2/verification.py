@@ -5,11 +5,11 @@ N(g) = 24^g g! D(g), genus rows are read as
 
     T(g, k) = N(g) <tau_k tau_{3g-1-k}>                       (either route)
     A(g, k) = D(g) a(g, k) = (2k+1)!! (6g-1-2k)!! T(g, k) / D(g)
-    B(g, k) = D(g) b(g, k) = core(g, k) (6g-3-2k)!!
+    B(g, k) = D(g) b(g, k) = (2k+1)!! (6g-3-2k)!! q(g, k)
 
 for the normalized values a and their differences b (see ``closedform``).
 The division giving A is exact; a remainder raises ``ArithmeticError``.  B is
-read from ``closedform._core``, not from differences of A.  T and A are 0
+read from ``closedform._scaled_q``, not from differences of A.  T and A are 0
 outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0),
 and past the middle of the row B(g, k) = -B(g, 3g-2-k).
 
@@ -161,8 +161,8 @@ def _a_row(g: int) -> tuple[int, ...]:
 
 def _b_row(g: int) -> tuple[int, ...]:
     first = [
-        closedform._core(g, k) * double_factorial_odd(6 * g - 3 - 2 * k)
-        for k in range(b_domain_max(g) + 1)
+        double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 3 - 2 * k) * q
+        for k, q in enumerate(closedform._scaled_q(g, 1))
     ]
     middle = [0] if g % 2 == 0 else []  # b(g, k) = 0 at 2k = 3g-2
     return (0, 0, _d(g), *first, *middle, *(-b for b in reversed(first)))

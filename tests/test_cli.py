@@ -117,6 +117,18 @@ class TestValue:
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == "b608926864347064a8ceb00e3cac0b9c"
 
+    @pytest.mark.parametrize(
+        "g,k,digest",
+        [
+            (1200, 1799, "52094466f0088ccec3c936defa19a42e"),
+            (700, 2000, "b7445bb06d7f66e2f5c37fa0a4589aa2"),
+        ],
+    )
+    def test_closed_value_at_benchmark_genera_is_pinned(self, capsys, g, k, digest):
+        code, out, _ = run_cli(capsys, "value", "--g", str(g), "--k", str(k), "--method", "closed")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest
+
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
         real = cli.two_point_streamed
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 """Closed-form path: difference values, normalized values, correlators."""
 
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -198,10 +199,10 @@ class TestIntegerHalfRow:
             two_point_streamed(g, k)
 
     def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
-        # E(k) = (6g-1)!!/(2k+1)!! is a multiple of 2k+3, so an integer fault in
-        # core keeps every division exact: the recursion is what exposes it
-        real = closedform._core
-        monkeypatch.setattr(closedform, "_core", lambda g, k: real(g, k) + 1)
+        # D = (6g-1)!! is a multiple of (2k+3)!!, so a fault of s in s q(g, k)
+        # keeps every division exact: the recursion is what exposes it
+        real = closedform._scaled_q
+        monkeypatch.setattr(closedform, "_scaled_q", lambda g, s: (sq + s for sq in real(g, s)))
         *_, row = _int_rows(5)
         half = tuple(closedform._t_half(5))
         assert half != row[: len(half)]
@@ -212,7 +213,8 @@ class TestIntegerHalfRow:
 
     @staticmethod
     def _break_top_double_factorial(monkeypatch, g):
-        # (6g-1)!! + 2 is not a multiple of 3, so E(1) = (6g-1)!!/3 is inexact
+        # the loop is linear in (6g-1)!!: at g = 5, T(5, 3) = 29!! * 1228/7, and
+        # 29!! + 2 is not a multiple of 7, so the division by 7 is inexact
         real = closedform.double_factorial_odd
         monkeypatch.setattr(
             closedform,
@@ -222,7 +224,7 @@ class TestIntegerHalfRow:
 
     def test_inexact_division_raises(self, monkeypatch):
         self._break_top_double_factorial(monkeypatch, 5)
-        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,1\)"):
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\)"):
             two_point_streamed(5, 7)
 
     def test_inexact_division_exits_4(self, monkeypatch, capsys):
@@ -233,3 +235,42 @@ class TestIntegerHalfRow:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("internal error: ArithmeticError: inexact division")
+
+
+def oracle_odd(m):
+    return prod(range(m, 0, -2))
+
+
+def oracle_q(g, k):
+    if k % 3 == 2:
+        j = (k + 1) // 3
+        q, r = divmod(comb(g, j) * (g - 2 * j), g)
+        assert r == 0, (g, k)
+        return q
+    return (-2 if k % 3 == 0 else 2) * comb(g - 1, k // 3)
+
+
+def oracle_core(g, k):
+    """core(g, k) as the double-factorial formula stated before q replaced it."""
+    if k % 3 == 2:
+        j = (k + 1) // 3
+        return oracle_odd(6 * j - 1) * comb(g, j) * (g - 2 * j) // g
+    j = k // 3
+    if k % 3 == 0:
+        return -2 * oracle_odd(6 * j + 1) * comb(g - 1, j)
+    return 2 * oracle_odd(6 * j + 3) * comb(g - 1, j)
+
+
+class TestBinomialOracle:
+    """q and b rebuilt from math.comb and products, sharing no code with closedform."""
+
+    def test_running_binomials_are_the_three_branches(self):
+        for g in range(1, 201):
+            expected = [oracle_q(g, k) for k in range((3 * g - 1) // 2)]
+            assert list(closedform._scaled_q(g, 1)) == expected, g
+
+    def test_b_value_is_the_double_factorial_core(self):
+        for g in range(1, 41):
+            for k in range((3 * g - 1) // 2):
+                numerator = oracle_core(g, k) * oracle_odd(6 * g - 3 - 2 * k)
+                assert b_value(g, k) == Fraction(numerator, oracle_odd(6 * g - 1)), (g, k)

@@ -219,65 +219,68 @@ def md5(text):
     return hashlib.md5(text.encode()).hexdigest()
 
 
-# Output of `verify --g-max 4` with core(3, 1) shifted by one, recorded when
-# every check still evaluated Fractions point by point.
+# Output of `verify --g-max 4` with core(3, 1) shifted by three, recorded when
+# the closed loop still multiplied core(g, k) by E(k) = (6g-1)!!/(2k+1)!!.
 SHIFTED_CORE_PLAIN = """\
 cross: FAIL (checked 30)
-  (3,2): expected 77/414720, got 29/155520
-  (3,3): expected 503/1451520, got 433/1244160
-  (3,4): expected 607/1451520, got 4703/11197440
-  (3,5): expected 503/1451520, got 433/1244160
-  (3,6): expected 77/414720, got 29/155520
+  (3,2): expected 77/414720, got 13/69120
+  (3,3): expected 503/1451520, got 1019/2903040
+  (3,4): expected 607/1451520, got 11069/26127360
+  (3,5): expected 503/1451520, got 1019/2903040
+  (3,6): expected 77/414720, got 13/69120
 symmetry: PASS (checked 16)
 bounds: PASS (checked 15)
 residual-tau: FAIL (checked 24)
-  (3,1): expected 0, got 1/248832
-  (3,2): expected 0, got 7/622080
-  (3,3): expected 0, got 13/622080
-  (3,4): expected 0, got 143/5598720
-  (3,5): expected 0, got 13/622080
-  (3,6): expected 0, got 1/138240
-  (4,2): expected 0, got -1/7464960
-  (4,3): expected 0, got -17/26127360
-  (4,4): expected 0, got -683/470292480
-  (4,5): expected 0, got -1/489888
-  (4,6): expected 0, got -1/489888
-  (4,7): expected 0, got -683/470292480
-  (4,8): expected 0, got -17/26127360
-  (4,9): expected 0, got -1/7464960
+  (3,1): expected 0, got 1/82944
+  (3,2): expected 0, got 7/207360
+  (3,3): expected 0, got 13/207360
+  (3,4): expected 0, got 143/1866240
+  (3,5): expected 0, got 13/207360
+  (3,6): expected 0, got 1/46080
+  (4,2): expected 0, got -1/2488320
+  (4,3): expected 0, got -17/8709120
+  (4,4): expected 0, got -683/156764160
+  (4,5): expected 0, got -1/163296
+  (4,6): expected 0, got -1/163296
+  (4,7): expected 0, got -683/156764160
+  (4,8): expected 0, got -17/8709120
+  (4,9): expected 0, got -1/2488320
 residual-a: FAIL (checked 24)
-  (3,1): expected 0, got 1/17
-  (3,2): expected 0, got 14/255
-  (3,3): expected 0, got 14/255
-  (3,4): expected 0, got 14/255
-  (3,5): expected 0, got 14/255
-  (3,6): expected 0, got 3/85
-  (4,2): expected 0, got -16/483
-  (4,3): expected 0, got -544/9177
-  (4,4): expected 0, got -10928/156009
-  (4,5): expected 0, got -11264/156009
-  (4,6): expected 0, got -11264/156009
-  (4,7): expected 0, got -10928/156009
-  (4,8): expected 0, got -544/9177
-  (4,9): expected 0, got -16/483
+  (3,1): expected 0, got 3/17
+  (3,2): expected 0, got 14/85
+  (3,3): expected 0, got 14/85
+  (3,4): expected 0, got 14/85
+  (3,5): expected 0, got 14/85
+  (3,6): expected 0, got 9/85
+  (4,2): expected 0, got -16/161
+  (4,3): expected 0, got -544/3059
+  (4,4): expected 0, got -10928/52003
+  (4,5): expected 0, got -11264/52003
+  (4,6): expected 0, got -11264/52003
+  (4,7): expected 0, got -10928/52003
+  (4,8): expected 0, got -544/3059
+  (4,9): expected 0, got -16/161
 residual-b: FAIL (checked 8)
-  (3,0): expected 0, got 1/17
-  (3,1): expected 0, got -1/255
-  (4,1): expected 0, got -16/483
-  (4,2): expected 0, got -80/3059
-  (4,3): expected 0, got -80/7429
+  (3,0): expected 0, got 3/17
+  (3,1): expected 0, got -1/85
+  (4,1): expected 0, got -16/161
+  (4,2): expected 0, got -240/3059
+  (4,3): expected 0, got -240/7429
 """
 
 
 class TestShiftedCore:
-    """A closed form built from core(3, 1) + 1 fails loudly, with the same report as before."""
+    """A closed form built from q(3, 1) + 1, i.e. core(3, 1) + 3, fails loudly at pinned loci."""
 
     @pytest.fixture(autouse=True)
     def shifted_core(self, monkeypatch):
-        real = closedform._core
-        monkeypatch.setattr(
-            closedform, "_core", lambda g, k: real(g, k) + (1 if (g, k) == (3, 1) else 0)
-        )
+        real = closedform._scaled_q
+
+        def shifted(g, s):
+            for k, sq in enumerate(real(g, s)):
+                yield sq + (s if (g, k) == (3, 1) else 0)
+
+        monkeypatch.setattr(closedform, "_scaled_q", shifted)
         closedform.clear_caches()
         yield
         closedform.clear_caches()
@@ -295,9 +298,9 @@ class TestShiftedCore:
     @pytest.mark.parametrize(
         "fmt,digest",
         [
-            ("plain", "98239e004739e7b49374bc6d62c46ec7"),
+            ("plain", "15d3a41eabd102fbca7c095caa33be8a"),
             ("csv", "33d7d47d32313a9a637d94b8bebecac4"),
-            ("json", "680d9b4be316274a8ff1c59722b44496"),
+            ("json", "a4acb58754c0affdd28bd7143308073a"),
         ],
     )
     def test_failure_output_is_pinned(self, capsys, fmt, digest):
