@@ -21,11 +21,19 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from time import perf_counter
 
 from . import verification
-from .closedform import _t_half_row, clear_caches, normalize, two_point_closed, two_point_streamed
+from .closedform import (
+    _denominator,
+    _mirrored,
+    _t_half_row,
+    clear_caches,
+    normalize,
+    two_point_streamed,
+)
 from .combinatorics import rational_str
 from .recursion import _fractions, _int_rows, recursive_row
 
@@ -56,12 +64,22 @@ def _diag(message: str) -> None:
 
 
 def _closed_row(g: int) -> tuple[Fraction, ...]:
-    return tuple(two_point_closed(g, k) for k in range(3 * g))
+    """The closed genus g row: the cached half row over one denominator, mirrored."""
+    n = _denominator(g)
+    return _mirrored(g, [Fraction(s, n) for s in _t_half_row(g)])
 
 
 def _row_lines(g: int, row: tuple[Fraction, ...], fmt: str) -> list[str]:
-    """Render one genus row; every format carries correlator and normalized."""
-    cells = [(k, rational_str(v), rational_str(normalize(g, k, v))) for k, v in enumerate(row)]
+    """Render one genus row; every format carries correlator and normalized.
+
+    The normalized value is a(g, k) = 24^g g! W(k) <tau_k tau_{3g-1-k}> with
+    W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!!, run as W(k+1) = W(k) (2k+3)/(6g-1-2k).
+    """
+    cells = []
+    w = Fraction(24**g * factorial(g))
+    for k, v in enumerate(row):
+        cells.append((k, rational_str(v), rational_str(v * w)))
+        w *= Fraction(2 * k + 3, 6 * g - 1 - 2 * k)
     if fmt == "csv":
         return [CSV_HEADER] + [f"{g},{k},{c},{a}" for k, c, a in cells]
     if fmt == "json":

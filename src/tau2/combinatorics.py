@@ -5,30 +5,37 @@ Python's arbitrary-precision ``int`` and :class:`fractions.Fraction`.  A
 ``Fraction`` is always stored in lowest terms with a positive denominator,
 which is exactly the canonical text form that :func:`rational_str` prints
 ("p/q" with q > 0, or "p" alone when q = 1).
+
+Nothing is memoized: ``double_factorial_odd`` is a plain product, and
+``odd_lcm(n) = lcm(1, 3, ..., n)``, the unit both computation paths scale
+their rows by, is a sieve that takes each odd prime at its largest power
+<= n.  Callers that walk a row keep their own running products.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt, prod
 from typing import Sequence
 
 __all__ = [
     "factorial",
     "binomial",
     "double_factorial_odd",
+    "odd_lcm",
     "multinomial",
     "rational_str",
 ]
 
 binomial = comb
 
-# Memo of odd double factorials: _ODD_DF[i] == (2*i - 1)!!, so index 0 holds
-# the empty-product value (-1)!! == 1.  Grown on demand under a lock so that
-# concurrent callers never observe a partially extended table.
-_ODD_DF: list[int] = [1]
-_ODD_DF_LOCK = threading.Lock()
+
+def _exact(n: int, d: int, g: int, k: int) -> int:
+    """n / d, raising ``ArithmeticError`` that names the locus (g, k) on a remainder."""
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError(f"inexact division at ({g},{k}): remainder {r} mod {d}")
+    return q
 
 
 def double_factorial_odd(m: int) -> int:
@@ -39,12 +46,28 @@ def double_factorial_odd(m: int) -> int:
     """
     if m < -1 or m % 2 == 0:
         raise ValueError(f"double_factorial_odd requires odd m >= -1, got {m}")
-    idx = (m + 1) // 2
-    if idx >= len(_ODD_DF):
-        with _ODD_DF_LOCK:
-            while len(_ODD_DF) <= idx:
-                _ODD_DF.append(_ODD_DF[-1] * (2 * len(_ODD_DF) - 1))
-    return _ODD_DF[idx]
+    return prod(range(m, 0, -2))
+
+
+def odd_lcm(n: int) -> int:
+    """lcm(1, 3, 5, ..., n) of the odd numbers up to n >= 1.
+
+    The product over odd primes p <= n of the largest power of p that is <= n.
+    """
+    if n < 1:
+        raise ValueError(f"odd_lcm requires n >= 1, got {n}")
+    composite = bytearray(n + 1)
+    result = 1
+    root = isqrt(n)
+    for p in range(3, root + 1, 2):
+        if not composite[p]:
+            composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, n + 1, 2 * p))
+            power = p
+            while power * p <= n:
+                power *= p
+            result *= power
+    # each odd prime above the square root divides the lcm once
+    return result * prod(p for p in range(root + 1 | 1, n + 1, 2) if not composite[p])
 
 
 def multinomial(parts: Sequence[int]) -> int:

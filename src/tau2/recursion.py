@@ -1,30 +1,33 @@
 """Two-point correlator table built by the genus recursion.
 
 The two-point correlators <tau_k tau_{3g-1-k}> of 2D topological gravity are
-computed genus by genus, in integers.  With the per-genus denominator
+computed genus by genus, in integers.  With L(g) = lcm(1, 3, ..., 2g+1)
+(``combinatorics.odd_lcm``) and the per-genus denominator
 
-    N(g) = 24^g g! (6g-1)!!
+    N(g) = 24^g g! L(g)
 
-every T(g, k) = N(g) <tau_k tau_{3g-1-k}> is an integer.  Genus 1 is seeded
+every S(g, k) = N(g) <tau_k tau_{3g-1-k}> is an integer.  Genus 1 is seeded
 from the string and dilaton equations applied to <tau_1> = 1/24, which gives
-T(1, .) = (15, 15, 15); every genus g >= 2 row is then filled left to right
-in k from T(g, 0) = (6g-1)!! by
+S(1, .) = (3, 3, 3); every genus g >= 2 row is then filled left to right in
+k from S(g, 0) = L(g) by
 
-    (2k+1) T(g, k) = (2g-1-2k) T(g, k-1)
-                   + 4g(6g-1)(6g-3)(6g-5) (B(k-4) + 3 B(k-3) + 3 B(k-2) + B(k-1))
-                   + (6g-1)!! C(g, j)        only when k = 3j, 1 <= j <= g-1
+    (2k+1) S(g, k) = (2g-1-2k) S(g, k-1)
+                   + 4g L(g)/L(g-1) (B(k-4) + 3 B(k-3) + 3 B(k-2) + B(k-1))
+                   + L(g) C(g, j)        only when k = 3j, 1 <= j <= g-1
 
-where B(i) = T(g-1, i), read as 0 outside the genus g-1 row.  This is the
+where B(i) = S(g-1, i), read as 0 outside the genus g-1 row.  This is the
 correlator recursion
 
     (2k+1) <tau_k tau_{3g-1-k}> = (2g-1-2k) <tau_{k-1} tau_{3g-k}>
         + 1/6 (bracket of genus g-1 correlators) + <tau_{k-2}> <tau_{3g-2-k}>
 
-multiplied through by N(g): N(g)/N(g-1) = 24g(6g-1)(6g-3)(6g-5) absorbs the
-1/6, and the one-point product 1/(24^g j! (g-j)!) becomes (6g-1)!! C(g, j).
-Every division by 2k+1 is exact; a nonzero remainder raises
+multiplied through by N(g): N(g)/N(g-1) = 24g L(g)/L(g-1) absorbs the 1/6,
+and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The ratio
+L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
+by a checked division.  That every division by 2k+1 is exact on this unit is
+observed (every g <= 600), not proved; a nonzero remainder raises
 ``ArithmeticError`` instead of truncating.  Rows become ``Fraction`` values
-T(g, k) / N(g) only at the boundary, when a row is handed out.
+S(g, k) / N(g) only at the boundary, when a row is handed out.
 
 The row is always computed over the full range k = 0..3g-1, never by
 mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
@@ -37,7 +40,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .combinatorics import double_factorial_odd, multinomial, rational_str
+from .combinatorics import _exact, multinomial, odd_lcm, rational_str
 
 __all__ = [
     "one_point",
@@ -100,8 +103,8 @@ def genus1_seed() -> dict[tuple[int, int], Fraction]:
 
 
 def _denominator(g: int) -> int:
-    """N(g) = 24^g g! (6g-1)!!, the common denominator of the genus g row."""
-    return 24**g * factorial(g) * double_factorial_odd(6 * g - 1)
+    """N(g) = 24^g g! L(g), the common denominator of the genus g row."""
+    return 24**g * factorial(g) * odd_lcm(2 * g + 1)
 
 
 def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -119,20 +122,20 @@ def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
-    """The correlators T(g, k) / N(g) of an integer genus g row."""
+    """The correlators S(g, k) / N(g) of an integer genus g row."""
     n = _denominator(g)
     return tuple(Fraction(t, n) for t in row)
 
 
 def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
-    """Integer row T(g, .) for g >= 2 from the integer row T(g-1, .).
+    """Integer row S(g, .) for g >= 2 from the integer row S(g-1, .).
 
     See the module docstring for the recursion.  The genus g-1 row is padded
     with zeros so that B(k-4)..B(k-1) are always the four entries
     padded[k..k+3].
     """
-    top = double_factorial_odd(6 * g - 1)
-    c = 4 * g * (6 * g - 1) * (6 * g - 3) * (6 * g - 5)
+    top = odd_lcm(2 * g + 1)
+    c = 4 * g * _exact(top, odd_lcm(2 * g - 1), g, 0)
     padded = (0, 0, 0, 0, *below, 0, 0)
     row = [top]
     prev = top
@@ -143,17 +146,13 @@ def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
         if k % 3 == 0:
             # k = 3j with 1 <= j <= g-1 holds for every multiple of 3 in 1..3g-1
             rhs += top * comb(g, k // 3)
-        prev, r = divmod(rhs, 2 * k + 1)
-        if r:
-            raise ArithmeticError(
-                f"inexact division at ({g},{k}): remainder {r} mod {2 * k + 1}"
-            )
+        prev = _exact(rhs, 2 * k + 1, g, k)
         row.append(prev)
     return tuple(row)
 
 
 def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
-    """Integer rows T(1, .), ..., T(g_max, .) in order."""
+    """Integer rows S(1, .), ..., S(g_max, .) in order."""
     row = _scaled(1, genus_row(1))
     yield row
     for g in range(2, g_max + 1):

@@ -1,16 +1,19 @@
 """Cross-checks between the recursion route and the closed-form route.
 
-Every check compares exact integers.  With D(g) = (6g-1)!! and
-N(g) = 24^g g! D(g), genus rows are read as
+Every check compares exact integers.  With D(g) = (6g-1)!!, L(g) =
+lcm(1, 3, ..., 2g+1), N(g) = 24^g g! L(g) and P(g, k) = (2k+1)!! (6g-1-2k)!!,
+genus rows are read as
 
-    T(g, k) = N(g) <tau_k tau_{3g-1-k}>                       (either route)
-    A(g, k) = D(g) a(g, k) = (2k+1)!! (6g-1-2k)!! T(g, k) / D(g)
-    B(g, k) = D(g) b(g, k) = (2k+1)!! (6g-3-2k)!! q(g, k)
+    S(g, k) = N(g) <tau_k tau_{3g-1-k}>                       (either route)
+    A(g, k) = D(g) a(g, k) = P(g, k) S(g, k) / L(g)
+    B(g, k) = D(g) b(g, k) = P(g, k) q(g, k) / (6g-1-2k)
 
 for the normalized values a and their differences b (see ``closedform``).
-The division giving A is exact; a remainder raises ``ArithmeticError``.  B is
-read from ``closedform._scaled_q``, not from differences of A.  T and A are 0
-outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0),
+P(g, .) is one running product per genus, from P(g, 0) = D(g) by
+P(g, k+1) = P(g, k) (2k+3) / (6g-1-2k), and L(g) is taken once per genus.
+Every division is checked; a remainder raises ``ArithmeticError``.  B is
+read from ``closedform._scaled_q``, not from differences of A.  S and A are
+0 outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0),
 and past the middle of the row B(g, k) = -B(g, 3g-2-k).
 
 The residuals test the closed form against three recursions it was not built
@@ -18,23 +21,23 @@ from (the recursion route satisfies its own by construction), each multiplied
 through by a scale that makes every term an integer.  With s = 2k+1, the
 bracket over a genus g-1 row X is
 
-    P(X, u) = s(s-2)(s-4) X(g-1,k-3) + 3s(s-2)u X(g-1,k-2)
+    H(X, u) = s(s-2)(s-4) X(g-1,k-3) + 3s(s-2)u X(g-1,k-2)
             + 3su(u-2) X(g-1,k-1) + u(u-2)(u-4) X(g-1,k)
 
 and [k = 3j-1] C(g, j) is C(g, j) at k = 3j-1 and 0 otherwise:
 
 - residual-tau, scale N(g), 0 <= k <= 3g-2:
-    (2k+3) T(g,k+1) - (2g-3-2k) T(g,k) - [k = 3j-1] D(g) C(g,j)
-    - 4g(6g-1)(6g-3)(6g-5) (T(g-1,k-3) + 3T(g-1,k-2) + 3T(g-1,k-1) + T(g-1,k))
+    (2k+3) S(g,k+1) - (2g-3-2k) S(g,k) - [k = 3j-1] L(g) C(g,j)
+    - 4g L(g)/L(g-1) (S(g-1,k-3) + 3S(g-1,k-2) + 3S(g-1,k-1) + S(g-1,k))
 - residual-a, scale D(g), 0 <= k <= 3g-2, u = 6g-1-2k:
-    u A(g,k+1) - (2g-3-2k) A(g,k) - 4g P(A, u) - [k = 3j-1] C(g,j) (2k+1)!! u!!
+    u A(g,k+1) - (2g-3-2k) A(g,k) - 4g H(A, u) - [k = 3j-1] C(g,j) P(g,k)
 - residual-b, scale D(g), 0 <= k < b_domain_max(g), u = 6g-3-2k:
-    u B(g,k+1) - (2g-3-2k) B(g,k) - 4g P(B, u)
-    - [k = 3j-2] C(g,j) (2k+3)!! u!! + [k = 3j-1] C(g,j) (2k+1)!! (u+2)!!
+    u B(g,k+1) - (2g-3-2k) B(g,k) - 4g H(B, u)
+    - [k = 3j-2] C(g,j) P(g,k+1) + [k = 3j-1] C(g,j) P(g,k)
 
 Over its scale each is LHS - RHS of the rational recursion (4g A(g-1, .) is
 4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares closed
-and recursive rows T(g, .), ``symmetry`` a recursive row with its reverse,
+and recursive rows S(g, .), ``symmetry`` a recursive row with its reverse,
 and ``bounds`` checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
 Genera are walked in order, keeping only rows g-1 and g.
 
@@ -48,11 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import closedform
-from .closedform import _denominator, _exact, b_domain_max
-from .combinatorics import binomial, double_factorial_odd, rational_str
+from .closedform import _denominator, _mirrored, b_domain_max
+from .combinatorics import _exact, binomial, double_factorial_odd, odd_lcm, rational_str
 from .recursion import TwoPointTable, _int_rows
 
 __all__ = [
@@ -133,77 +136,84 @@ def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
     return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
 
 
-def _mirrored(g: int, half: Sequence) -> tuple:
-    """Full genus g row, symmetric under k <-> 3g-1-k, from its first half."""
-    return (*half, *half[3 * g - 1 - len(half) :: -1])
-
-
 # Rows handed to the identities are padded: row[k + 3] holds the entry at k,
 # so the genus g-1 terms at k-3..k of step k are row[k..k+3].
 def _padded(row: Sequence) -> tuple:
     return (0, 0, 0, *row, 0, 0)
 
 
-def _t_row(g: int) -> tuple[int, ...]:
-    return _padded(_mirrored(g, closedform._t_half_row(g)))
+class _Row(NamedTuple):
+    """One genus of an identity: padded values, one-point terms, bracket factor."""
+
+    x: tuple
+    one: list  # the one-point term at each k = 0..3g-1, 0 unless k = 3j-1
+    c: int
 
 
-def _a_row(g: int) -> tuple[int, ...]:
-    # A(g, k) = (6g-1-2k)!! T(g, k) / E(k) with E(k) = D(g)/(2k+1)!!: the
-    # common factor (2k+1)!! is cancelled, so the big division is cheaper
-    e = _d(g)
-    half = []
-    for k, t in enumerate(closedform._t_half_row(g)):
-        half.append(_exact(double_factorial_odd(6 * g - 1 - 2 * k) * t, e, g, k))
-        e = _exact(e, 2 * k + 3, g, k + 1)
-    return _padded(_mirrored(g, half))
+def _one_points(g: int, unit: Sequence[int]) -> list:
+    # unit[k] C(g, j) at k = 3j-1
+    return [unit[k] * binomial(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
 
 
-def _b_row(g: int) -> tuple[int, ...]:
+def _p_row(g: int) -> tuple[int, ...]:
+    """P(g, k) for k = 0..3g-1, one running product from P(g, 0) = D(g)."""
+    half = [_d(g)]
+    for k in range((3 * g - 1) // 2):
+        half.append(_exact(half[k] * (2 * k + 3), 6 * g - 1 - 2 * k, g, k + 1))
+    return _mirrored(g, half)
+
+
+def _t_row(g: int, row: Sequence | None = None) -> _Row:
+    # the closed row S(g, .) unless another is given
+    lam = odd_lcm(2 * g + 1)
+    c = 4 * g * _exact(lam, odd_lcm(2 * g - 1), g, 0)
+    if row is None:
+        row = _mirrored(g, closedform._t_half_row(g))
+    return _Row(_padded(row), _one_points(g, [lam] * (3 * g)), c)
+
+
+def _a_row(g: int) -> _Row:
+    lam = odd_lcm(2 * g + 1)
+    p = _p_row(g)
+    half = [_exact(p[k] * s, lam, g, k) for k, s in enumerate(closedform._t_half_row(g))]
+    return _Row(_padded(_mirrored(g, half)), _one_points(g, p), 4 * g)
+
+
+def _b_row(g: int) -> _Row:
+    p = _p_row(g)
     first = [
-        double_factorial_odd(2 * k + 1) * double_factorial_odd(6 * g - 3 - 2 * k) * q
+        _exact(p[k], 6 * g - 1 - 2 * k, g, k) * q
         for k, q in enumerate(closedform._scaled_q(g, 1))
     ]
     middle = [0] if g % 2 == 0 else []  # b(g, k) = 0 at 2k = 3g-2
-    return (0, 0, _d(g), *first, *middle, *(-b for b in reversed(first)))
+    x = (0, 0, p[0], *first, *middle, *(-b for b in reversed(first)))
+    return _Row(x, _one_points(g, p), 4 * g)
 
 
-def _tau_step(g: int, k: int, t: Sequence, below: Sequence):
-    c = 4 * g * (6 * g - 1) * (6 * g - 3) * (6 * g - 5)
-    r = (2 * k + 3) * t[k + 4] - (2 * g - 3 - 2 * k) * t[k + 3]
-    r -= c * (below[k] + 3 * below[k + 1] + 3 * below[k + 2] + below[k + 3])
-    if k % 3 == 2:
-        # k = 3j-1 with 1 <= j <= g-1 holds on every such step
-        r -= _d(g) * binomial(g, (k + 1) // 3)
-    return r
+def _tau_step(g: int, k: int, t: _Row, below: _Row):
+    r = (2 * k + 3) * t.x[k + 4] - (2 * g - 3 - 2 * k) * t.x[k + 3]
+    b = below.x
+    return r - t.c * (b[k] + 3 * b[k + 1] + 3 * b[k + 2] + b[k + 3]) - t.one[k]
 
 
-def _normalized_step(g: int, k: int, u: int, row: Sequence, below: Sequence):
-    """The homogeneous part u X(g,k+1) - (2g-3-2k) X(g,k) - 4g P(X, u)."""
+def _normalized_step(g: int, k: int, u: int, row: _Row, below: _Row):
+    """The homogeneous part u X(g,k+1) - (2g-3-2k) X(g,k) - 4g H(X, u)."""
     s = 2 * k + 1
+    b = below.x
     bracket = s * (
-        (s - 2) * ((s - 4) * below[k] + 3 * u * below[k + 1]) + 3 * u * (u - 2) * below[k + 2]
-    ) + u * (u - 2) * (u - 4) * below[k + 3]
-    return u * row[k + 4] - (2 * g - 3 - 2 * k) * row[k + 3] - 4 * g * bracket
+        (s - 2) * ((s - 4) * b[k] + 3 * u * b[k + 1]) + 3 * u * (u - 2) * b[k + 2]
+    ) + u * (u - 2) * (u - 4) * b[k + 3]
+    return u * row.x[k + 4] - (2 * g - 3 - 2 * k) * row.x[k + 3] - row.c * bracket
 
 
-def _one_point(g: int, k: int) -> int:
-    """D(g) times the one-point term of the normalized recursion at k = 3j-1."""
-    odd = double_factorial_odd
-    return binomial(g, (k + 1) // 3) * odd(2 * k + 1) * odd(6 * g - 1 - 2 * k)
+def _a_step(g: int, k: int, a: _Row, below: _Row):
+    return _normalized_step(g, k, 6 * g - 1 - 2 * k, a, below) - a.one[k]
 
 
-def _a_step(g: int, k: int, a: Sequence, below: Sequence):
-    r = _normalized_step(g, k, 6 * g - 1 - 2 * k, a, below)
-    return r - _one_point(g, k) if k % 3 == 2 else r
-
-
-def _b_step(g: int, k: int, b: Sequence, below: Sequence):
+def _b_step(g: int, k: int, b: _Row, below: _Row):
     # the one-point terms of the a recursion at k+1 and at k
     r = _normalized_step(g, k, 6 * g - 3 - 2 * k, b, below)
-    if k % 3 == 1:
-        return r - _one_point(g, k + 1)
-    return r + _one_point(g, k) if k % 3 == 2 else r
+    return r - b.one[k + 1] + b.one[k]
 
 
 def residual_rec_tau(
@@ -220,7 +230,7 @@ def residual_rec_tau(
     """
     _require_step(g, k, 3 * g - 2)
     row = _t_row if backend is None else (
-        lambda gg: _padded(_scaled(gg, [backend(gg, i) for i in range(3 * gg)]))
+        lambda gg: _t_row(gg, _scaled(gg, [backend(gg, i) for i in range(3 * gg)]))
     )
     return Fraction(_tau_step(g, k, row(g), row(g - 1)), _denominator(g))
 
@@ -251,7 +261,7 @@ def _scaled(g: int, values) -> list:
 
 
 def _recursive_rows(g_max: int, table: TwoPointTable | None):
-    """Rows T(g, .), g = 1..g_max: a table complete through g_max, or the recursion."""
+    """Rows S(g, .), g = 1..g_max: a table complete through g_max, or the recursion."""
     if table is None or table.max_genus_complete < g_max:
         return _int_rows(g_max)
     return (_scaled(g, table.row(g)) for g in range(1, g_max + 1))
@@ -278,7 +288,7 @@ def cross_validate(g_max: int, table: TwoPointTable | None = None) -> CheckRepor
 
 
 def check_symmetry(g_max: int, table: TwoPointTable | None = None) -> CheckReport:
-    """Assert T(g, k) = T(g, 3g-1-k) on the recursive path, g <= g_max."""
+    """Assert S(g, k) = S(g, 3g-1-k) on the recursive path, g <= g_max."""
     _require_g_max(g_max)
     failures = []
     checked = 0
@@ -303,7 +313,7 @@ def check_bounds(g_max: int) -> CheckReport:
     checked = 0
     for g in range(2, g_max + 1):
         d = _d(g)
-        row = _a_row(g)
+        row = _a_row(g).x
         for k in range(2, 3 * g - 2):
             a = row[k + 3]
             checked += 1

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -190,11 +191,11 @@ class TestTable:
         assert "g must be >= 1" in err
 
     def test_method_both_mismatch_exits_3(self, capsys, monkeypatch):
-        real = cli.two_point_closed
+        real = cli._closed_row
         monkeypatch.setattr(
             cli,
-            "two_point_closed",
-            lambda g, k: real(g, k) + Fraction(1, 7) if (g, k) == (2, 3) else real(g, k),
+            "_closed_row",
+            lambda g: tuple(v + Fraction(1, 7) if k == 3 else v for k, v in enumerate(real(g))),
         )
         code, out, err = run_cli(capsys, "table", "--g", "2", "--method", "both")
         assert code == 3
@@ -209,6 +210,12 @@ class TestTable:
         assert code == 0
         for method in ("recursive", "both"):
             assert run_cli(capsys, *argv, method)[:2] == (0, closed)
+
+    def test_csv_at_genus_200_is_pinned(self, capsys):
+        # md5 recorded while the row was still built as T(g, k) over (6g-1)!!
+        code, out, _ = run_cli(capsys, "table", "--g", "200", "--format", "csv")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "c2876fba3b3f6b9ba990e08a5508f956"
 
     def test_cache_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -362,6 +369,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["29/5760", "29/33"]
+
+    def test_module_help_starts_with_usage(self, tmp_path):
+        # the benchmark times `python -m tau2 --help` from the checkout's src and
+        # reports no result unless it exits 0 and starts with "usage: tau2"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tau2", "--help"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: tau2")
 
 
 METHODS = ["closed", "recursive", "both"]

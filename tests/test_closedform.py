@@ -199,10 +199,13 @@ class TestIntegerHalfRow:
             two_point_streamed(g, k)
 
     def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
-        # D = (6g-1)!! is a multiple of (2k+3)!!, so a fault of s in s q(g, k)
-        # keeps every division exact: the recursion is what exposes it
+        # a fault of 13 s in s q(g, k) at every k keeps every division at g = 5
+        # exact (a multiple of 13 is the smallest shift that does): the
+        # recursion is what exposes it
         real = closedform._scaled_q
-        monkeypatch.setattr(closedform, "_scaled_q", lambda g, s: (sq + s for sq in real(g, s)))
+        monkeypatch.setattr(
+            closedform, "_scaled_q", lambda g, s: (sq + 13 * s for sq in real(g, s))
+        )
         *_, row = _int_rows(5)
         half = tuple(closedform._t_half(5))
         assert half != row[: len(half)]
@@ -211,24 +214,44 @@ class TestIntegerHalfRow:
         assert captured.out == ""
         assert "mismatch at (5,7)" in captured.err
 
+    @pytest.fixture
+    def core_shifted_by_s(self, monkeypatch):
+        # + s at every k is exact over (6g-1)!!, a multiple of 13, but not
+        # over L(5) = lcm(1, 3, ..., 11), which lacks the 13
+        real = closedform._scaled_q
+        monkeypatch.setattr(closedform, "_scaled_q", lambda g, s: (sq + s for sq in real(g, s)))
+
+    def test_core_fault_of_s_is_an_inexact_division(self, core_shifted_by_s):
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,6\)"):
+            tuple(closedform._t_half(5))
+
+    def test_core_fault_of_s_exits_4(self, core_shifted_by_s, capsys):
+        code = cli.main(["value", "--g", "5", "--k", "7", "--method", "closed"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: ArithmeticError: inexact division at (5,6)"
+        )
+
     @staticmethod
-    def _break_top_double_factorial(monkeypatch, g):
-        # the loop is linear in (6g-1)!!: at g = 5, T(5, 3) = 29!! * 1228/7, and
-        # 29!! + 2 is not a multiple of 7, so the division by 7 is inexact
-        real = closedform.double_factorial_odd
+    def _break_unit(monkeypatch, g):
+        # the loop is linear in L(g): at g = 5, S(5, 3) = L(5) * 1228/7 with
+        # L(5) = lcm(1, 3, ..., 11), and L(5) + 2 is not a multiple of 7
+        real = closedform.odd_lcm
         monkeypatch.setattr(
             closedform,
-            "double_factorial_odd",
-            lambda m: real(m) + 2 if m == 6 * g - 1 else real(m),
+            "odd_lcm",
+            lambda n: real(n) + 2 if n == 2 * g + 1 else real(n),
         )
 
     def test_inexact_division_raises(self, monkeypatch):
-        self._break_top_double_factorial(monkeypatch, 5)
-        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\)"):
+        self._break_unit(monkeypatch, 5)
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\): remainder 6"):
             two_point_streamed(5, 7)
 
     def test_inexact_division_exits_4(self, monkeypatch, capsys):
-        self._break_top_double_factorial(monkeypatch, 5)
+        self._break_unit(monkeypatch, 5)
         code = cli.main(["value", "--g", "5", "--k", "7", "--method", "closed"])
         captured = capsys.readouterr()
         assert code == 4

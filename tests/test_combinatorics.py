@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -12,6 +12,7 @@ from tau2.combinatorics import (
     binomial,
     double_factorial_odd,
     multinomial,
+    odd_lcm,
     rational_str,
 )
 
@@ -48,6 +49,19 @@ class TestDoubleFactorialOdd:
     def test_memo_is_consistent_after_large_query(self):
         big = double_factorial_odd(1999)
         assert double_factorial_odd(1997) * 1999 == big
+
+
+class TestOddLcm:
+    def test_is_the_lcm_of_the_odd_numbers(self):
+        expected = 1  # lcm(1, 3, ..., n), one odd n at a time
+        for n in range(1, 2402, 2):
+            expected = lcm(expected, n)
+            assert odd_lcm(n) == expected, n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_below_one_rejected(self, n):
+        with pytest.raises(ValueError):
+            odd_lcm(n)
 
 
 class TestMultinomial:

@@ -222,9 +222,9 @@ class TestGenusRow:
             genus_row(0)
 
     def test_inexact_division_is_loud(self):
-        # 2/45 = 16/N(1) is integral but wrong, so (2,2) divides 5 with remainder 4
-        forged = (Fraction(1, 24), Fraction(2, 45), Fraction(1, 24))
-        with pytest.raises(ArithmeticError, match=r"inexact division at \(2,2\)"):
+        # 1/18 = 4/N(1) is integral but wrong, so (2,3) divides 7 with remainder 5
+        forged = (Fraction(1, 24), Fraction(1, 18), Fraction(1, 24))
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(2,3\): remainder 5"):
             genus_row(2, forged)
 
     def test_rejects_row_below_off_the_denominator(self):

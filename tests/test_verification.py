@@ -219,58 +219,59 @@ def md5(text):
     return hashlib.md5(text.encode()).hexdigest()
 
 
-# Output of `verify --g-max 4` with core(3, 1) shifted by three, recorded when
-# the closed loop still multiplied core(g, k) by E(k) = (6g-1)!!/(2k+1)!!.
+# Output of `verify --g-max 4` with q(3, 1) shifted by three, i.e. core(3, 1) by
+# nine, recorded when the closed loop still ran on T(g, k) over (6g-1)!!.  A
+# shift by one is no longer exact on S(g, k) over L(g): see test_closedform.
 SHIFTED_CORE_PLAIN = """\
 cross: FAIL (checked 30)
-  (3,2): expected 77/414720, got 13/69120
-  (3,3): expected 503/1451520, got 1019/2903040
-  (3,4): expected 607/1451520, got 11069/26127360
-  (3,5): expected 503/1451520, got 1019/2903040
-  (3,6): expected 77/414720, got 13/69120
+  (3,2): expected 77/414720, got 1/5184
+  (3,3): expected 503/1451520, got 209/580608
+  (3,4): expected 607/1451520, got 757/1741824
+  (3,5): expected 503/1451520, got 209/580608
+  (3,6): expected 77/414720, got 1/5184
 symmetry: PASS (checked 16)
 bounds: PASS (checked 15)
 residual-tau: FAIL (checked 24)
-  (3,1): expected 0, got 1/82944
-  (3,2): expected 0, got 7/207360
-  (3,3): expected 0, got 13/207360
-  (3,4): expected 0, got 143/1866240
-  (3,5): expected 0, got 13/207360
-  (3,6): expected 0, got 1/46080
-  (4,2): expected 0, got -1/2488320
-  (4,3): expected 0, got -17/8709120
-  (4,4): expected 0, got -683/156764160
-  (4,5): expected 0, got -1/163296
-  (4,6): expected 0, got -1/163296
-  (4,7): expected 0, got -683/156764160
-  (4,8): expected 0, got -17/8709120
-  (4,9): expected 0, got -1/2488320
+  (3,1): expected 0, got 1/27648
+  (3,2): expected 0, got 7/69120
+  (3,3): expected 0, got 13/69120
+  (3,4): expected 0, got 143/622080
+  (3,5): expected 0, got 13/69120
+  (3,6): expected 0, got 1/15360
+  (4,2): expected 0, got -1/829440
+  (4,3): expected 0, got -17/2903040
+  (4,4): expected 0, got -683/52254720
+  (4,5): expected 0, got -1/54432
+  (4,6): expected 0, got -1/54432
+  (4,7): expected 0, got -683/52254720
+  (4,8): expected 0, got -17/2903040
+  (4,9): expected 0, got -1/829440
 residual-a: FAIL (checked 24)
-  (3,1): expected 0, got 3/17
-  (3,2): expected 0, got 14/85
-  (3,3): expected 0, got 14/85
-  (3,4): expected 0, got 14/85
-  (3,5): expected 0, got 14/85
-  (3,6): expected 0, got 9/85
-  (4,2): expected 0, got -16/161
-  (4,3): expected 0, got -544/3059
-  (4,4): expected 0, got -10928/52003
-  (4,5): expected 0, got -11264/52003
-  (4,6): expected 0, got -11264/52003
-  (4,7): expected 0, got -10928/52003
-  (4,8): expected 0, got -544/3059
-  (4,9): expected 0, got -16/161
+  (3,1): expected 0, got 9/17
+  (3,2): expected 0, got 42/85
+  (3,3): expected 0, got 42/85
+  (3,4): expected 0, got 42/85
+  (3,5): expected 0, got 42/85
+  (3,6): expected 0, got 27/85
+  (4,2): expected 0, got -48/161
+  (4,3): expected 0, got -1632/3059
+  (4,4): expected 0, got -32784/52003
+  (4,5): expected 0, got -33792/52003
+  (4,6): expected 0, got -33792/52003
+  (4,7): expected 0, got -32784/52003
+  (4,8): expected 0, got -1632/3059
+  (4,9): expected 0, got -48/161
 residual-b: FAIL (checked 8)
-  (3,0): expected 0, got 3/17
-  (3,1): expected 0, got -1/85
-  (4,1): expected 0, got -16/161
-  (4,2): expected 0, got -240/3059
-  (4,3): expected 0, got -240/7429
+  (3,0): expected 0, got 9/17
+  (3,1): expected 0, got -3/85
+  (4,1): expected 0, got -48/161
+  (4,2): expected 0, got -720/3059
+  (4,3): expected 0, got -720/7429
 """
 
 
 class TestShiftedCore:
-    """A closed form built from q(3, 1) + 1, i.e. core(3, 1) + 3, fails loudly at pinned loci."""
+    """A closed form built from q(3, 1) + 3, i.e. core(3, 1) + 9, fails loudly at pinned loci."""
 
     @pytest.fixture(autouse=True)
     def shifted_core(self, monkeypatch):
@@ -278,7 +279,7 @@ class TestShiftedCore:
 
         def shifted(g, s):
             for k, sq in enumerate(real(g, s)):
-                yield sq + (s if (g, k) == (3, 1) else 0)
+                yield sq + (3 * s if (g, k) == (3, 1) else 0)
 
         monkeypatch.setattr(closedform, "_scaled_q", shifted)
         closedform.clear_caches()
@@ -298,9 +299,9 @@ class TestShiftedCore:
     @pytest.mark.parametrize(
         "fmt,digest",
         [
-            ("plain", "15d3a41eabd102fbca7c095caa33be8a"),
+            ("plain", "342930700b5eadf7b7762e83197bdd1a"),
             ("csv", "33d7d47d32313a9a637d94b8bebecac4"),
-            ("json", "a4acb58754c0affdd28bd7143308073a"),
+            ("json", "0305243a367dc52d891f33772ca5647e"),
         ],
     )
     def test_failure_output_is_pinned(self, capsys, fmt, digest):
@@ -313,18 +314,18 @@ class TestShiftedCore:
 
 class TestInexactDivision:
     @pytest.fixture(autouse=True)
-    def broken_top_double_factorial(self, monkeypatch):
-        # 10007 divides no A(4, k), so A(4, 1) = 21!! T(4, 1) / (E(1) 10007) is inexact
-        real = verification.double_factorial_odd
+    def broken_unit(self, monkeypatch):
+        # 10007 divides no P(4, k) S(4, k), so A(4, 0) = 23!! L(4) / (L(4) 10007) is inexact
+        real = verification.odd_lcm
         monkeypatch.setattr(
             verification,
-            "double_factorial_odd",
-            lambda m: real(m) * 10007 if m == 23 else real(m),
+            "odd_lcm",
+            lambda n: real(n) * 10007 if n == 9 else real(n),
         )
 
     @pytest.mark.parametrize("check", [check_bounds, check_residual_a])
     def test_raises(self, check):
-        with pytest.raises(ArithmeticError, match=r"inexact division at \(4,1\): remainder"):
+        with pytest.raises(ArithmeticError, match=r"inexact division at \(4,0\): remainder"):
             check(4)
 
     def test_exits_4(self, capsys):
@@ -332,7 +333,7 @@ class TestInexactDivision:
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("internal error: ArithmeticError: inexact division at (4,1)")
+        assert err.startswith("internal error: ArithmeticError: inexact division at (4,0)")
 
 
 def closed_counts(g_max):
