@@ -1,24 +1,38 @@
 """Exact two-point correlators <tau_k tau_{3g-1-k}> of 2D topological gravity.
 
-Two independent computation paths over exact rationals: a genus-by-genus
-recursion seeded from the string and dilaton equations, and a closed form
-built from double-factorial difference values.  The verification module
-checks both paths against each other and against every recursion they must
-satisfy, always by exact equality.
+Two independent computation paths, each run on integers over a per-genus
+denominator and handed out as exact ``Fraction`` values: a genus recursion
+seeded from the string and dilaton equations, and a closed form telescoped
+from binomial differences.  ``verification`` checks both paths against each
+other and against every recursion they must satisfy, by exact equality.  A
+layer module loads on first use of one of its names (PEP 562 ``__getattr__``).
 """
 
-from . import closedform, combinatorics, recursion, verification
-from .closedform import *  # noqa: F403
-from .combinatorics import *  # noqa: F403
-from .recursion import *  # noqa: F403
-from .verification import *  # noqa: F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *closedform.__all__,
-    *combinatorics.__all__,
-    *recursion.__all__,
-    *verification.__all__,
-    "__version__",
-]
+_LAYERS = {  # each layer's __all__, in order
+    "closedform": "b_domain_max b_value a_closed normalize two_point_closed two_point_streamed "
+    "clear_caches",
+    "combinatorics": "factorial binomial double_factorial_odd odd_lcm multinomial rational_str",
+    "recursion": "one_point one_point_at genus0_npoint genus1_seed genus_row recursive_row "
+    "two_point_recursive build_table TwoPointTable",
+    "verification": "CheckFailure CheckReport residual_rec_tau residual_rec_a residual_rec_b "
+    "cross_validate check_symmetry check_bounds check_residual_tau check_residual_a "
+    "check_residual_b",
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -3,7 +3,7 @@
 Four subcommands: ``value`` (one correlator, default cross-checked on both
 computation paths), ``table`` (one full genus row, default closed form),
 ``verify`` (the exact check suite), and ``bench`` (wall time and value
-bit-size per genus for either path).
+bit-size per genus for either path).  Each imports only the layers it runs.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -17,25 +17,10 @@ limit is lifted while a command runs, and kept while argv is parsed.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-from math import factorial
-from pathlib import Path
 from time import perf_counter
-
-from . import verification
-from .closedform import (
-    _denominator,
-    _mirrored,
-    _t_half_row,
-    clear_caches,
-    normalize,
-    two_point_streamed,
-)
-from .combinatorics import rational_str
-from .recursion import _fractions, _int_rows, recursive_row
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
 
@@ -65,8 +50,10 @@ def _diag(message: str) -> None:
 
 def _closed_row(g: int) -> tuple[Fraction, ...]:
     """The closed genus g row: the cached half row over one denominator, mirrored."""
-    n = _denominator(g)
-    return _mirrored(g, [Fraction(s, n) for s in _t_half_row(g)])
+    from fractions import Fraction
+    from . import closedform
+    n = closedform._denominator(g)
+    return closedform._mirrored(g, [Fraction(s, n) for s in closedform._t_half_row(g)])
 
 
 def _row_lines(g: int, row: tuple[Fraction, ...], fmt: str) -> list[str]:
@@ -75,6 +62,8 @@ def _row_lines(g: int, row: tuple[Fraction, ...], fmt: str) -> list[str]:
     The normalized value is a(g, k) = 24^g g! W(k) <tau_k tau_{3g-1-k}> with
     W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!!, run as W(k+1) = W(k) (2k+3)/(6g-1-2k).
     """
+    from fractions import Fraction
+    from .combinatorics import factorial, rational_str
     cells = []
     w = Fraction(24**g * factorial(g))
     for k, v in enumerate(row):
@@ -83,11 +72,9 @@ def _row_lines(g: int, row: tuple[Fraction, ...], fmt: str) -> list[str]:
     if fmt == "csv":
         return [CSV_HEADER] + [f"{g},{k},{c},{a}" for k, c, a in cells]
     if fmt == "json":
-        obj = {
-            "g": g,
-            "rows": [{"k": k, "correlator": c, "normalized": a} for k, c, a in cells],
-        }
-        return [json.dumps(obj)]
+        import json
+        rows = [{"k": k, "correlator": c, "normalized": a} for k, c, a in cells]
+        return [json.dumps({"g": g, "rows": rows})]
     return [f"{g} {k} {c} {a}" for k, c, a in cells]
 
 
@@ -99,28 +86,29 @@ def cmd_value(args: argparse.Namespace) -> int:
     if not 0 <= k <= 3 * g - 1:
         _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
         return EXIT_USAGE
+    from . import closedform
+    from .combinatorics import rational_str
 
-    if args.method in ("closed", "both"):
-        closed = two_point_streamed(g, k)
-    if args.method in ("recursive", "both"):
-        recursive = recursive_row(g)[k]
-    if args.method == "both":
-        if closed != recursive:
+    if args.method != "recursive":
+        value = closedform.two_point_streamed(g, k)
+    if args.method != "closed":
+        from . import recursion
+        recursive = recursion.recursive_row(g)[k]
+        if args.method == "both" and value != recursive:
             _diag(
-                f"path mismatch at ({g},{k}): closed {rational_str(closed)}, "
+                f"path mismatch at ({g},{k}): closed {rational_str(value)}, "
                 f"recursive {rational_str(recursive)}"
             )
             return EXIT_MISMATCH
-        value = closed
-    else:
-        value = closed if args.method == "closed" else recursive
+        value = recursive
 
-    norm = rational_str(normalize(g, k, value))
+    norm = rational_str(closedform.normalize(g, k, value))
     corr = rational_str(value)
     if args.format == "csv":
         print(CSV_HEADER)
         print(f"{g},{k},{corr},{norm}")
     elif args.format == "json":
+        import json
         print(json.dumps({"g": g, "k": k, "correlator": corr, "normalized": norm}))
     else:
         print(corr)
@@ -135,12 +123,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     start = perf_counter()
-    row = _closed_row(g) if args.method == "closed" else recursive_row(g)
+    if args.method == "closed":
+        row = _closed_row(g)
+    else:
+        from . import recursion
+        row = recursion.recursive_row(g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
         # emitted rows only leave after both paths agree entry by entry
+        from .combinatorics import rational_str
         start = perf_counter()
         for k, (closed, recursive) in enumerate(zip(_closed_row(g), row)):
             if closed != recursive:
@@ -161,11 +154,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.g_max < 1:
         _diag(f"g-max must be >= 1, got {args.g_max}")
         return EXIT_USAGE
-    names = [c.strip() for c in args.checks.split(",")] if args.checks else list(_CHECKS)
+    names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
     unknown = [c for c in names if c not in _CHECKS]
     if unknown:
-        _diag(f"unknown checks: {', '.join(unknown)} (valid: {', '.join(_CHECKS)})")
+        _diag(f"unknown checks: {', '.join(map(repr, unknown))} (valid: {', '.join(_CHECKS)})")
         return EXIT_USAGE
+    if len(set(names)) < len(names):
+        _diag(f"each check may be named once, got --checks {args.checks}")
+        return EXIT_USAGE
+    from . import verification
+    from .combinatorics import rational_str
 
     reports = []
     for name in names:
@@ -176,6 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports.append(report)
 
     if args.format == "json":
+        import json
         print(json.dumps([r.to_json_obj() for r in reports]))
     elif args.format == "csv":
         print("check,passed,checked,failures")
@@ -211,16 +210,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         columns += ["recursive_ms", "recursive_us_per_value"]
     columns.append("max_bits")
     print("\t".join(columns))
+    from . import closedform, recursion
 
     # both columns time integer rows; Fraction rows for max_bits are built untimed
-    int_rows = _int_rows(args.g_max)
+    int_rows = recursion._int_rows(args.g_max)
     recursive_cumulative = 0.0
     for g in range(1, args.g_max + 1):
         cells = [str(g)]
         if do_closed:
-            clear_caches()
+            closedform.clear_caches()
             start = perf_counter()
-            _t_half_row(g)
+            closedform._t_half_row(g)
             ms = (perf_counter() - start) * 1000
             cells += [f"{ms:.3f}", f"{ms * 1000 / (3 * g):.2f}"]
         if do_recursive:
@@ -232,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{recursive_cumulative:.3f}",
                 f"{recursive_cumulative * 1000 / (3 * g):.2f}",
             ]
-        row = _closed_row(g) if do_closed else _fractions(g, int_row)
+        row = _closed_row(g) if do_closed else recursion._fractions(g, int_row)
         cells.append(str(_row_bits(row)))
         print("\t".join(cells))
     return EXIT_OK
@@ -294,10 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         with _int_str_unlimited():
             return args.func(args)
     except Exception as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        import traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         _diag(f"internal error: {detail} (at {where})")
         return EXIT_INTERNAL

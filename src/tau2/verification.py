@@ -49,7 +49,6 @@ integer over its scale, exactly the value the rational comparison has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -72,8 +71,7 @@ __all__ = [
     "check_residual_b",
 ]
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     """One violated identity: the locus and both sides of the comparison."""
 
     g: int
@@ -82,8 +80,7 @@ class CheckFailure:
     actual: Fraction
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one exact check over a genus range.
 
     ``passed`` holds exactly when ``failures`` is empty; ``checked`` counts

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tau2.cli as cli
+import tau2.closedform as closedform
+import tau2.recursion as recursion
 import tau2.verification as verification
 from tau2.closedform import normalize
 from tau2.verification import CheckFailure, CheckReport
@@ -131,9 +133,9 @@ class TestValue:
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
-        real = cli.two_point_streamed
+        real = closedform.two_point_streamed
         monkeypatch.setattr(
-            cli,
+            closedform,
             "two_point_streamed",
             lambda g, k: real(g, k) + Fraction(1, 7),
         )
@@ -272,6 +274,15 @@ class TestVerify:
         assert code == 2
         assert "typo" in err
 
+    @pytest.mark.parametrize(
+        "checks", ["", " ", ",", "cross,", "cross,cross", "cross, cross", "bounds,cross,bounds"]
+    )
+    def test_selection_naming_no_check_or_one_twice_exits_2(self, capsys, checks):
+        code, out, err = run_cli(capsys, "verify", "--g-max", "2", "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         failing = CheckReport(
             "cross", (1, 2), (CheckFailure(2, 1, Fraction(1, 384), Fraction(1, 385)),), 9
@@ -354,12 +365,15 @@ class TestEntryPoints:
         def broken(g):
             raise RuntimeError("row store\nunavailable")
 
-        monkeypatch.setattr(cli, "recursive_row", broken)
+        monkeypatch.setattr(recursion, "recursive_row", broken)
         code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
         assert code == 4
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("internal error: RuntimeError: row store unavailable (at ")
+        # the location is the raising frame's bare file name, with no directory
+        line = broken.__code__.co_firstlineno + 1
+        assert err.endswith(f" (at {Path(__file__).name}:{line})\n")
 
     def test_module_invocation(self):
         proc = subprocess.run(

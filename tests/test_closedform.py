@@ -1,5 +1,6 @@
 """Closed-form path: difference values, normalized values, correlators."""
 
+import re
 from fractions import Fraction
 from math import comb, prod
 
@@ -258,6 +259,8 @@ class TestIntegerHalfRow:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("internal error: ArithmeticError: inexact division")
+        # raised in combinatorics._exact, named by its bare file name
+        assert re.search(r" \(at combinatorics\.py:\d+\)\n$", captured.err)
 
 
 def oracle_odd(m):

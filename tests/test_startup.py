@@ -1,0 +1,149 @@
+"""Start-up: each command imports only the layers it runs, and the package stays whole.
+
+A command is run in a fresh interpreter through ``tau2.cli.main``; the
+modules it left in ``sys.modules`` are compared with those of an interpreter
+that ran nothing, so what the environment preloads (through ``site``) is not
+counted against tau2.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tau2
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+PATH = os.environ.get("PYTHONPATH")
+ENV = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + PATH if PATH else ""))
+MARKER = "loaded-modules "
+DRIVER = f"""
+import sys
+try:
+    if sys.argv[1:]:
+        from tau2 import cli
+        cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print({MARKER!r} + " ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+HELP = ["--help"]
+TABLE_CSV = ["table", "--g", "3", "--format", "csv"]
+TABLE_JSON = ["table", "--g", "3", "--format", "json"]
+VALUE_CLOSED = ["value", "--g", "3", "--k", "1", "--method", "closed"]
+VALUE_BOTH_JSON = ["value", "--g", "3", "--k", "1", "--format", "json"]
+VERIFY_CSV = ["verify", "--g-max", "3", "--format", "csv"]
+VERIFY_JSON = ["verify", "--g-max", "3", "--format", "json"]
+BENCH = ["bench", "--g-max", "2"]
+COMMANDS = [
+    HELP, TABLE_CSV, TABLE_JSON, VALUE_CLOSED, VALUE_BOTH_JSON, VERIFY_CSV, VERIFY_JSON, BENCH
+]
+
+LAYERS = ("closedform", "combinatorics", "recursion", "verification")
+
+# tau2.__all__ at the commit that made the layers load lazily
+PUBLIC = {
+    "CheckFailure", "CheckReport", "TwoPointTable", "__version__", "a_closed",
+    "b_domain_max", "b_value", "binomial", "build_table", "check_bounds",
+    "check_residual_a", "check_residual_b", "check_residual_tau", "check_symmetry",
+    "clear_caches", "cross_validate", "double_factorial_odd", "factorial",
+    "genus0_npoint", "genus1_seed", "genus_row", "multinomial", "normalize",
+    "odd_lcm", "one_point", "one_point_at", "rational_str", "recursive_row",
+    "residual_rec_a", "residual_rec_b", "residual_rec_tau", "two_point_closed",
+    "two_point_recursive", "two_point_streamed",
+}  # fmt: skip
+
+
+def _python(code, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _modules(argv):
+    proc = _python(DRIVER, *argv)
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(MARKER), proc.stderr
+    return set(last[len(MARKER) :].split())
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """Per command (as a tuple), the modules it loaded beyond a bare interpreter."""
+    bare = _modules([])
+    return {tuple(argv): _modules(argv) - bare for argv in COMMANDS}
+
+
+def test_help_loads_no_layer(loaded):
+    mods = loaded[tuple(HELP)]
+    assert "tau2.cli" in mods
+    assert not mods & {f"tau2.{layer}" for layer in LAYERS}
+    assert not mods & {"dataclasses", "json", "fractions"}
+
+
+@pytest.mark.parametrize("argv", [TABLE_CSV, VALUE_CLOSED], ids=" ".join)
+def test_closed_commands_load_only_the_closed_layers(loaded, argv):
+    mods = loaded[tuple(argv)]
+    assert {"tau2.closedform", "tau2.combinatorics"} <= mods
+    assert not mods & {"tau2.recursion", "tau2.verification"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_loads_dataclasses(loaded, argv):
+    assert "dataclasses" not in loaded[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_json_loads_only_for_json_format(loaded, argv):
+    assert ("json" in loaded[tuple(argv)]) == (argv[-2:] == ["--format", "json"])
+
+
+def test_verify_loads_verification(loaded):
+    assert "tau2.verification" in loaded[tuple(VERIFY_CSV)]
+
+
+def test_layer_loads_on_first_use():
+    _python(
+        "import sys, tau2\n"
+        "assert not [m for m in sys.modules if m.startswith('tau2.')]\n"
+        "assert tau2.build_table is tau2.recursion.build_table\n"
+        "assert sorted(m for m in sys.modules if m.startswith('tau2.'))"
+        " == ['tau2.combinatorics', 'tau2.recursion']\n"
+    )
+
+
+def test_public_names_are_unchanged():
+    assert set(tau2.__all__) == PUBLIC
+    assert len(tau2.__all__) == len(PUBLIC)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_each_public_name_imports_from_the_package(name):
+    namespace = {}
+    exec(f"from tau2 import {name}", namespace)
+    assert namespace[name] is getattr(tau2, name)
+    if name != "__version__":
+        layer = next(getattr(tau2, m) for m in LAYERS if name in getattr(tau2, m).__all__)
+        assert namespace[name] is getattr(layer, name)
+
+
+def test_layers_and_names_are_listed():
+    listed = dir(tau2)
+    assert PUBLIC <= set(listed)
+    assert set(LAYERS) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_layer_exports_match_the_package():
+    exported = [name for layer in LAYERS for name in getattr(tau2, layer).__all__]
+    assert exported + ["__version__"] == tau2.__all__
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tau2.no_such_name  # noqa: B018

@@ -193,7 +193,30 @@ class TestCheckReport:
                 {"g": 3, "k": 4, "expected": "607/1451520", "actual": "19/45360"}
             ],
         }
-        json.dumps(obj)
+        assert json.dumps(obj) == (
+            '{"check": "cross", "g_max": 3, "passed": false, "failures": '
+            '[{"g": 3, "k": 4, "expected": "607/1451520", "actual": "19/45360"}]}'
+        )
+
+    def test_fields_in_order(self):
+        assert CheckFailure._fields == ("g", "k", "expected", "actual")
+        assert CheckReport._fields == ("check_name", "g_range", "failures", "checked")
+        failure = CheckFailure(3, 4, Fraction(1), Fraction(2))
+        report = CheckReport("bounds", (2, 3), (failure,), 5)
+        assert (report.check_name, report.g_range, report.checked) == ("bounds", (2, 3), 5)
+        assert report.failures[0].expected == Fraction(1)
+
+    @pytest.mark.parametrize("field", ["g", "k", "expected", "actual"])
+    def test_failure_is_immutable(self, field):
+        failure = CheckFailure(3, 4, Fraction(1), Fraction(2))
+        with pytest.raises(AttributeError):
+            setattr(failure, field, 0)
+
+    @pytest.mark.parametrize("field", ["check_name", "g_range", "failures", "checked", "passed"])
+    def test_report_is_immutable(self, field):
+        report = CheckReport("cross", (1, 3), (), 18)
+        with pytest.raises(AttributeError):
+            setattr(report, field, 0)
 
 
 class TestCorruptionSweep:
