@@ -1,11 +1,12 @@
 """Exact two-point correlators <tau_k tau_{3g-1-k}> of 2D topological gravity.
 
-Two independent computation paths, each run on integers over a per-genus
-denominator and handed out as exact ``Fraction`` values: a genus recursion
-seeded from the string and dilaton equations, and a closed form telescoped
-from binomial differences.  ``verification`` checks both paths against each
-other and against every recursion they must satisfy, by exact equality.  A
-layer module loads on first use of one of its names (PEP 562 ``__getattr__``).
+Two independent computation paths, each run on integer rows over one
+per-genus denominator: a genus recursion seeded from the string and dilaton
+equations, and a closed form telescoped from binomial differences.  Rows stay
+integers up to the printed text; the public functions hand out exact
+``Fraction`` values.  ``verification`` checks both paths against each other
+and against every recursion they must satisfy, by exact equality.  A layer
+module loads on first use of one of its names (PEP 562 ``__getattr__``).
 """
 
 from importlib import import_module
@@ -16,8 +17,7 @@ _LAYERS = {  # each layer's __all__, in order
     "closedform": "b_domain_max b_value a_closed normalize two_point_closed two_point_streamed "
     "clear_caches",
     "combinatorics": "factorial binomial double_factorial_odd odd_lcm multinomial rational_str",
-    "recursion": "one_point one_point_at genus0_npoint genus1_seed genus_row recursive_row "
-    "two_point_recursive build_table TwoPointTable",
+    "recursion": "one_point one_point_at genus0_npoint genus1_seed genus_row recursive_row",
     "verification": "CheckFailure CheckReport residual_rec_tau residual_rec_a residual_rec_b "
     "cross_validate check_symmetry check_bounds check_residual_tau check_residual_a "
     "check_residual_b",

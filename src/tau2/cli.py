@@ -48,26 +48,26 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _closed_row(g: int) -> tuple[Fraction, ...]:
-    """The closed genus g row: the cached half row over one denominator, mirrored."""
-    from fractions import Fraction
-    from . import closedform
-    n = closedform._denominator(g)
-    return closedform._mirrored(g, [Fraction(s, n) for s in closedform._t_half_row(g)])
+def _row_lines(g: int, row: tuple[int, ...], fmt: str) -> list[str]:
+    """Render one integer genus row S(g, .); every format carries correlator and normalized.
 
-
-def _row_lines(g: int, row: tuple[Fraction, ...], fmt: str) -> list[str]:
-    """Render one genus row; every format carries correlator and normalized.
-
-    The normalized value is a(g, k) = 24^g g! W(k) <tau_k tau_{3g-1-k}> with
+    The correlator is S(g, k) / N(g), N(g) = 24^g g! L(g) with L(g) = odd_lcm(2g+1),
+    and the normalized value a(g, k) = W(k) S(g, k) / L(g) with
     W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!!, run as W(k+1) = W(k) (2k+3)/(6g-1-2k).
+    W(k) = W(3g-1-k), so past the middle of the row an entry equal to its mirror
+    reuses the mirror's text; an entry that differs is rendered as it is.
     """
     from fractions import Fraction
-    from .combinatorics import factorial, rational_str
+    from .combinatorics import _denominator, odd_lcm, rational_str
+    n = _denominator(g)
+    w = Fraction(1, odd_lcm(2 * g + 1))  # W(k) / L(g)
     cells = []
-    w = Fraction(24**g * factorial(g))
-    for k, v in enumerate(row):
-        cells.append((k, rational_str(v), rational_str(v * w)))
+    for k, s in enumerate(row):
+        m = 3 * g - 1 - k
+        if m < k and row[m] == s:
+            cells.append((k, *cells[m][1:]))
+        else:
+            cells.append((k, rational_str(Fraction(s, n)), rational_str(w * s)))
         w *= Fraction(2 * k + 3, 6 * g - 1 - 2 * k)
     if fmt == "csv":
         return [CSV_HEADER] + [f"{g},{k},{c},{a}" for k, c, a in cells]
@@ -124,24 +124,30 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     start = perf_counter()
     if args.method == "closed":
-        row = _closed_row(g)
+        from . import closedform
+        row = closedform._mirrored(g, closedform._t_half_row(g))
     else:
         from . import recursion
-        row = recursion.recursive_row(g)
+        for row in recursion._int_rows(g):
+            pass
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
         # emitted rows only leave after both paths agree entry by entry
-        from .combinatorics import rational_str
+        from . import closedform
         start = perf_counter()
-        for k, (closed, recursive) in enumerate(zip(_closed_row(g), row)):
-            if closed != recursive:
-                _diag(
-                    f"path mismatch at ({g},{k}): closed {rational_str(closed)}, "
-                    f"recursive {rational_str(recursive)}"
-                )
-                return EXIT_MISMATCH
+        closed = closedform._mirrored(g, closedform._t_half_row(g))
+        if closed != row:
+            from fractions import Fraction
+            from .combinatorics import _denominator, rational_str
+            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
+            n = _denominator(g)
+            _diag(
+                f"path mismatch at ({g},{k}): closed {rational_str(Fraction(closed[k], n))}, "
+                f"recursive {rational_str(Fraction(row[k], n))}"
+            )
+            return EXIT_MISMATCH
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
 
@@ -192,8 +198,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _row_bits(row: tuple[Fraction, ...]) -> int:
-    return max(v.numerator.bit_length() + v.denominator.bit_length() for v in row)
+def _row_bits(g: int, row: tuple[int, ...]) -> int:
+    """Largest numerator plus denominator bit length of the reduced values S(g, k) / N(g)."""
+    from math import gcd
+    from .combinatorics import _denominator
+    n = _denominator(g)
+    return max((s // (d := gcd(s, n))).bit_length() + (n // d).bit_length() for s in row)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -212,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("\t".join(columns))
     from . import closedform, recursion
 
-    # both columns time integer rows; Fraction rows for max_bits are built untimed
+    # both columns time integer rows; max_bits is taken untimed
     int_rows = recursion._int_rows(args.g_max)
     recursive_cumulative = 0.0
     for g in range(1, args.g_max + 1):
@@ -232,8 +242,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{recursive_cumulative:.3f}",
                 f"{recursive_cumulative * 1000 / (3 * g):.2f}",
             ]
-        row = _closed_row(g) if do_closed else recursion._fractions(g, int_row)
-        cells.append(str(_row_bits(row)))
+        cells.append(str(_row_bits(g, closedform._t_half_row(g) if do_closed else int_row)))
         print("\t".join(cells))
     return EXIT_OK
 

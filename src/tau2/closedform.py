@@ -55,7 +55,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .combinatorics import _exact, double_factorial_odd, odd_lcm
+from .combinatorics import _denominator, _exact, double_factorial_odd, odd_lcm
 
 __all__ = [
     "b_domain_max",
@@ -137,11 +137,6 @@ def _mirror(g: int, k: int) -> int:
 def _mirrored(g: int, half: Sequence) -> tuple:
     """Full genus g row, symmetric under k <-> 3g-1-k, from its first half."""
     return (*half, *half[3 * g - 1 - len(half) :: -1])
-
-
-def _denominator(g: int) -> int:
-    """N(g) = 24^g g! L(g), the denominator of the integer row S(g, .)."""
-    return 24**g * factorial(g) * odd_lcm(2 * g + 1)
 
 
 def a_closed(g: int, k: int) -> Fraction:

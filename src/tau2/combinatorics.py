@@ -9,7 +9,8 @@ which is exactly the canonical text form that :func:`rational_str` prints
 Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 ``odd_lcm(n) = lcm(1, 3, ..., n)``, the unit both computation paths scale
 their rows by, is a sieve that takes each odd prime at its largest power
-<= n.  Callers that walk a row keep their own running products.
+<= n; ``_denominator(g)`` is the one common denominator of a genus g row.
+Callers that walk a row keep their own running products.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def odd_lcm(n: int) -> int:
             result *= power
     # each odd prime above the square root divides the lcm once
     return result * prod(p for p in range(root + 1 | 1, n + 1, 2) if not composite[p])
+
+
+def _denominator(g: int) -> int:
+    """N(g) = 24^g g! odd_lcm(2g+1), the denominator of a genus g integer row S(g, .)."""
+    return 24**g * factorial(g) * odd_lcm(2 * g + 1)
 
 
 def multinomial(parts: Sequence[int]) -> int:

@@ -1,4 +1,4 @@
-"""Two-point correlator table built by the genus recursion.
+"""Two-point correlator rows built by the genus recursion.
 
 The two-point correlators <tau_k tau_{3g-1-k}> of 2D topological gravity are
 computed genus by genus, in integers.  With L(g) = lcm(1, 3, ..., 2g+1)
@@ -26,8 +26,9 @@ and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The ratio
 L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
 by a checked division.  That every division by 2k+1 is exact on this unit is
 observed (every g <= 600), not proved; a nonzero remainder raises
-``ArithmeticError`` instead of truncating.  Rows become ``Fraction`` values
-S(g, k) / N(g) only at the boundary, when a row is handed out.
+``ArithmeticError`` instead of truncating.  Inside the package rows stay
+integers (``_int_rows``); only the public ``genus_row`` and ``recursive_row``
+hand out ``Fraction`` values S(g, k) / N(g).
 
 The row is always computed over the full range k = 0..3g-1, never by
 mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
@@ -40,7 +41,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .combinatorics import _exact, multinomial, odd_lcm, rational_str
+from .combinatorics import _denominator, _exact, multinomial, odd_lcm, rational_str
 
 __all__ = [
     "one_point",
@@ -49,9 +50,6 @@ __all__ = [
     "genus1_seed",
     "genus_row",
     "recursive_row",
-    "two_point_recursive",
-    "build_table",
-    "TwoPointTable",
 ]
 
 ZERO = Fraction(0)
@@ -100,11 +98,6 @@ def genus1_seed() -> dict[tuple[int, int], Fraction]:
     """
     v = Fraction(1, 24)
     return {(1, 0): v, (1, 1): v}
-
-
-def _denominator(g: int) -> int:
-    """N(g) = 24^g g! L(g), the common denominator of the genus g row."""
-    return 24**g * factorial(g) * odd_lcm(2 * g + 1)
 
 
 def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -180,7 +173,7 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
 
 
 def recursive_row(g: int) -> tuple[Fraction, ...]:
-    """Genus g row by the recursion, with no table.
+    """Genus g row by the recursion.
 
     Rows 1..g-1 stay integers; only row g is converted to ``Fraction``.
     """
@@ -189,79 +182,3 @@ def recursive_row(g: int) -> tuple[Fraction, ...]:
     for row in _int_rows(g):
         pass
     return _fractions(g, row)
-
-
-def two_point_recursive(g: int, k: int, table: "TwoPointTable | None" = None) -> Fraction:
-    """<tau_k tau_{3g-1-k}> computed by the genus recursion.
-
-    For g >= 2 the table must be complete through genus g-1 (genus 1 needs no
-    table).  If the table already holds genus g the stored value is returned;
-    otherwise the genus-g row is computed from the table's row g-1 without
-    mutating the table.
-    """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if not 0 <= k <= 3 * g - 1:
-        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
-    if g == 1:
-        return genus_row(1)[k]
-    if table is None or table.max_genus_complete < g - 1:
-        have = 0 if table is None else table.max_genus_complete
-        raise ValueError(
-            f"recursion at genus {g} needs a table complete through genus {g - 1}, "
-            f"have {have}"
-        )
-    if table.max_genus_complete >= g:
-        return table.value(g, k)
-    return genus_row(g, table.row(g - 1))[k]
-
-
-def build_table(g_max: int) -> "TwoPointTable":
-    """Complete two-point table for every genus 1..g_max.  Deterministic."""
-    if g_max < 1:
-        raise ValueError(f"g_max must be >= 1, got {g_max}")
-    rows = {g: _fractions(g, row) for g, row in enumerate(_int_rows(g_max), start=1)}
-    return TwoPointTable(rows)
-
-
-class TwoPointTable:
-    """Immutable map (g, k) -> <tau_k tau_{3g-1-k}>, complete per genus.
-
-    Completeness is tracked per whole genus: genera form a contiguous block
-    1..max_genus_complete and each carries its full k = 0..3g-1 row.  Values
-    already published never change; extending a table means building a new
-    one.  Concurrent reads are safe.
-    """
-
-    def __init__(self, rows: dict[int, Sequence[Fraction]]):
-        genera = sorted(rows)
-        if genera != list(range(1, len(genera) + 1)):
-            raise ValueError("table genera must be contiguous starting at 1")
-        for g in genera:
-            if len(rows[g]) != 3 * g:
-                raise ValueError(f"genus {g} row must have {3 * g} entries")
-        self._rows = {g: tuple(rows[g]) for g in genera}
-
-    @property
-    def max_genus_complete(self) -> int:
-        return len(self._rows)
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._rows.values())
-
-    def row(self, g: int) -> tuple[Fraction, ...]:
-        if g not in self._rows:
-            raise KeyError(f"genus {g} not in table (complete through {self.max_genus_complete})")
-        return self._rows[g]
-
-    def value(self, g: int, k: int) -> Fraction:
-        row = self.row(g)
-        if not 0 <= k <= 3 * g - 1:
-            raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
-        return row[k]
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        """All ((g, k), value) pairs sorted by (g, k)."""
-        for g in range(1, self.max_genus_complete + 1):
-            for k, v in enumerate(self._rows[g]):
-                yield (g, k), v

@@ -53,9 +53,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import closedform
-from .closedform import _denominator, _mirrored, b_domain_max
-from .combinatorics import _exact, binomial, double_factorial_odd, odd_lcm, rational_str
-from .recursion import TwoPointTable, _int_rows
+from .closedform import _mirrored, b_domain_max
+from .combinatorics import (
+    _denominator, _exact, binomial, double_factorial_odd, odd_lcm, rational_str
+)
+from .recursion import _int_rows
 
 __all__ = [
     "CheckFailure",
@@ -226,8 +228,9 @@ def residual_rec_tau(
     0..3g-1 and scaled by N(g), so a wrong one stays a non-integral Fraction.
     """
     _require_step(g, k, 3 * g - 2)
+    # a wrong backend value times N(g) stays a non-integral Fraction, unequal to any S
     row = _t_row if backend is None else (
-        lambda gg: _t_row(gg, _scaled(gg, [backend(gg, i) for i in range(3 * gg)]))
+        lambda gg: _t_row(gg, [_denominator(gg) * backend(gg, i) for i in range(3 * gg)])
     )
     return Fraction(_tau_step(g, k, row(g), row(g - 1)), _denominator(g))
 
@@ -252,28 +255,16 @@ def residual_rec_b(g: int, k: int) -> Fraction:
     return Fraction(_b_step(g, k, _b_row(g), _b_row(g - 1)), _d(g))
 
 
-def _scaled(g: int, values) -> list:
-    # a wrong value times N(g) stays a non-integral Fraction, unequal to any T
-    return [_denominator(g) * v for v in values]
-
-
-def _recursive_rows(g_max: int, table: TwoPointTable | None):
-    """Rows S(g, .), g = 1..g_max: a table complete through g_max, or the recursion."""
-    if table is None or table.max_genus_complete < g_max:
-        return _int_rows(g_max)
-    return (_scaled(g, table.row(g)) for g in range(1, g_max + 1))
-
-
-def cross_validate(g_max: int, table: TwoPointTable | None = None) -> CheckReport:
+def cross_validate(g_max: int) -> CheckReport:
     """Compare the closed form against the recursion for every (g, k), g <= g_max.
 
-    Runs the recursion if no complete table is supplied.  Failures record
-    the recursive value as expected and the closed-form value as actual.
+    Failures record the recursive value as expected and the closed-form value
+    as actual.
     """
     _require_g_max(g_max)
     failures = []
     checked = 0
-    for g, recursive in enumerate(_recursive_rows(g_max, table), start=1):
+    for g, recursive in enumerate(_int_rows(g_max), start=1):
         closed = _mirrored(g, closedform._t_half_row(g))
         checked += 3 * g
         failures += [
@@ -284,12 +275,12 @@ def cross_validate(g_max: int, table: TwoPointTable | None = None) -> CheckRepor
     return CheckReport("cross", (1, g_max), tuple(failures), checked)
 
 
-def check_symmetry(g_max: int, table: TwoPointTable | None = None) -> CheckReport:
+def check_symmetry(g_max: int) -> CheckReport:
     """Assert S(g, k) = S(g, 3g-1-k) on the recursive path, g <= g_max."""
     _require_g_max(g_max)
     failures = []
     checked = 0
-    for g, row in enumerate(_recursive_rows(g_max, table), start=1):
+    for g, row in enumerate(_int_rows(g_max), start=1):
         half = range((3 * g - 1) // 2 + 1)
         checked += len(half)
         failures += [

@@ -16,7 +16,8 @@ from time import perf_counter
 import pytest
 
 from tau2.closedform import a_closed, clear_caches, normalize, two_point_closed
-from tau2.recursion import build_table, genus0_npoint, one_point, two_point_recursive
+from tau2.combinatorics import _denominator
+from tau2.recursion import _int_rows, genus0_npoint, genus_row, one_point, recursive_row
 from tau2.verification import (
     check_bounds,
     check_residual_a,
@@ -59,7 +60,7 @@ def test_criterion_1_exact_value_anchors(gate):
         assert one_point(1) == Fraction(1, 24)
         for g in range(1, 11):
             assert one_point(g) == Fraction(1, 24**g * factorial(g))
-        table = build_table(2)
+        recursive = genus_row(2, recursive_row(1))
         anchors = {
             (2, 0): Fraction(1, 1152),
             (2, 1): Fraction(1, 384),
@@ -67,19 +68,19 @@ def test_criterion_1_exact_value_anchors(gate):
         }
         for (g, k), expected in anchors.items():
             assert two_point_closed(g, k) == expected
-            assert two_point_recursive(g, k, table) == expected
+            assert recursive[k] == expected
         assert a_closed(2, 2) == Fraction(29, 33)
         assert normalize(2, 2, Fraction(29, 5760)) == Fraction(29, 33)
 
 
 def test_criterion_2_base_normalized_values(gate):
     with gate(2, "a(g,0) and a(g,1) to genus 100, both paths", 5.0):
-        table = build_table(100)
-        for g in range(1, 101):
+        for g, row in enumerate(_int_rows(100), start=1):
+            s0, s1 = (Fraction(s, _denominator(g)) for s in row[:2])
             assert a_closed(g, 0) == 1
             assert a_closed(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
-            assert normalize(g, 0, table.value(g, 0)) == 1
-            assert normalize(g, 1, table.value(g, 1)) == Fraction(6 * g - 3, 6 * g - 1)
+            assert normalize(g, 0, s0) == 1
+            assert normalize(g, 1, s1) == Fraction(6 * g - 3, 6 * g - 1)
 
 
 def test_criterion_3_cross_path_equivalence(gate):
@@ -106,11 +107,11 @@ def test_criterion_5_bounds_window(gate):
 
 def test_criterion_6_symmetry_and_positivity(gate):
     with gate(6, "symmetry and positivity to genus 30", 30.0):
-        table = build_table(30)
-        report = check_symmetry(30, table)
+        report = check_symmetry(30)
         assert report.passed, report.failures[:3]
-        for _, value in table.items():
-            assert value > 0
+        # every S(g, k) = N(g) <tau_k tau_{3g-1-k}> has the sign of its correlator
+        for row in _int_rows(30):
+            assert all(s > 0 for s in row)
 
 
 def test_criterion_7_genus0_oracle_properties(gate):
@@ -150,9 +151,9 @@ def test_criterion_8_closed_path_performance(gate):
         closed_row = [two_point_closed(g, k) for k in range(3 * g)]
         closed_s = perf_counter() - start
         start = perf_counter()
-        table = build_table(g)
+        recursive = recursive_row(g)
         recursive_s = perf_counter() - start
-        assert closed_row == list(table.row(g))
+        assert closed_row == list(recursive)
         closed_per_value = closed_s / (3 * g)
         recursive_per_value = recursive_s / (3 * g)
         assert closed_per_value < recursive_per_value, (closed_s, recursive_s)

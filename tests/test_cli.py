@@ -21,6 +21,7 @@ import tau2.closedform as closedform
 import tau2.recursion as recursion
 import tau2.verification as verification
 from tau2.closedform import normalize
+from tau2.combinatorics import rational_str
 from tau2.verification import CheckFailure, CheckReport
 
 needs_digit_limit = pytest.mark.skipif(
@@ -193,16 +194,42 @@ class TestTable:
         assert "g must be >= 1" in err
 
     def test_method_both_mismatch_exits_3(self, capsys, monkeypatch):
-        real = cli._closed_row
+        # entry 2 of the genus 2 half row is mirrored to k = 3, so k = 2 differs first
+        real = closedform._t_half_row
         monkeypatch.setattr(
-            cli,
-            "_closed_row",
-            lambda g: tuple(v + Fraction(1, 7) if k == 3 else v for k, v in enumerate(real(g))),
+            closedform,
+            "_t_half_row",
+            lambda g: tuple(s + 1 if k == 2 else s for k, s in enumerate(real(g))),
         )
         code, out, err = run_cli(capsys, "table", "--g", "2", "--method", "both")
         assert code == 3
         assert out == ""
-        assert "mismatch at (2,3)" in err
+        assert "path mismatch at (2,2): closed 11/2160, recursive 29/5760" in err
+
+    def test_asymmetric_recursive_row_prints_as_it_is(self, capsys, monkeypatch):
+        # S(3, 6) and S(3, 7) shifted by 1: past the middle, unequal to their mirrors
+        real = recursion._int_rows
+
+        def shifted(g_max):
+            for g, row in enumerate(real(g_max), start=1):
+                yield tuple(s + (g == 3 and k in (6, 7)) for k, s in enumerate(row))
+
+        monkeypatch.setattr(recursion, "_int_rows", shifted)
+        *_, row = shifted(3)
+        n = 24**3 * 6 * 105  # N(3) = 24^3 3! lcm(1, 3, 5, 7)
+        code, out, _ = run_cli(capsys, "table", "--g", "3", "--method", "recursive")
+        assert code == 0
+        assert out.splitlines() == [
+            f"3 {k} {rational_str(Fraction(s, n))} "
+            f"{rational_str(normalize(3, k, Fraction(s, n)))}"
+            for k, s in enumerate(row)
+        ]
+        assert out.splitlines()[6] != out.splitlines()[2].replace("3 2 ", "3 6 ", 1)
+
+        code, out, err = run_cli(capsys, "table", "--g", "3", "--method", "both")
+        assert code == 3
+        assert out == ""
+        assert "path mismatch at (3,6): closed 77/414720, recursive 809/4354560\n" in err
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     @pytest.mark.parametrize("g", [1, 2, 30, 120])
@@ -218,6 +245,16 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--g", "200", "--format", "csv")
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == "c2876fba3b3f6b9ba990e08a5508f956"
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [("plain", "4a3325e57a8536985e9f006b61267a82"), ("json", "2ff1be5b0d11b1fca5fa8c0ada19cf71")],
+    )
+    def test_plain_and_json_at_genus_200_are_pinned(self, capsys, fmt, digest):
+        # md5 recorded while the row was still rendered from Fraction values
+        code, out, _ = run_cli(capsys, "table", "--g", "200", "--format", fmt)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_cache_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -287,7 +324,7 @@ class TestVerify:
         failing = CheckReport(
             "cross", (1, 2), (CheckFailure(2, 1, Fraction(1, 384), Fraction(1, 385)),), 9
         )
-        monkeypatch.setattr(verification, "cross_validate", lambda g_max, table=None: failing)
+        monkeypatch.setattr(verification, "cross_validate", lambda g_max: failing)
         code, out, err = run_cli(capsys, "verify", "--g-max", "2", "--checks", "cross")
         assert code == 1
         lines = out.splitlines()
@@ -298,7 +335,7 @@ class TestVerify:
         failing = CheckReport(
             "symmetry", (1, 2), (CheckFailure(2, 1, Fraction(1, 384), Fraction(1, 385)),), 8
         )
-        monkeypatch.setattr(verification, "check_symmetry", lambda g_max, table=None: failing)
+        monkeypatch.setattr(verification, "check_symmetry", lambda g_max: failing)
         code, out, _ = run_cli(
             capsys, "verify", "--g-max", "2", "--checks", "symmetry", "--format", "json"
         )

@@ -1,4 +1,4 @@
-"""Recursive path: one-point values, genus-0 formula, table construction.
+"""Recursive path: one-point values, genus-0 formula, row construction.
 
 The oracle below is a third, self-contained evaluator of intersection
 numbers (string equation, dilaton equation, and the double-factorial
@@ -15,17 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau2 import verification
 from tau2.closedform import two_point_closed
+from tau2.combinatorics import _denominator
 from tau2.recursion import (
-    TwoPointTable,
-    build_table,
+    _int_rows,
     genus0_npoint,
     genus1_seed,
     genus_row,
     one_point,
     one_point_at,
     recursive_row,
-    two_point_recursive,
 )
 from tau2.verification import check_symmetry, cross_validate
 
@@ -233,6 +233,14 @@ class TestGenusRow:
             genus_row(2, forged)
 
 
+def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
+    """Rows 1..g_max of the recursion as correlators, from its integer rows."""
+    return [
+        tuple(Fraction(t, _denominator(g)) for t in row)
+        for g, row in enumerate(_int_rows(g_max), start=1)
+    ]
+
+
 class TestRecursiveRow:
     def test_matches_closed_row_to_genus_80(self):
         for g in range(1, 81):
@@ -243,10 +251,10 @@ class TestRecursiveRow:
     @given(st.integers(min_value=1, max_value=40), st.data())
     def test_agrees_with_table_and_single_values(self, g, data):
         row = recursive_row(g)
-        assert build_table(g).row(g) == row
+        assert _rows(g)[-1] == row
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        table = build_table(g - 1) if g > 1 else None
-        assert two_point_recursive(g, k, table) == row[k]
+        below = recursive_row(g - 1) if g > 1 else None
+        assert genus_row(g, below)[k] == row[k]
 
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError):
@@ -254,9 +262,11 @@ class TestRecursiveRow:
 
 
 class TestTwoPointRecursive:
+    """Single values read off one recursion step or the recursive row."""
+
     @pytest.mark.parametrize("k,expected", [(0, "1/24"), (1, "1/24"), (2, "1/24")])
     def test_genus1_needs_no_table(self, k, expected):
-        assert two_point_recursive(1, k) == Fraction(expected)
+        assert recursive_row(1)[k] == Fraction(expected)
 
     @pytest.mark.parametrize(
         "k,expected",
@@ -268,69 +278,71 @@ class TestTwoPointRecursive:
         ],
     )
     def test_genus2_steps(self, k, expected):
-        assert two_point_recursive(2, k, build_table(1)) == expected
+        assert genus_row(2, recursive_row(1))[k] == expected
 
     def test_out_of_range_k(self):
-        with pytest.raises(ValueError, match=r"k must be in 0\.\.5"):
-            two_point_recursive(2, 7, build_table(1))
+        row = recursive_row(2)
+        assert len(row) == 6
+        with pytest.raises(IndexError):
+            row[7]  # noqa: B018
 
     def test_missing_table(self):
-        with pytest.raises(ValueError, match="complete through genus 1"):
-            two_point_recursive(2, 0)
+        with pytest.raises(ValueError, match="complete genus 1 row"):
+            genus_row(2)
 
     def test_incomplete_table(self):
-        with pytest.raises(ValueError, match="complete through genus 2"):
-            two_point_recursive(3, 0, build_table(1))
+        with pytest.raises(ValueError, match="complete genus 2 row"):
+            genus_row(3, recursive_row(1))
 
     def test_uses_stored_row_when_available(self):
-        table = build_table(3)
-        assert two_point_recursive(3, 4, table) == table.value(3, 4)
+        assert genus_row(3, recursive_row(2))[4] == recursive_row(3)[4]
 
     def test_advances_row_without_mutating(self):
-        table = build_table(2)
-        value = two_point_recursive(3, 5, table)
+        below = recursive_row(2)
+        value = genus_row(3, below)[5]
         assert value == GENUS3_ROW[5]
-        assert table.max_genus_complete == 2
+        assert below == GENUS2_ROW
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_agrees_with_built_table(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        table = build_table(max(g - 1, 1))
-        assert two_point_recursive(g, k, table) == build_table(g).value(g, k)
+        below = recursive_row(g - 1) if g > 1 else None
+        assert genus_row(g, below)[k] == _rows(g)[g - 1][k]
 
 
 class TestBuildTable:
+    """Whole chains of rows 1..g from the integer recursion."""
+
     def test_genus1_table(self):
-        table = build_table(1)
-        assert len(table) == 3
-        assert [table.value(1, k) for k in range(3)] == [Fraction(1, 24)] * 3
+        rows = _rows(1)
+        assert len(rows) == 1
+        assert list(rows[0]) == [Fraction(1, 24)] * 3
 
     def test_genus2_row_frozen(self):
-        assert build_table(2).row(2) == GENUS2_ROW
+        assert _rows(2)[1] == GENUS2_ROW
 
     def test_genus3_row_frozen(self):
-        assert build_table(3).row(3) == GENUS3_ROW
+        assert _rows(3)[2] == GENUS3_ROW
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_rows_match_oracle(self, g):
-        row = build_table(g).row(g)
+        row = _rows(g)[g - 1]
         for k in range(3 * g):
             assert row[k] == oracle(g, (k, 3 * g - 1 - k)), (g, k)
 
     def test_rejects_g_max_below_one(self):
-        with pytest.raises(ValueError):
-            build_table(0)
+        for g in (0, -1):
+            with pytest.raises(ValueError):
+                recursive_row(g)
 
     def test_deterministic_serialization(self):
-        assert list(build_table(5).items()) == list(build_table(5).items())
+        assert list(_int_rows(5)) == list(_int_rows(5))
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_validate_passes(self, g):
         """Every row keeps positivity, symmetry and both endpoint identities."""
-        table = build_table(g)
-        for gg in range(1, g + 1):
-            row = table.row(gg)
+        for gg, row in enumerate(_rows(g), start=1):
             assert row[0] == one_point(gg)
             assert row[1] == (2 * gg - 1) * one_point(gg)
             for k, v in enumerate(row):
@@ -338,66 +350,42 @@ class TestBuildTable:
                 assert v == row[3 * gg - 1 - k], (gg, k)
 
     def test_string_endpoint(self):
-        table = build_table(8)
-        for g in range(1, 9):
-            assert table.value(g, 0) == one_point(g)
+        for g, row in enumerate(_rows(8), start=1):
+            assert row[0] == one_point(g)
 
     def test_dilaton_endpoint(self):
-        table = build_table(8)
-        for g in range(1, 9):
-            assert table.value(g, 1) == (2 * g - 1) * one_point(g)
+        for g, row in enumerate(_rows(8), start=1):
+            assert row[1] == (2 * g - 1) * one_point(g)
 
 
 class TestTwoPointTable:
-    def test_len_counts_all_entries(self):
-        assert len(build_table(4)) == 3 + 6 + 9 + 12
+    """A corrupted integer row of the two-point table, fed to the verification
+    engine in place of the recursion's, fails at exactly its loci: the
+    symmetry check, and cross-validation against the closed form."""
 
-    def test_row_unknown_genus(self):
-        with pytest.raises(KeyError):
-            build_table(2).row(3)
+    @staticmethod
+    def _corrupt(monkeypatch, g, entries):
+        rows = [list(row) for row in _int_rows(g)]
+        for k, value in entries.items():
+            rows[g - 1][k] = value(rows[g - 1][k])
+        monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
 
-    def test_value_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_table(2).value(2, 6)
-
-    def test_items_sorted(self):
-        keys = [key for key, _ in build_table(3).items()]
-        assert keys == sorted(keys)
-        assert keys[0] == (1, 0)
-        assert keys[-1] == (3, 8)
-
-    def test_constructor_rejects_gap_in_genera(self):
-        rows = {1: genus_row(1), 3: build_table(3).row(3)}
-        with pytest.raises(ValueError, match="contiguous"):
-            TwoPointTable(rows)
-
-    def test_constructor_rejects_short_row(self):
-        with pytest.raises(ValueError, match="entries"):
-            TwoPointTable({1: (Fraction(1, 24),) * 2})
-
-    # A table built in memory is checked by the verification engine: the
-    # symmetry check, and cross-validation against the closed form.
-
-    def test_validate_rejects_broken_symmetry(self):
-        row = list(genus_row(1))
-        row[2] = Fraction(1, 25)
-        report = check_symmetry(1, TwoPointTable({1: row}))
+    def test_validate_rejects_broken_symmetry(self, monkeypatch):
+        self._corrupt(monkeypatch, 1, {2: lambda s: s + 1})
+        report = check_symmetry(1)
         assert [(f.g, f.k) for f in report.failures] == [(1, 0)]
 
-    def test_validate_rejects_nonpositive(self):
-        row = list(build_table(2).row(2))
-        row[2] = row[3] = Fraction(-1, 5760)
-        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+    def test_validate_rejects_nonpositive(self, monkeypatch):
+        self._corrupt(monkeypatch, 2, {2: lambda s: -s, 3: lambda s: -s})
+        report = cross_validate(2)
         assert [(f.g, f.k) for f in report.failures] == [(2, 2), (2, 3)]
 
-    def test_validate_rejects_bad_string_endpoint(self):
-        row = list(build_table(2).row(2))
-        row[0] = row[5] = Fraction(1, 1153)
-        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+    def test_validate_rejects_bad_string_endpoint(self, monkeypatch):
+        self._corrupt(monkeypatch, 2, {0: lambda s: s + 1, 5: lambda s: s + 1})
+        report = cross_validate(2)
         assert [(f.g, f.k) for f in report.failures] == [(2, 0), (2, 5)]
 
-    def test_validate_rejects_bad_dilaton_endpoint(self):
-        row = list(build_table(2).row(2))
-        row[1] = row[4] = Fraction(1, 385)
-        report = cross_validate(2, TwoPointTable({1: genus_row(1), 2: row}))
+    def test_validate_rejects_bad_dilaton_endpoint(self, monkeypatch):
+        self._corrupt(monkeypatch, 2, {1: lambda s: s + 1, 4: lambda s: s + 1})
+        report = cross_validate(2)
         assert [(f.g, f.k) for f in report.failures] == [(2, 1), (2, 4)]

@@ -8,7 +8,7 @@ import pytest
 
 import tau2.cli as cli
 from tau2 import closedform, verification
-from tau2.recursion import TwoPointTable, build_table
+from tau2.recursion import _int_rows, recursive_row
 from tau2.verification import (
     CheckFailure,
     CheckReport,
@@ -24,6 +24,18 @@ from tau2.verification import (
 )
 
 
+def corrupted_rows(g_max: int, g: int, k: int) -> list[list[int]]:
+    """The recursion's integer rows 1..g_max with S(g, k) shifted by 1."""
+    rows = [list(row) for row in _int_rows(g_max)]
+    rows[g - 1][k] += 1
+    return rows
+
+
+def use_rows(monkeypatch, rows) -> None:
+    """Make the checks read ``rows`` in place of the recursion's integer rows."""
+    monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
+
+
 class TestResidualTau:
     @pytest.mark.parametrize("g,k", [(2, 0), (2, 1), (3, 4)])
     def test_vanishes_on_closed_form(self, g, k):
@@ -35,16 +47,16 @@ class TestResidualTau:
                 assert residual_rec_tau(g, k) == 0, (g, k)
 
     def test_vanishes_on_recursive_backend(self):
-        table = build_table(6)
+        rows = {g: recursive_row(g) for g in range(1, 7)}
         for g in range(2, 7):
             for k in range(3 * g - 1):
-                assert residual_rec_tau(g, k, table.value) == 0, (g, k)
+                assert residual_rec_tau(g, k, lambda gg, i: rows[gg][i]) == 0, (g, k)
 
     def test_detects_corrupt_backend(self):
-        table = build_table(3)
+        rows = {g: recursive_row(g) for g in range(1, 4)}
 
         def corrupted(g, k):
-            value = table.value(g, k)
+            value = rows[g][k]
             return value + Fraction(1, 7) if (g, k) == (3, 4) else value
 
         assert any(residual_rec_tau(3, k, corrupted) != 0 for k in range(8))
@@ -106,18 +118,14 @@ class TestCrossValidate:
         assert report.checked == total
         assert report.failures == ()
 
-    def test_accepts_prebuilt_table(self):
-        table = build_table(5)
-        assert cross_validate(5, table).passed
-
-    def test_detects_single_corrupt_entry(self):
-        rows = {g: list(build_table(3).row(g)) for g in range(1, 4)}
-        rows[3][4] += Fraction(1, 7)
-        report = cross_validate(3, TwoPointTable(rows))
+    def test_detects_single_corrupt_entry(self, monkeypatch):
+        use_rows(monkeypatch, corrupted_rows(3, 3, 4))
+        report = cross_validate(3)
         assert not report.passed
         assert [(f.g, f.k) for f in report.failures] == [(3, 4)]
         failure = report.failures[0]
-        assert failure.expected == Fraction(607, 1451520) + Fraction(1, 7)
+        # N(3) = 24^3 3! lcm(1, 3, 5, 7) = 8709120, so the shift by 1 is 1/N(3)
+        assert failure.expected == Fraction(607, 1451520) + Fraction(1, 8709120)
         assert failure.actual == Fraction(607, 1451520)
 
     def test_rejects_g_max_below_one(self):
@@ -131,10 +139,9 @@ class TestCheckSymmetry:
         assert report.passed
         assert report.check_name == "symmetry"
 
-    def test_detects_asymmetric_corruption(self):
-        rows = {g: list(build_table(2).row(g)) for g in range(1, 3)}
-        rows[2][1] += Fraction(1, 7)
-        report = check_symmetry(2, TwoPointTable(rows))
+    def test_detects_asymmetric_corruption(self, monkeypatch):
+        use_rows(monkeypatch, corrupted_rows(2, 2, 1))
+        report = check_symmetry(2)
         assert not report.passed
         assert (2, 1) in [(f.g, f.k) for f in report.failures]
 
@@ -220,14 +227,12 @@ class TestCheckReport:
 
 
 class TestCorruptionSweep:
-    def test_every_single_entry_corruption_is_detected(self):
-        """Each single corrupted table entry fails cross-validation at its (g, k)."""
-        clean = build_table(3)
+    def test_every_single_entry_corruption_is_detected(self, monkeypatch):
+        """Each single corrupted recursive entry fails cross-validation at its (g, k)."""
         for g in range(1, 4):
             for k in range(3 * g):
-                rows = {gg: list(clean.row(gg)) for gg in range(1, 4)}
-                rows[g][k] += Fraction(1, 7)
-                report = cross_validate(3, TwoPointTable(rows))
+                use_rows(monkeypatch, corrupted_rows(3, g, k))
+                report = cross_validate(3)
                 assert not report.passed, (g, k)
                 assert [(f.g, f.k) for f in report.failures] == [(g, k)]
 
