@@ -14,8 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _LAYERS = {  # each layer's __all__, in order
-    "closedform": "b_domain_max b_value a_closed normalize two_point_closed two_point_streamed "
-    "clear_caches",
+    "closedform": "b_domain_max b_value a_closed normalize two_point_closed clear_caches",
     "combinatorics": "factorial binomial double_factorial_odd odd_lcm multinomial rational_str",
     "recursion": "one_point one_point_at genus0_npoint genus1_seed genus_row recursive_row",
     "verification": "CheckFailure CheckReport residual_rec_tau residual_rec_a residual_rec_b "

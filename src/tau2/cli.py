@@ -1,9 +1,10 @@
 """Command-line front end for the two-point correlator library.
 
 Four subcommands: ``value`` (one correlator, default cross-checked on both
-computation paths), ``table`` (one full genus row, default closed form),
-``verify`` (the exact check suite), and ``bench`` (wall time and value
-bit-size per genus for either path).  Each imports only the layers it runs.
+computation paths), ``table`` (one full genus row, default closed form,
+written line by line), ``verify`` (the exact check suite), and ``bench``
+(wall time and value bit-size per genus for either path).  Each imports only
+the layers it runs; ``value`` and ``table`` print integer entries through ``_texts``.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from time import perf_counter
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
@@ -48,34 +48,32 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _row_lines(g: int, row: tuple[int, ...], fmt: str) -> list[str]:
-    """Render one integer genus row S(g, .); every format carries correlator and normalized.
+def _texts(s: int, n: int, w) -> tuple[str, str]:
+    """The printed correlator S / N(g) and normalized value a(g, k) = W(k) S / L(g) of S = S(g, k).
 
-    The correlator is S(g, k) / N(g), N(g) = 24^g g! L(g) with L(g) = odd_lcm(2g+1),
-    and the normalized value a(g, k) = W(k) S(g, k) / L(g) with
-    W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!!, run as W(k+1) = W(k) (2k+3)/(6g-1-2k).
-    W(k) = W(3g-1-k), so past the middle of the row an entry equal to its mirror
-    reuses the mirror's text; an entry that differs is rendered as it is.
+    Given n = N(g) = 24^g g! L(g) and w = W(k) / L(g), W from ``combinatorics._weight``.
     """
     from fractions import Fraction
-    from .combinatorics import _denominator, odd_lcm, rational_str
+    from .combinatorics import rational_str
+    return rational_str(Fraction(s, n)), rational_str(w * s)
+
+
+def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
+    """Report entry (g, k), where the paths' integers S(g, k) differ; the exit code."""
+    from fractions import Fraction
+    from .combinatorics import _denominator, rational_str
     n = _denominator(g)
-    w = Fraction(1, odd_lcm(2 * g + 1))  # W(k) / L(g)
-    cells = []
-    for k, s in enumerate(row):
-        m = 3 * g - 1 - k
-        if m < k and row[m] == s:
-            cells.append((k, *cells[m][1:]))
-        else:
-            cells.append((k, rational_str(Fraction(s, n)), rational_str(w * s)))
-        w *= Fraction(2 * k + 3, 6 * g - 1 - 2 * k)
-    if fmt == "csv":
-        return [CSV_HEADER] + [f"{g},{k},{c},{a}" for k, c, a in cells]
-    if fmt == "json":
-        import json
-        rows = [{"k": k, "correlator": c, "normalized": a} for k, c, a in cells]
-        return [json.dumps({"g": g, "rows": rows})]
-    return [f"{g} {k} {c} {a}" for k, c, a in cells]
+    c, r = (rational_str(Fraction(s, n)) for s in (closed, recursive))
+    _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
+    return EXIT_MISMATCH
+
+
+def _recursive_int_row(g: int) -> tuple[int, ...]:
+    """S(g, .) from the recursion, keeping no row below it."""
+    from . import recursion
+    for row in recursion._int_rows(g):
+        pass
+    return row
 
 
 def cmd_value(args: argparse.Namespace) -> int:
@@ -86,34 +84,59 @@ def cmd_value(args: argparse.Namespace) -> int:
     if not 0 <= k <= 3 * g - 1:
         _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
         return EXIT_USAGE
-    from . import closedform
-    from .combinatorics import rational_str
 
     if args.method != "recursive":
-        value = closedform.two_point_streamed(g, k)
+        from . import closedform
+        s = closedform._t_streamed(g, k)
     if args.method != "closed":
-        from . import recursion
-        recursive = recursion.recursive_row(g)[k]
-        if args.method == "both" and value != recursive:
-            _diag(
-                f"path mismatch at ({g},{k}): closed {rational_str(value)}, "
-                f"recursive {rational_str(recursive)}"
-            )
-            return EXIT_MISMATCH
-        value = recursive
+        recursive = _recursive_int_row(g)[k]
+        if args.method == "both" and s != recursive:
+            return _mismatch(g, k, s, recursive)
+        s = recursive
 
-    norm = rational_str(closedform.normalize(g, k, value))
-    corr = rational_str(value)
+    from .combinatorics import _denominator, _weight, odd_lcm
+    corr, norm = _texts(s, _denominator(g), _weight(g, k) / odd_lcm(2 * g + 1))
     if args.format == "csv":
-        print(CSV_HEADER)
-        print(f"{g},{k},{corr},{norm}")
+        print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
     elif args.format == "json":
         import json
         print(json.dumps({"g": g, "k": k, "correlator": corr, "normalized": norm}))
     else:
-        print(corr)
-        print(norm)
+        print(corr, norm, sep="\n")
     return EXIT_OK
+
+
+def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
+    """Write one integer genus row S(g, .) to stdout, each line as soon as it is made.
+
+    w = W(k) / L(g) runs along the row as W(k+1) = W(k) (2k+3)/(6g-1-2k).  As
+    W(k) = W(3g-1-k), an entry equal to its mirror reuses the texts kept for the
+    first half.  json goes in pieces that join to json.dumps({"g": g, "rows": [...]}).
+    """
+    from fractions import Fraction
+    from .combinatorics import _denominator, odd_lcm
+    n = _denominator(g)
+    w = Fraction(1, odd_lcm(2 * g + 1))
+    write = sys.stdout.write
+    if fmt == "json":
+        import json
+        write(f'{{"g": {g}, "rows": [')
+    elif fmt == "csv":
+        write(CSV_HEADER + "\n")
+    sep = "," if fmt == "csv" else " "
+    half = []
+    for k, s in enumerate(row):
+        m = 3 * g - 1 - k
+        c, a = half[m] if m < k and row[m] == s else _texts(s, n, w)
+        if k <= m:
+            half.append((c, a))
+        if fmt == "json":
+            write((", " if k else "") + json.dumps({"k": k, "correlator": c, "normalized": a}))
+        else:
+            write(f"{g}{sep}{k}{sep}{c}{sep}{a}\n")
+        w *= Fraction(2 * k + 3, 6 * g - 1 - 2 * k)
+    if fmt == "json":
+        write("]}\n")
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -127,32 +150,22 @@ def cmd_table(args: argparse.Namespace) -> int:
         from . import closedform
         row = closedform._mirrored(g, closedform._t_half_row(g))
     else:
-        from . import recursion
-        for row in recursion._int_rows(g):
-            pass
+        row = _recursive_int_row(g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
-        # emitted rows only leave after both paths agree entry by entry
+        # rows are written only after both paths agree entry by entry
         from . import closedform
         start = perf_counter()
         closed = closedform._mirrored(g, closedform._t_half_row(g))
         if closed != row:
-            from fractions import Fraction
-            from .combinatorics import _denominator, rational_str
             k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
-            n = _denominator(g)
-            _diag(
-                f"path mismatch at ({g},{k}): closed {rational_str(Fraction(closed[k], n))}, "
-                f"recursive {rational_str(Fraction(row[k], n))}"
-            )
-            return EXIT_MISMATCH
+            return _mismatch(g, k, closed[k], row[k])
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
 
-    for line in _row_lines(g, row, args.format):
-        print(line)
+    _write_table(g, row, args.format)
     return EXIT_OK
 
 
@@ -282,26 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _int_str_unlimited():
-    # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    saved = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        with _int_str_unlimited():
-            return args.func(args)
+        return args.func(args)
     except Exception as exc:
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -309,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         _diag(f"internal error: {detail} (at {where})")
         return EXIT_INTERNAL
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def run() -> None:

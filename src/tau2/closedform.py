@@ -23,8 +23,9 @@ S(g, 0) = L(g) and, for k = 0..floor((3g-1)/2)-1,
 
 fills the first half of the row; S(g, k) = S(g, 3g-1-k) gives the rest.
 This is b(g, k) = a(g, k+1) - a(g, k) multiplied through by
-L(g) D / ((2k+1)!! (6g-3-2k)!!), with a(g, k) = (2k+1)!! (6g-1-2k)!! S(g, k)
-/ (D L(g)).
+L(g) D / ((2k+1)!! (6g-3-2k)!!), with a(g, k) = W(k) S(g, k) / L(g) and the
+weight W(k) = (2k+1)!! (6g-1-2k)!! / D (``combinatorics._weight``), which
+``b_value``, ``a_closed``, ``normalize`` and the CLI's printed values share.
 L(g) q(g, k) comes from two running values, L C(g-1, j) and L C(g, j), each
 advanced by its ratio (g-1-j)/(j+1) or (g-j+1)/j, so L is only ever
 multiplied or divided by small integers.  Every division is checked; a
@@ -39,9 +40,8 @@ value.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
 Whole-row callers (``two_point_closed``, ``a_closed``, ``verification``, the
-CLI's ``table``) read a per-genus cache of the half row;
-``two_point_streamed`` runs the same loop over the whole half row and keeps
-one entry, so its time depends on g and not on k.
+CLI's ``table``) read a per-genus cache of the half row (and of N(g)); the
+CLI's ``value`` reads one entry from ``_t_streamed``, which caches nothing.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -55,7 +55,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .combinatorics import _denominator, _exact, double_factorial_odd, odd_lcm
+from .combinatorics import _denominator, _exact, _weight, odd_lcm
 
 __all__ = [
     "b_domain_max",
@@ -63,16 +63,8 @@ __all__ = [
     "a_closed",
     "normalize",
     "two_point_closed",
-    "two_point_streamed",
     "clear_caches",
 ]
-
-
-def _check_gk(g: int, k: int) -> None:
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if not 0 <= k <= 3 * g - 1:
-        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
 
 
 def b_domain_max(g: int) -> int:
@@ -102,7 +94,8 @@ def _scaled_q(g: int, s: int) -> Iterator[int]:
 def b_value(g: int, k: int) -> Fraction:
     """Difference a(g, k+1) - a(g, k) = (2k+1)!! (6g-3-2k)!!/(6g-1)!! * q(g, k).
 
-    Valid for 0 <= k <= b_domain_max(g); see the module docstring for q.
+    That is W(k) q(g, k) / (6g-1-2k), valid for 0 <= k <= b_domain_max(g);
+    see the module docstring for q.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
@@ -111,8 +104,7 @@ def b_value(g: int, k: int) -> Fraction:
             f"difference index must be in 0..{b_domain_max(g)} at genus {g}, got {k}"
         )
     q = list(_scaled_q(g, 1))[k]
-    odd = double_factorial_odd
-    return Fraction(odd(2 * k + 1) * odd(6 * g - 3 - 2 * k) * q, odd(6 * g - 1))
+    return _weight(g, k) * Fraction(q, 6 * g - 1 - 2 * k)
 
 
 def _t_half(g: int) -> Iterator[int]:
@@ -129,8 +121,17 @@ def _t_half_row(g: int) -> tuple[int, ...]:
     return tuple(_t_half(g))
 
 
+@lru_cache(maxsize=32)
+def _n(g: int) -> int:
+    return _denominator(g)
+
+
 def _mirror(g: int, k: int) -> int:
-    _check_gk(g, k)
+    """min(k, 3g-1-k), the index in the half row; ValueError unless g >= 1 and 0 <= k <= 3g-1."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    if not 0 <= k <= 3 * g - 1:
+        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
     return min(k, 3 * g - 1 - k)
 
 
@@ -139,56 +140,40 @@ def _mirrored(g: int, half: Sequence) -> tuple:
     return (*half, *half[3 * g - 1 - len(half) :: -1])
 
 
-def a_closed(g: int, k: int) -> Fraction:
-    """Normalized two-point value a(g, k), for 0 <= k <= 3g-1.
+def _t_streamed(g: int, k: int) -> int:
+    """S(g, min(k, 3g-1-k)) from a whole half-row pass that keeps only that entry.
 
-    Equal to (2m+1)!! (6g-1-2m)!! S(g, m) / ((6g-1)!! L(g)) with
+    It caches no row, and its time depends on g alone: stopping at k would
+    make it vary tenfold with k.
+    """
+    m = _mirror(g, k)
+    for i, s in enumerate(_t_half(g)):
+        if i == m:
+            kept = s
+    return kept
+
+
+def a_closed(g: int, k: int) -> Fraction:
+    """Normalized two-point value a(g, k) = W(m) S(g, m) / L(g), for 0 <= k <= 3g-1.
+
     m = min(k, 3g-1-k), by the symmetry a(g, k) = a(g, 3g-1-k); S(g, m) is
     read from the cached integer half row.
     """
     m = _mirror(g, k)
-    scale = double_factorial_odd(2 * m + 1) * double_factorial_odd(6 * g - 1 - 2 * m)
-    unit = double_factorial_odd(6 * g - 1) * odd_lcm(2 * g + 1)
-    return Fraction(scale * _t_half_row(g)[m], unit)
-
-
-def _scale(g: int, k: int) -> Fraction:
-    # multiplying <tau_k tau_{3g-1-k}> by this yields a(g, k)
-    return Fraction(
-        double_factorial_odd(2 * k + 1)
-        * double_factorial_odd(6 * g - 1 - 2 * k)
-        * 24**g
-        * factorial(g),
-        double_factorial_odd(6 * g - 1),
-    )
+    return _weight(g, m) * Fraction(_t_half_row(g)[m], odd_lcm(2 * g + 1))
 
 
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:
-    """Rescale a two-point correlator to its normalized value a(g, k)."""
-    _check_gk(g, k)
-    return corr * _scale(g, k)
+    """Rescale a two-point correlator to its normalized value a(g, k) = 24^g g! W(k) corr."""
+    return corr * (24**g * factorial(g)) * _weight(g, _mirror(g, k))
 
 
 def two_point_closed(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}> = S(g, k) / (24^g g! L(g)) from the cached half row."""
-    return Fraction(_t_half_row(g)[_mirror(g, k)], _denominator(g))
-
-
-def two_point_streamed(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}> like ``two_point_closed``, but caching no row.
-
-    Runs the whole half-row pass and keeps only S(g, min(k, 3g-1-k)), so a
-    single value at a large genus costs no more memory than it, and its time
-    depends on g alone: stopping at k would make it vary tenfold with k.
-    """
-    m = _mirror(g, k)
-    s = 0
-    for i, si in enumerate(_t_half(g)):
-        if i == m:
-            s = si
-    return Fraction(s, _denominator(g))
+    """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached half row and N(g)."""
+    return Fraction(_t_half_row(g)[_mirror(g, k)], _n(g))
 
 
 def clear_caches() -> None:
-    """Drop the per-genus cache of integer half rows S (used for honest benchmarking)."""
+    """Drop the per-genus caches of integer half rows S and of N(g) (for honest benchmarking)."""
     _t_half_row.cache_clear()
+    _n.cache_clear()

@@ -9,8 +9,10 @@ which is exactly the canonical text form that :func:`rational_str` prints
 Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 ``odd_lcm(n) = lcm(1, 3, ..., n)``, the unit both computation paths scale
 their rows by, is a sieve that takes each odd prime at its largest power
-<= n; ``_denominator(g)`` is the one common denominator of a genus g row.
-Callers that walk a row keep their own running products.
+<= n; ``_denominator(g)`` is the one common denominator of a genus g row,
+and ``_weight(g, k)`` the double-factorial ratio W(k) that turns an entry of
+that row into its normalized value.  Callers that walk a row keep their own
+running products.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ def odd_lcm(n: int) -> int:
 def _denominator(g: int) -> int:
     """N(g) = 24^g g! odd_lcm(2g+1), the denominator of a genus g integer row S(g, .)."""
     return 24**g * factorial(g) * odd_lcm(2 * g + 1)
+
+
+def _weight(g: int, k: int) -> Fraction:
+    """W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!! = W(3g-1-k), so that a(g, k) = W(k) S(g, k) / L(g).
+
+    With m = min(k, 3g-1-k), the ratio of 3 * 5 * ... * (2m+1) to (6g-1) (6g-3) ... (6g+1-2m).
+    """
+    m = min(k, 3 * g - 1 - k)
+    return Fraction(prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2)))
 
 
 def multinomial(parts: Sequence[int]) -> int:

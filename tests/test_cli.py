@@ -134,16 +134,38 @@ class TestValue:
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
-        real = closedform.two_point_streamed
-        monkeypatch.setattr(
-            closedform,
-            "two_point_streamed",
-            lambda g, k: real(g, k) + Fraction(1, 7),
-        )
+        real = closedform._t_streamed
+        monkeypatch.setattr(closedform, "_t_streamed", lambda g, k: real(g, k) + 1)
         code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "2")
         assert code == 3
         assert out == ""
-        assert "mismatch" in err
+        # S(2, 2) = 87 over N(2) = 17280: 88/17280 = 11/2160 on the closed side
+        assert err == "path mismatch at (2,2): closed 11/2160, recursive 29/5760\n"
+
+    def test_mismatch_in_the_upper_half_exits_3(self, capsys, monkeypatch):
+        # S(3, 7) shifted by 1: k = 7 > (3g-1)/2, so the closed side reads its mirror S(3, 1)
+        real = recursion._int_rows
+
+        def shifted(g_max):
+            for g, row in enumerate(real(g_max), start=1):
+                yield tuple(s + (g == 3 and k == 7) for k, s in enumerate(row))
+
+        monkeypatch.setattr(recursion, "_int_rows", shifted)
+        code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "7")
+        assert code == 3
+        assert out == ""
+        assert err == "path mismatch at (3,7): closed 5/82944, recursive 263/4354560\n"
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_each_value_is_its_table_line(self, capsys, g):
+        code, out, _ = run_cli(capsys, "table", "--g", str(g), "--format", "csv")
+        assert code == 0
+        table = out.splitlines()
+        for k in range(3 * g):
+            argv = ["value", "--g", str(g), "--k", str(k), "--method", "closed", "--format", "csv"]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out.splitlines() == [table[0], table[k + 1]], (g, k)
 
 
 class TestTable:
@@ -255,6 +277,32 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--g", "200", "--format", fmt)
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+    def test_genus_1000_json_streams_in_small_memory(self):
+        # a child's ru_maxrss starts from the size of the process that spawned
+        # it, so a small launcher spawns the job and reports its peak alone
+        launch = (
+            "import os, sys\n"
+            "out = os.open(os.devnull, os.O_WRONLY)\n"
+            "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,"
+            " file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["-m", "tau2", "table", "--g", "1000", "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", launch, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kb = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        # peak RSS is 26-27 MB; holding the whole text of the row took 86 MB
+        assert maxrss_kb < 35 * 1024
 
     def test_cache_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -402,7 +450,7 @@ class TestEntryPoints:
         def broken(g):
             raise RuntimeError("row store\nunavailable")
 
-        monkeypatch.setattr(recursion, "recursive_row", broken)
+        monkeypatch.setattr(recursion, "_int_rows", broken)
         code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
         assert code == 4
         assert out == ""

@@ -17,9 +17,8 @@ from tau2.closedform import (
     clear_caches,
     normalize,
     two_point_closed,
-    two_point_streamed,
 )
-from tau2.combinatorics import double_factorial_odd
+from tau2.combinatorics import _denominator, double_factorial_odd
 from tau2.recursion import _int_rows, one_point, recursive_row
 
 
@@ -181,6 +180,22 @@ class TestCaches:
         clear_caches()
         clear_caches()
 
+    def test_denominator_is_built_once_per_genus(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return _denominator(g)
+
+        clear_caches()
+        monkeypatch.setattr(closedform, "_denominator", counted)
+        for k in range(3 * 30):
+            two_point_closed(30, k)
+        assert calls == [30]
+        clear_caches()
+        two_point_closed(30, 0)
+        assert calls == [30, 30]
+
 
 class TestIntegerHalfRow:
     def test_half_row_is_the_recursions_integer_row(self):
@@ -191,13 +206,14 @@ class TestIntegerHalfRow:
 
     def test_streamed_value_equals_cached_value(self):
         for g in range(1, 41):
+            n = _denominator(g)
             for k in range(3 * g):
-                assert two_point_streamed(g, k) == two_point_closed(g, k), (g, k)
+                assert Fraction(closedform._t_streamed(g, k), n) == two_point_closed(g, k), (g, k)
 
     @pytest.mark.parametrize("g,k", [(2, 6), (2, -1), (0, 0)])
     def test_streamed_out_of_range_rejected(self, g, k):
         with pytest.raises(ValueError, match="must be"):
-            two_point_streamed(g, k)
+            closedform._t_streamed(g, k)
 
     def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
         # a fault of 13 s in s q(g, k) at every k keeps every division at g = 5
@@ -249,7 +265,7 @@ class TestIntegerHalfRow:
     def test_inexact_division_raises(self, monkeypatch):
         self._break_unit(monkeypatch, 5)
         with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\): remainder 6"):
-            two_point_streamed(5, 7)
+            closedform._t_streamed(5, 7)
 
     def test_inexact_division_exits_4(self, monkeypatch, capsys):
         self._break_unit(monkeypatch, 5)

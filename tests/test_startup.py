@@ -46,7 +46,8 @@ COMMANDS = [
 LAYERS = ("closedform", "combinatorics", "recursion", "verification")
 
 # tau2.__all__ at the commit that made the layers load lazily, less the
-# Fraction table layer (TwoPointTable, build_table, two_point_recursive)
+# Fraction table layer (TwoPointTable, build_table, two_point_recursive) and
+# the Fraction single value two_point_streamed
 PUBLIC = {
     "CheckFailure", "CheckReport", "__version__", "a_closed",
     "b_domain_max", "b_value", "binomial", "check_bounds",
@@ -55,7 +56,6 @@ PUBLIC = {
     "genus0_npoint", "genus1_seed", "genus_row", "multinomial", "normalize",
     "odd_lcm", "one_point", "one_point_at", "rational_str", "recursive_row",
     "residual_rec_a", "residual_rec_b", "residual_rec_tau", "two_point_closed",
-    "two_point_streamed",
 }  # fmt: skip
 
 # functions whose calls and times the benchmark's tracer (perfbench/trace_job.py)
