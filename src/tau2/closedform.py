@@ -50,7 +50,6 @@ there is a single source of truth.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
@@ -103,6 +102,7 @@ def b_value(g: int, k: int) -> Fraction:
         raise ValueError(
             f"difference index must be in 0..{b_domain_max(g)} at genus {g}, got {k}"
         )
+    from fractions import Fraction
     q = list(_scaled_q(g, 1))[k]
     return _weight(g, k) * Fraction(q, 6 * g - 1 - 2 * k)
 
@@ -159,6 +159,7 @@ def a_closed(g: int, k: int) -> Fraction:
     m = min(k, 3g-1-k), by the symmetry a(g, k) = a(g, 3g-1-k); S(g, m) is
     read from the cached integer half row.
     """
+    from fractions import Fraction
     m = _mirror(g, k)
     return _weight(g, m) * Fraction(_t_half_row(g)[m], odd_lcm(2 * g + 1))
 
@@ -170,6 +171,7 @@ def normalize(g: int, k: int, corr: Fraction) -> Fraction:
 
 def two_point_closed(g: int, k: int) -> Fraction:
     """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached half row and N(g)."""
+    from fractions import Fraction
     return Fraction(_t_half_row(g)[_mirror(g, k)], _n(g))
 
 

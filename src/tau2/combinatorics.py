@@ -17,7 +17,6 @@ running products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 from typing import Sequence
 
@@ -83,6 +82,7 @@ def _weight(g: int, k: int) -> Fraction:
 
     With m = min(k, 3g-1-k), the ratio of 3 * 5 * ... * (2m+1) to (6g-1) (6g-3) ... (6g+1-2m).
     """
+    from fractions import Fraction
     m = min(k, 3 * g - 1 - k)
     return Fraction(prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2)))
 
@@ -105,6 +105,7 @@ def rational_str(x: Fraction | int) -> str:
     Lowest terms, ASCII, "p/q" with q > 0, or just "p" when q == 1; the sign
     sits on the numerator.  Examples: "29/5760", "-2/11", "1".
     """
+    from fractions import Fraction
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

@@ -37,7 +37,6 @@ consistency check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -52,13 +51,12 @@ __all__ = [
     "recursive_row",
 ]
 
-ZERO = Fraction(0)
-
 
 def one_point(g: int) -> Fraction:
     """One-point correlator <tau_{3g-2}> = 1/(24^g g!) for genus g >= 1."""
     if g < 1:
         raise ValueError(f"one-point correlator needs genus g >= 1, got {g}")
+    from fractions import Fraction
     return Fraction(1, 24**g * factorial(g))
 
 
@@ -69,7 +67,8 @@ def one_point_at(d: int) -> Fraction:
     negative ones included, gives exact 0.
     """
     if d < 1 or (d + 2) % 3:
-        return ZERO
+        from fractions import Fraction
+        return Fraction(0)
     return one_point((d + 2) // 3)
 
 
@@ -82,8 +81,9 @@ def genus0_npoint(ds: Sequence[int]) -> Fraction:
     n = len(ds)
     if n < 3:
         raise ValueError(f"genus-0 correlators need at least 3 insertions, got {n}")
+    from fractions import Fraction
     if any(d < 0 for d in ds) or sum(ds) != n - 3:
-        return ZERO
+        return Fraction(0)
     return Fraction(multinomial(ds))
 
 
@@ -96,6 +96,7 @@ def genus1_seed() -> dict[tuple[int, int], Fraction]:
     would involve an unstable genus-0 two-point symbol whose value is not
     fixed by the vanishing conventions, so the row is seeded instead.
     """
+    from fractions import Fraction
     v = Fraction(1, 24)
     return {(1, 0): v, (1, 1): v}
 
@@ -116,6 +117,7 @@ def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
 
 def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
     """The correlators S(g, k) / N(g) of an integer genus g row."""
+    from fractions import Fraction
     n = _denominator(g)
     return tuple(Fraction(t, n) for t in row)
 
@@ -145,8 +147,13 @@ def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
 
 
 def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
-    """Integer rows S(1, .), ..., S(g_max, .) in order."""
-    row = _scaled(1, genus_row(1))
+    """Integer rows S(1, .), ..., S(g_max, .) in order.
+
+    The seed S(1, .) = (3, 3, 3) is N(1) = 24 * 1! * L(1) = 72 times the genus
+    1 row: <tau_0 tau_2> = <tau_1> = 1/24 by the string equation, and
+    <tau_1 tau_1> = (2g-2+n) <tau_1> = <tau_1> by the dilaton equation.
+    """
+    row = (3, 3, 3)
     yield row
     for g in range(2, g_max + 1):
         row = _int_row(g, row)

@@ -10,11 +10,11 @@ genus rows are read as
 
 for the normalized values a and their differences b (see ``closedform``).
 P(g, .) is one running product per genus, from P(g, 0) = D(g) by
-P(g, k+1) = P(g, k) (2k+3) / (6g-1-2k), and L(g) is taken once per genus.
-Every division is checked; a remainder raises ``ArithmeticError``.  B is
-read from ``closedform._scaled_q``, not from differences of A.  S and A are
-0 outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0),
-and past the middle of the row B(g, k) = -B(g, 3g-2-k).
+P(g, k+1) = P(g, k) (2k+3) / (6g-1-2k).  Every division is checked; a
+remainder raises ``ArithmeticError``.  B is read from
+``closedform._scaled_q``, not from differences of A.  S and A are 0 outside
+0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0), and past
+the middle of the row B(g, k) = -B(g, 3g-2-k).
 
 The residuals test the closed form against three recursions it was not built
 from (the recursion route satisfies its own by construction), each multiplied
@@ -39,7 +39,10 @@ Over its scale each is LHS - RHS of the rational recursion (4g A(g-1, .) is
 4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares closed
 and recursive rows S(g, .), ``symmetry`` a recursive row with its reverse,
 and ``bounds`` checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
-Genera are walked in order, keeping only rows g-1 and g.
+
+The checks share one walk over g = 1..g_max.  At each genus it builds the
+rows the selected checks read once (recursive S, closed S, P, A, B), hands
+them to each check, and keeps only genera g-1 and g.
 
 Checks never abort mid-scan.  They return a :class:`CheckReport` whose
 failure list pinpoints every offending (g, k) locus in (g, k) order; an empty
@@ -49,8 +52,8 @@ integer over its scale, exactly the value the rational comparison has.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from time import perf_counter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import closedform
 from .closedform import _mirrored, b_domain_max
@@ -115,104 +118,163 @@ class CheckReport(NamedTuple):
         }
 
 
-def _require_g_max(g_max: int) -> None:
+def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
+    from fractions import Fraction
+    return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
+
+
+def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
+    """Genus g's L(g) "lam", N(g) "n" and rows in ``need``: "rec" (next of ``recursive``),
+    "s" (closed S), "a", and "b" (from k = -1); "a" or "b" also builds "p" and its "one" terms.
+    """
+    rows = {"lam": odd_lcm(2 * g + 1), "n": _denominator(g)}
+    if "rec" in need:
+        rows["rec"] = next(recursive)
+    if need & {"s", "a"}:
+        half = closedform._t_half_row(g)
+    if "s" in need:
+        rows["s"] = _mirrored(g, half)
+    if need & {"a", "b"}:
+        p = [double_factorial_odd(6 * g - 1)]
+        for k in range((3 * g - 1) // 2):
+            p.append(_exact(p[k] * (2 * k + 3), 6 * g - 1 - 2 * k, g, k + 1))
+        rows["p"] = p = _mirrored(g, p)
+        rows["one"] = _one_points(g, p)
+    if "a" in need:
+        rows["a"] = _mirrored(g, [_exact(p[k] * s, rows["lam"], g, k) for k, s in enumerate(half)])
+    if "b" in need:
+        q = closedform._scaled_q(g, 1)
+        first = [_exact(p[k], 6 * g - 1 - 2 * k, g, k) * qk for k, qk in enumerate(q)]
+        middle = [0] if g % 2 == 0 else []  # b(g, k) = 0 at 2k = 3g-2
+        rows["b"] = (p[0], *first, *middle, *(-b for b in reversed(first)))
+    return rows
+
+
+def _one_points(g: int, unit: Sequence[int]) -> list:  # unit[k] C(g, j) at k = 3j-1, else 0
+    return [unit[k] * binomial(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
+
+
+def _nonzero(r: list, scale: int) -> tuple[int, int, list]:
+    """A check at one genus: (checked, scale, [(k, expected, actual) of each failure])."""
+    return len(r), scale, [(k, 0, x) for k, x in enumerate(r) if x]
+
+
+def _tau_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    """residual-tau at k = 0..3g-2 over N(g), on the S rows of genus g and g-1."""
+    lam = rows["lam"]
+    c = 4 * g * _exact(lam, below["lam"], g, 0)
+    one = _one_points(g, [lam] * (3 * g))
+    # padded, x[k + 3] is the entry at k: the genus g-1 terms of step k are b[k..k+3]
+    x, b = (0, 0, 0, *rows["s"], 0, 0), (0, 0, 0, *below["s"], 0, 0)
+    return _nonzero([
+        (2 * k + 3) * x[k + 4] - (2 * g - 3 - 2 * k) * x[k + 3]
+        - c * (b[k] + 3 * b[k + 1] + 3 * b[k + 2] + b[k + 3]) - one[k]
+        for k in range(3 * g - 1)
+    ], rows["n"])
+
+
+def _normalized(g: int, u: int, x: tuple, b: tuple, steps: int) -> list:
+    """u X(g,k+1) - (2g-3-2k) X(g,k) - 4g H(X, u) at k < steps, u down 2 a step, on padded rows."""
+    out = []
+    for k in range(steps):
+        s = 2 * k + 1
+        bracket = s * (
+            (s - 2) * ((s - 4) * b[k] + 3 * u * b[k + 1]) + 3 * u * (u - 2) * b[k + 2]
+        ) + u * (u - 2) * (u - 4) * b[k + 3]
+        out.append(u * x[k + 4] - (2 * g - 3 - 2 * k) * x[k + 3] - 4 * g * bracket)
+        u -= 2
+    return out
+
+
+def _a_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    """residual-a at k = 0..3g-2 over D(g), on the A rows of genus g and g-1."""
+    x, b = (0, 0, 0, *rows["a"], 0, 0), (0, 0, 0, *below["a"], 0, 0)
+    h = _normalized(g, 6 * g - 1, x, b, 3 * g - 1)
+    return _nonzero([hk - one for hk, one in zip(h, rows["one"])], rows["p"][0])
+
+
+def _b_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    """residual-b at k = 0..b_domain_max(g)-1 over D(g), on the B rows of genus g and g-1."""
+    x, b = (0, 0, *rows["b"]), (0, 0, *below["b"])  # "b" starts at k = -1
+    h, one = _normalized(g, 6 * g - 3, x, b, b_domain_max(g)), rows["one"]
+    # the one-point terms of the a recursion at k+1 and at k
+    return _nonzero([hk - one[k + 1] + one[k] for k, hk in enumerate(h)], rows["p"][0])
+
+
+def _cross(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    pairs = enumerate(zip(rows["rec"], rows["s"]))
+    return 3 * g, rows["n"], [(k, r, c) for k, (r, c) in pairs if r != c]
+
+
+def _symmetry(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    row, half = rows["rec"], range((3 * g - 1) // 2 + 1)
+    pairs = [(k, row[-1 - k], row[k]) for k in half]
+    return len(half), rows["n"], [(k, e, a) for k, e, a in pairs if e != a]
+
+
+def _bounds(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    # both sides of a failure are over (6g-1) D(g): a bound of 1 is (6g-1) D(g)
+    d, c, failures = rows["p"][0], 6 * g - 1, []
+    for k, a in enumerate(rows["a"][2 : 3 * g - 2], start=2):
+        if not (c - 2) * d < c * a:
+            failures.append((k, (c - 2) * d, c * a))
+        elif not a < d:
+            failures.append((k, c * d, c * a))
+    return 3 * g - 4, c * d, failures
+
+
+# name: (first genus, rows read, the check at one genus)
+_CHECKS = {
+    "cross": (1, {"rec", "s"}, _cross),
+    "symmetry": (1, {"rec"}, _symmetry),
+    "bounds": (2, {"a"}, _bounds),
+    "residual-tau": (2, {"s"}, _tau_residuals),
+    "residual-a": (2, {"a"}, _a_residuals),
+    "residual-b": (2, {"b"}, _b_residuals),
+}
+
+
+def _run(names: Sequence[str], g_max: int, times: dict | None = None) -> list[CheckReport]:
+    """One CheckReport per check in ``names``, in order, from one walk over g = 1..g_max.
+
+    ``times`` gets the seconds of each check, summed over genera, and of the shared "rows".
+    """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
+    checks = {name: _CHECKS[name] for name in names}
+    need = set().union(*(reads for _, reads, _ in checks.values()))
+    recursive = _int_rows(g_max) if "rec" in need else None
+    seconds = {} if times is None else times
+    seconds.update(dict.fromkeys(["rows", *names], 0.0))
+    found = {name: [0, []] for name in names}  # checked, failures
+    below = None
+    for g in range(1, g_max + 1):
+        start = perf_counter()
+        rows = _rows(g, need, recursive)
+        seconds["rows"] += perf_counter() - start
+        for name, (first, _, check) in checks.items():
+            if g >= first:
+                start = perf_counter()
+                checked, scale, failures = check(g, rows, below)
+                seconds[name] += perf_counter() - start
+                found[name][0] += checked
+                found[name][1] += [_failure(g, k, e, a, scale) for k, e, a in failures]
+        below = rows
+    return [
+        CheckReport(name, (first, g_max), tuple(failures), checked)
+        for (name, (first, _, _)), (checked, failures) in zip(checks.items(), found.values())
+    ]
 
 
-def _require_step(g: int, k: int, top: int) -> None:
+def _residual_at(g: int, k: int, top: int, residuals: Callable, rows: Callable):
+    """Entry k of residuals(g, rows(g), rows(g-1)) over its scale, at a step 0 <= k <= top."""
+    from fractions import Fraction
     if g < 2:
         raise ValueError(f"recursion steps need genus g >= 2, got {g}")
     if not 0 <= k <= top:
         raise ValueError(f"step index must be in 0..{top} at genus {g}, got {k}")
-
-
-def _d(g: int) -> int:
-    return double_factorial_odd(6 * g - 1)
-
-
-def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
-    return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
-
-
-# Rows handed to the identities are padded: row[k + 3] holds the entry at k,
-# so the genus g-1 terms at k-3..k of step k are row[k..k+3].
-def _padded(row: Sequence) -> tuple:
-    return (0, 0, 0, *row, 0, 0)
-
-
-class _Row(NamedTuple):
-    """One genus of an identity: padded values, one-point terms, bracket factor."""
-
-    x: tuple
-    one: list  # the one-point term at each k = 0..3g-1, 0 unless k = 3j-1
-    c: int
-
-
-def _one_points(g: int, unit: Sequence[int]) -> list:
-    # unit[k] C(g, j) at k = 3j-1
-    return [unit[k] * binomial(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
-
-
-def _p_row(g: int) -> tuple[int, ...]:
-    """P(g, k) for k = 0..3g-1, one running product from P(g, 0) = D(g)."""
-    half = [_d(g)]
-    for k in range((3 * g - 1) // 2):
-        half.append(_exact(half[k] * (2 * k + 3), 6 * g - 1 - 2 * k, g, k + 1))
-    return _mirrored(g, half)
-
-
-def _t_row(g: int, row: Sequence | None = None) -> _Row:
-    # the closed row S(g, .) unless another is given
-    lam = odd_lcm(2 * g + 1)
-    c = 4 * g * _exact(lam, odd_lcm(2 * g - 1), g, 0)
-    if row is None:
-        row = _mirrored(g, closedform._t_half_row(g))
-    return _Row(_padded(row), _one_points(g, [lam] * (3 * g)), c)
-
-
-def _a_row(g: int) -> _Row:
-    lam = odd_lcm(2 * g + 1)
-    p = _p_row(g)
-    half = [_exact(p[k] * s, lam, g, k) for k, s in enumerate(closedform._t_half_row(g))]
-    return _Row(_padded(_mirrored(g, half)), _one_points(g, p), 4 * g)
-
-
-def _b_row(g: int) -> _Row:
-    p = _p_row(g)
-    first = [
-        _exact(p[k], 6 * g - 1 - 2 * k, g, k) * q
-        for k, q in enumerate(closedform._scaled_q(g, 1))
-    ]
-    middle = [0] if g % 2 == 0 else []  # b(g, k) = 0 at 2k = 3g-2
-    x = (0, 0, p[0], *first, *middle, *(-b for b in reversed(first)))
-    return _Row(x, _one_points(g, p), 4 * g)
-
-
-def _tau_step(g: int, k: int, t: _Row, below: _Row):
-    r = (2 * k + 3) * t.x[k + 4] - (2 * g - 3 - 2 * k) * t.x[k + 3]
-    b = below.x
-    return r - t.c * (b[k] + 3 * b[k + 1] + 3 * b[k + 2] + b[k + 3]) - t.one[k]
-
-
-def _normalized_step(g: int, k: int, u: int, row: _Row, below: _Row):
-    """The homogeneous part u X(g,k+1) - (2g-3-2k) X(g,k) - 4g H(X, u)."""
-    s = 2 * k + 1
-    b = below.x
-    bracket = s * (
-        (s - 2) * ((s - 4) * b[k] + 3 * u * b[k + 1]) + 3 * u * (u - 2) * b[k + 2]
-    ) + u * (u - 2) * (u - 4) * b[k + 3]
-    return u * row.x[k + 4] - (2 * g - 3 - 2 * k) * row.x[k + 3] - row.c * bracket
-
-
-def _a_step(g: int, k: int, a: _Row, below: _Row):
-    return _normalized_step(g, k, 6 * g - 1 - 2 * k, a, below) - a.one[k]
-
-
-def _b_step(g: int, k: int, b: _Row, below: _Row):
-    # the one-point terms of the a recursion at k+1 and at k
-    r = _normalized_step(g, k, 6 * g - 3 - 2 * k, b, below)
-    return r - b.one[k + 1] + b.one[k]
+    _, scale, nonzero = residuals(g, rows(g), rows(g - 1))
+    return Fraction(dict((i, r) for i, _, r in nonzero).get(k, 0), scale)
 
 
 def residual_rec_tau(
@@ -227,12 +289,12 @@ def residual_rec_tau(
     Values come from ``backend`` (default: the closed form), read as 0 outside
     0..3g-1 and scaled by N(g), so a wrong one stays a non-integral Fraction.
     """
-    _require_step(g, k, 3 * g - 2)
-    # a wrong backend value times N(g) stays a non-integral Fraction, unequal to any S
-    row = _t_row if backend is None else (
-        lambda gg: _t_row(gg, [_denominator(gg) * backend(gg, i) for i in range(3 * gg)])
-    )
-    return Fraction(_tau_step(g, k, row(g), row(g - 1)), _denominator(g))
+    def rows(gg: int) -> dict:
+        found = _rows(gg, {"s"} if backend is None else set())
+        if backend is not None:
+            found["s"] = [found["n"] * backend(gg, i) for i in range(3 * gg)]
+        return found
+    return _residual_at(g, k, 3 * g - 2, _tau_residuals, rows)
 
 
 def residual_rec_a(g: int, k: int) -> Fraction:
@@ -241,8 +303,7 @@ def residual_rec_a(g: int, k: int) -> Fraction:
     This is residual-a of the module docstring over D(g), at step (g, k) with
     g >= 2 and 0 <= k <= 3g-2.
     """
-    _require_step(g, k, 3 * g - 2)
-    return Fraction(_a_step(g, k, _a_row(g), _a_row(g - 1)), _d(g))
+    return _residual_at(g, k, 3 * g - 2, _a_residuals, lambda gg: _rows(gg, {"a"}))
 
 
 def residual_rec_b(g: int, k: int) -> Fraction:
@@ -251,96 +312,34 @@ def residual_rec_b(g: int, k: int) -> Fraction:
     This is residual-b of the module docstring over D(g), at step (g, k) with
     g >= 2 and k, k+1 in the difference domain; b(g-1, -1) = a(g-1, 0) = 1.
     """
-    _require_step(g, k, b_domain_max(g) - 1)
-    return Fraction(_b_step(g, k, _b_row(g), _b_row(g - 1)), _d(g))
+    return _residual_at(g, k, b_domain_max(g) - 1, _b_residuals, lambda gg: _rows(gg, {"b"}))
 
 
 def cross_validate(g_max: int) -> CheckReport:
-    """Compare the closed form against the recursion for every (g, k), g <= g_max.
-
-    Failures record the recursive value as expected and the closed-form value
-    as actual.
-    """
-    _require_g_max(g_max)
-    failures = []
-    checked = 0
-    for g, recursive in enumerate(_int_rows(g_max), start=1):
-        closed = _mirrored(g, closedform._t_half_row(g))
-        checked += 3 * g
-        failures += [
-            _failure(g, k, r, c, _denominator(g))
-            for k, (r, c) in enumerate(zip(recursive, closed))
-            if r != c
-        ]
-    return CheckReport("cross", (1, g_max), tuple(failures), checked)
+    """Recursive (expected) against closed-form (actual) S(g, k) at every (g, k), g <= g_max."""
+    return _run(["cross"], g_max)[0]
 
 
 def check_symmetry(g_max: int) -> CheckReport:
     """Assert S(g, k) = S(g, 3g-1-k) on the recursive path, g <= g_max."""
-    _require_g_max(g_max)
-    failures = []
-    checked = 0
-    for g, row in enumerate(_int_rows(g_max), start=1):
-        half = range((3 * g - 1) // 2 + 1)
-        checked += len(half)
-        failures += [
-            _failure(g, k, row[-1 - k], row[k], _denominator(g))
-            for k in half
-            if row[k] != row[-1 - k]
-        ]
-    return CheckReport("symmetry", (1, g_max), tuple(failures), checked)
+    return _run(["symmetry"], g_max)[0]
 
 
 def check_bounds(g_max: int) -> CheckReport:
-    """Assert the strict window (6g-3)/(6g-1) < a(g, k) < 1 for 2 <= k <= 3g-3.
-
-    Scans genera 2..g_max (empty, hence passing, for g_max = 1).
-    """
-    _require_g_max(g_max)
-    failures = []
-    checked = 0
-    for g in range(2, g_max + 1):
-        d = _d(g)
-        row = _a_row(g).x
-        for k in range(2, 3 * g - 2):
-            a = row[k + 3]
-            checked += 1
-            if not (6 * g - 3) * d < (6 * g - 1) * a:
-                failures.append(_failure(g, k, (6 * g - 3) * d, (6 * g - 1) * a, (6 * g - 1) * d))
-            elif not a < d:
-                failures.append(_failure(g, k, d, a, d))
-    return CheckReport("bounds", (2, g_max), tuple(failures), checked)
-
-
-def _residual_scan(name, g_max, row, step, steps, scale) -> CheckReport:
-    """Evaluate a scaled identity at steps 0..steps(g)-1 of every genus 2..g_max."""
-    _require_g_max(g_max)
-    failures = []
-    checked = 0
-    below = row(1)
-    for g in range(2, g_max + 1):
-        current = row(g)
-        for k in range(steps(g)):
-            r = step(g, k, current, below)
-            if r:
-                failures.append(_failure(g, k, 0, r, scale(g)))
-        checked += steps(g)
-        below = current
-    return CheckReport(name, (2, g_max), tuple(failures), checked)
+    """Assert the strict window (6g-3)/(6g-1) < a(g, k) < 1 for 2 <= k <= 3g-3, 2 <= g <= g_max."""
+    return _run(["bounds"], g_max)[0]
 
 
 def check_residual_tau(g_max: int) -> CheckReport:
     """Residual of the correlator recursion over its full domain, g <= g_max."""
-    return _residual_scan(
-        "residual-tau", g_max, _t_row, _tau_step, lambda g: 3 * g - 1, _denominator
-    )
+    return _run(["residual-tau"], g_max)[0]
 
 
 def check_residual_a(g_max: int) -> CheckReport:
     """Residual of the normalized recursion over its full domain, g <= g_max."""
-    return _residual_scan("residual-a", g_max, _a_row, _a_step, lambda g: 3 * g - 1, _d)
+    return _run(["residual-a"], g_max)[0]
 
 
 def check_residual_b(g_max: int) -> CheckReport:
     """Residual of the difference recursion over its full domain, g <= g_max."""
-    return _residual_scan("residual-b", g_max, _b_row, _b_step, b_domain_max, _d)
+    return _run(["residual-b"], g_max)[0]

@@ -22,7 +22,6 @@ import tau2.recursion as recursion
 import tau2.verification as verification
 from tau2.closedform import normalize
 from tau2.combinatorics import rational_str
-from tau2.verification import CheckFailure, CheckReport
 
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
@@ -368,22 +367,23 @@ class TestVerify:
         assert out == ""
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _corrupt(monkeypatch):
+        # S(2, 1) = 45 of the recursive row (15, 45, 87, 87, 45, 15) becomes 46
+        rows = [list(row) for row in recursion._int_rows(2)]
+        rows[1][1] += 1
+        monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
+
     def test_failing_check_exits_1(self, capsys, monkeypatch):
-        failing = CheckReport(
-            "cross", (1, 2), (CheckFailure(2, 1, Fraction(1, 384), Fraction(1, 385)),), 9
-        )
-        monkeypatch.setattr(verification, "cross_validate", lambda g_max: failing)
+        self._corrupt(monkeypatch)
         code, out, err = run_cli(capsys, "verify", "--g-max", "2", "--checks", "cross")
         assert code == 1
         lines = out.splitlines()
         assert lines[0] == "cross: FAIL (checked 9)"
-        assert "(2,1): expected 1/384, got 1/385" in lines[1]
+        assert "(2,1): expected 23/8640, got 1/384" in lines[1]
 
     def test_failure_report_in_json(self, capsys, monkeypatch):
-        failing = CheckReport(
-            "symmetry", (1, 2), (CheckFailure(2, 1, Fraction(1, 384), Fraction(1, 385)),), 8
-        )
-        monkeypatch.setattr(verification, "check_symmetry", lambda g_max: failing)
+        self._corrupt(monkeypatch)
         code, out, _ = run_cli(
             capsys, "verify", "--g-max", "2", "--checks", "symmetry", "--format", "json"
         )
@@ -393,7 +393,7 @@ class TestVerify:
                 "check": "symmetry",
                 "g_max": 2,
                 "passed": False,
-                "failures": [{"g": 2, "k": 1, "expected": "1/384", "actual": "1/385"}],
+                "failures": [{"g": 2, "k": 1, "expected": "1/384", "actual": "23/8640"}],
             }
         ]
 

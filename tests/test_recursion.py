@@ -20,6 +20,7 @@ from tau2.closedform import two_point_closed
 from tau2.combinatorics import _denominator
 from tau2.recursion import (
     _int_rows,
+    _scaled,
     genus0_npoint,
     genus1_seed,
     genus_row,
@@ -200,6 +201,10 @@ class TestGenus1Seed:
     def test_seed_matches_oracle(self):
         assert oracle(1, (0, 2)) == Fraction(1, 24)
         assert oracle(1, (1, 1)) == Fraction(1, 24)
+
+    def test_integer_seed_is_the_scaled_seed_row(self):
+        (seed,) = _int_rows(1)
+        assert seed == _scaled(1, genus_row(1)) == (3, 3, 3)
 
 
 class TestGenusRow:

@@ -121,6 +121,12 @@ def test_verify_loads_verification(loaded):
     assert "tau2.verification" in loaded[tuple(VERIFY_CSV)]
 
 
+@pytest.mark.parametrize("argv", [VERIFY_CSV, VERIFY_JSON], ids=" ".join)
+def test_passing_verify_loads_no_fractions(loaded, argv):
+    # the checks compare integers; only a failure is reported as Fraction values
+    assert not loaded[tuple(argv)] & {"fractions", "decimal"}
+
+
 def test_layer_loads_on_first_use():
     _python(
         "import sys, tau2\n"

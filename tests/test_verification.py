@@ -175,11 +175,104 @@ class TestCheckScans:
         from tau2.closedform import b_domain_max
 
         g_max = 6
+        assert cross_validate(g_max).checked == 63
+        assert check_symmetry(g_max).checked == 33
+        assert check_bounds(g_max).checked == 40
         assert check_residual_tau(g_max).checked == sum(3 * g - 1 for g in range(2, g_max + 1))
         assert check_residual_a(g_max).checked == sum(3 * g - 1 for g in range(2, g_max + 1))
         assert check_residual_b(g_max).checked == sum(
             b_domain_max(g) for g in range(2, g_max + 1)
         )
+
+
+CHECKS = ["cross", "symmetry", "bounds", "residual-tau", "residual-a", "residual-b"]
+ONE_CHECK = [
+    cross_validate, check_symmetry, check_bounds, check_residual_tau, check_residual_a,
+    check_residual_b,
+]
+SHIFTED_CORE_LOCI = [(3, k) for k in range(1, 7)] + [(4, k) for k in range(2, 10)]
+CLOSED_LOCI = [(4, 4), (4, 5), (4, 6)] + [(5, k) for k in range(5, 10)]
+# per fault, the failing (g, k) of each check at g_max = 8, recorded when every
+# check still ran its own scan over the genera
+FAULT_LOCI = {
+    "none": {},
+    # closed S(4, 5) shifted by L(4) = 315, and with it its mirror S(4, 6)
+    "closed": {"cross": [(4, 5), (4, 6)], "residual-tau": CLOSED_LOCI, "residual-a": CLOSED_LOCI},
+    # recursive S(3, 4) (the middle of its row) shifted by 1, and S(6, 10) by -7
+    "recursive": {"cross": [(3, 4), (6, 10)], "symmetry": [(6, 7)]},
+    # q(3, 1) + 3, as in TestShiftedCore
+    "core": {
+        "cross": [(3, k) for k in range(2, 7)],
+        "residual-tau": SHIFTED_CORE_LOCI,
+        "residual-a": SHIFTED_CORE_LOCI,
+        "residual-b": [(3, 0), (3, 1), (4, 1), (4, 2), (4, 3)],
+    },
+}
+
+
+@pytest.fixture(params=sorted(FAULT_LOCI))
+def fault(request, monkeypatch):
+    """Inject one fault and give its failing loci at g_max = 8, by check."""
+    real_half, real_q = closedform._t_half_row, closedform._scaled_q
+    closedform.clear_caches()
+    if request.param == "closed":
+        monkeypatch.setattr(
+            closedform,
+            "_t_half_row",
+            lambda g: tuple(s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g))),
+        )
+    elif request.param == "recursive":
+        rows = corrupted_rows(8, 3, 4)
+        rows[5][10] -= 7
+        use_rows(monkeypatch, rows)
+    elif request.param == "core":
+        monkeypatch.setattr(
+            closedform,
+            "_scaled_q",
+            lambda g, s: (sq + 3 * s * ((g, k) == (3, 1)) for k, sq in enumerate(real_q(g, s))),
+        )
+    yield FAULT_LOCI[request.param]
+    real_half.cache_clear()  # the closed rows made under the fault
+
+
+class TestWalk:
+    """One walk over the genera gives what six scans, one per check, gave."""
+
+    @pytest.mark.parametrize("g_max", range(1, 9))
+    def test_one_walk_is_the_six_checks(self, fault, g_max):
+        reports = verification._run(CHECKS, g_max)
+        assert reports == [check(g_max) for check in ONE_CHECK]
+        assert {r.check_name: [(f.g, f.k) for f in r.failures] for r in reports} == {
+            name: [(g, k) for g, k in fault.get(name, []) if g <= g_max] for name in CHECKS
+        }
+
+    def test_each_row_is_built_once(self, monkeypatch):
+        closed, recursive = [], []
+        real_half, real_rows = closedform._t_half_row, verification._int_rows
+        monkeypatch.setattr(closedform, "_t_half_row", lambda g: closed.append(g) or real_half(g))
+        monkeypatch.setattr(
+            verification, "_int_rows", lambda g_max: recursive.append(g_max) or real_rows(g_max)
+        )
+        assert all(r.passed for r in verification._run(CHECKS, 6))
+        assert closed == [1, 2, 3, 4, 5, 6]
+        assert recursive == [6]
+
+    def test_symmetry_builds_no_closed_row(self, monkeypatch):
+        calls = []
+        real = closedform._t_half
+        monkeypatch.setattr(closedform, "_t_half", lambda g: calls.append(g) or real(g))
+        closedform.clear_caches()
+        assert verification._run(["symmetry"], 6)[0].passed
+        assert calls == []
+        assert verification._run(["cross"], 6)[0].passed
+        assert calls == [1, 2, 3, 4, 5, 6]
+        closedform.clear_caches()
+
+    def test_times_cover_each_check_and_the_rows(self):
+        times = {}
+        verification._run(["bounds", "cross"], 3, times)
+        assert list(times) == ["rows", "bounds", "cross"]
+        assert all(t >= 0 for t in times.values())
 
 
 class TestCheckReport:
