@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 
 _LAYERS = {  # each layer's __all__, in order
     "closedform": "b_domain_max b_value a_closed normalize two_point_closed clear_caches",
-    "combinatorics": "factorial binomial double_factorial_odd odd_lcm multinomial rational_str",
-    "recursion": "one_point one_point_at genus0_npoint genus1_seed genus_row recursive_row",
-    "verification": "CheckFailure CheckReport residual_rec_tau residual_rec_a residual_rec_b "
-    "cross_validate check_symmetry check_bounds check_residual_tau check_residual_a "
-    "check_residual_b",
+    "combinatorics": "double_factorial_odd odd_lcm multinomial rational_str",
+    "recursion": "one_point genus0_npoint genus_row recursive_row",
+    "verification": "CheckFailure CheckReport cross_validate check_symmetry check_bounds "
+    "check_residual_tau check_residual_a check_residual_b",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
 __all__ = [*_HOME, "__version__"]

@@ -139,7 +139,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     start = perf_counter()
     if args.method == "closed":
         from . import closedform
-        row = closedform._mirrored(g, closedform._t_half_row(g))
+        row = closedform._mirrored(g, tuple(closedform._t_half(g)))
     else:
         row = _recursive_int_row(g)
     ms = (perf_counter() - start) * 1000
@@ -149,7 +149,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         # rows are written only after both paths agree entry by entry
         from . import closedform
         start = perf_counter()
-        closed = closedform._mirrored(g, closedform._t_half_row(g))
+        closed = closedform._mirrored(g, tuple(closedform._t_half(g)))
         if closed != row:
             k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
             return _mismatch(g, k, closed[k], row[k])

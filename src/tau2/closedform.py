@@ -39,9 +39,11 @@ fails raises ``ArithmeticError`` (the CLI exits 4); it never yields a wrong
 value.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-Whole-row callers (``two_point_closed``, ``a_closed``, ``verification``, the
-CLI's ``table``) read a per-genus cache of the half row (and of N(g)); the
-CLI's ``value`` reads one entry from ``_t_streamed``, which caches nothing.
+The public point lookups ``two_point_closed`` and ``a_closed`` (and the CLI's
+``bench``) read a per-genus cache of the half row (and of N(g)).  Callers that
+read a row once (``verification``, the CLI's ``table``) take it straight from
+``_t_half``, and the CLI's ``value`` reads one entry from ``_t_streamed``;
+none of the three fills the cache.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so

@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: factorials, odd double factorials, multinomials.
+"""Exact combinatorial primitives: odd double factorials, odd lcms, multinomials.
 
 Everything here is integer or rational arithmetic with no rounding, built on
 Python's arbitrary-precision ``int`` and :class:`fractions.Fraction`.  A
@@ -12,24 +12,22 @@ their rows by, is a sieve that takes each odd prime at its largest power
 <= n; ``_denominator(g)`` is the one common denominator of a genus g row,
 and ``_weight(g, k)`` the double-factorial ratio W(k) that turns an entry of
 that row into its normalized value.  Callers that walk a row keep their own
-running products.
+running products.  Plain factorials and binomials are ``math.factorial`` and
+``math.comb``.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, isqrt, prod
+import math
+from math import comb, isqrt, prod
 from typing import Sequence
 
 __all__ = [
-    "factorial",
-    "binomial",
     "double_factorial_odd",
     "odd_lcm",
     "multinomial",
     "rational_str",
 ]
-
-binomial = comb
 
 
 def _exact(n: int, d: int, g: int, k: int) -> int:
@@ -74,7 +72,7 @@ def odd_lcm(n: int) -> int:
 
 def _denominator(g: int) -> int:
     """N(g) = 24^g g! odd_lcm(2g+1), the denominator of a genus g integer row S(g, .)."""
-    return 24**g * factorial(g) * odd_lcm(2 * g + 1)
+    return 24**g * math.factorial(g) * odd_lcm(2 * g + 1)
 
 
 def _weight(g: int, k: int) -> Fraction:

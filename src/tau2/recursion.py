@@ -27,8 +27,10 @@ L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
 by a checked division.  That every division by 2k+1 is exact on this unit is
 observed (every g <= 600), not proved; a nonzero remainder raises
 ``ArithmeticError`` instead of truncating.  Inside the package rows stay
-integers (``_int_rows``); only the public ``genus_row`` and ``recursive_row``
-hand out ``Fraction`` values S(g, k) / N(g).
+integers (``_int_rows``, which holds the one genus 1 seed); only the public
+``genus_row`` and ``recursive_row`` hand out ``Fraction`` values S(g, k) / N(g).
+``one_point`` (the values 1/(24^g g!)) and ``genus0_npoint`` (the genus-0
+multinomial formula) stand beside the rows: building a row calls neither.
 
 The row is always computed over the full range k = 0..3g-1, never by
 mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
@@ -44,9 +46,7 @@ from .combinatorics import _denominator, _exact, multinomial, odd_lcm, rational_
 
 __all__ = [
     "one_point",
-    "one_point_at",
     "genus0_npoint",
-    "genus1_seed",
     "genus_row",
     "recursive_row",
 ]
@@ -58,18 +58,6 @@ def one_point(g: int) -> Fraction:
         raise ValueError(f"one-point correlator needs genus g >= 1, got {g}")
     from fractions import Fraction
     return Fraction(1, 24**g * factorial(g))
-
-
-def one_point_at(d: int) -> Fraction:
-    """One-point correlator <tau_d> for an arbitrary integer index d.
-
-    Nonzero only when d = 3g-2 for some genus g >= 1; any other index,
-    negative ones included, gives exact 0.
-    """
-    if d < 1 or (d + 2) % 3:
-        from fractions import Fraction
-        return Fraction(0)
-    return one_point((d + 2) // 3)
 
 
 def genus0_npoint(ds: Sequence[int]) -> Fraction:
@@ -85,20 +73,6 @@ def genus0_npoint(ds: Sequence[int]) -> Fraction:
     if any(d < 0 for d in ds) or sum(ds) != n - 3:
         return Fraction(0)
     return Fraction(multinomial(ds))
-
-
-def genus1_seed() -> dict[tuple[int, int], Fraction]:
-    """Seed row {(1, 0): 1/24, (1, 1): 1/24}.
-
-    (1, 0) is <tau_0 tau_2> = <tau_1> by the string equation; (1, 1) is
-    <tau_1 tau_1> = (2g-2+n) <tau_1> = <tau_1> by the dilaton equation.
-    The genus recursion itself is only applied from genus 2 on: at genus 1 it
-    would involve an unstable genus-0 two-point symbol whose value is not
-    fixed by the vanishing conventions, so the row is seeded instead.
-    """
-    from fractions import Fraction
-    v = Fraction(1, 24)
-    return {(1, 0): v, (1, 1): v}
 
 
 def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -152,6 +126,9 @@ def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
     The seed S(1, .) = (3, 3, 3) is N(1) = 24 * 1! * L(1) = 72 times the genus
     1 row: <tau_0 tau_2> = <tau_1> = 1/24 by the string equation, and
     <tau_1 tau_1> = (2g-2+n) <tau_1> = <tau_1> by the dilaton equation.
+    The genus recursion itself is only applied from genus 2 on: at genus 1 it
+    would involve an unstable genus-0 two-point symbol whose value is not
+    fixed by the vanishing conventions, so the row is seeded instead.
     """
     row = (3, 3, 3)
     yield row
@@ -171,9 +148,7 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     if g == 1:
-        seed = genus1_seed()
-        # k=2 is the same unordered correlator <tau_0 tau_2> as k=0
-        return (seed[(1, 0)], seed[(1, 1)], seed[(1, 0)])
+        return recursive_row(1)
     if row_below is None or len(row_below) != 3 * (g - 1):
         raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
     return _fractions(g, _int_row(g, _scaled(g - 1, row_below)))

@@ -52,22 +52,18 @@ integer over its scale, exactly the value the rational comparison has.
 
 from __future__ import annotations
 
+from math import comb
 from time import perf_counter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import closedform
 from .closedform import _mirrored, b_domain_max
-from .combinatorics import (
-    _denominator, _exact, binomial, double_factorial_odd, odd_lcm, rational_str
-)
+from .combinatorics import _denominator, _exact, double_factorial_odd, odd_lcm, rational_str
 from .recursion import _int_rows
 
 __all__ = [
     "CheckFailure",
     "CheckReport",
-    "residual_rec_tau",
-    "residual_rec_a",
-    "residual_rec_b",
     "cross_validate",
     "check_symmetry",
     "check_bounds",
@@ -131,7 +127,7 @@ def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
     if "rec" in need:
         rows["rec"] = next(recursive)
     if need & {"s", "a"}:
-        half = closedform._t_half_row(g)
+        half = tuple(closedform._t_half(g))
     if "s" in need:
         rows["s"] = _mirrored(g, half)
     if need & {"a", "b"}:
@@ -151,7 +147,7 @@ def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
 
 
 def _one_points(g: int, unit: Sequence[int]) -> list:  # unit[k] C(g, j) at k = 3j-1, else 0
-    return [unit[k] * binomial(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
+    return [unit[k] * comb(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
 
 
 def _nonzero(r: list, scale: int) -> tuple[int, int, list]:
@@ -264,55 +260,6 @@ def _run(names: Sequence[str], g_max: int, times: dict | None = None) -> list[Ch
         CheckReport(name, (first, g_max), tuple(failures), checked)
         for (name, (first, _, _)), (checked, failures) in zip(checks.items(), found.values())
     ]
-
-
-def _residual_at(g: int, k: int, top: int, residuals: Callable, rows: Callable):
-    """Entry k of residuals(g, rows(g), rows(g-1)) over its scale, at a step 0 <= k <= top."""
-    from fractions import Fraction
-    if g < 2:
-        raise ValueError(f"recursion steps need genus g >= 2, got {g}")
-    if not 0 <= k <= top:
-        raise ValueError(f"step index must be in 0..{top} at genus {g}, got {k}")
-    _, scale, nonzero = residuals(g, rows(g), rows(g - 1))
-    return Fraction(dict((i, r) for i, _, r in nonzero).get(k, 0), scale)
-
-
-def residual_rec_tau(
-    g: int, k: int, backend: Callable[[int, int], Fraction] | None = None
-) -> Fraction:
-    """LHS - RHS of the correlator recursion at step (g, k), g >= 2:
-
-        (2k+3) <tau_{k+1} tau_{3g-2-k}> = (2g-3-2k) <tau_k tau_{3g-1-k}>
-            + 1/6 (bracket of four genus g-1 values) + <tau_{k-1}> <tau_{3g-3-k}>
-
-    that is, residual-tau of the module docstring over N(g); 0 <= k <= 3g-2.
-    Values come from ``backend`` (default: the closed form), read as 0 outside
-    0..3g-1 and scaled by N(g), so a wrong one stays a non-integral Fraction.
-    """
-    def rows(gg: int) -> dict:
-        found = _rows(gg, {"s"} if backend is None else set())
-        if backend is not None:
-            found["s"] = [found["n"] * backend(gg, i) for i in range(3 * gg)]
-        return found
-    return _residual_at(g, k, 3 * g - 2, _tau_residuals, rows)
-
-
-def residual_rec_a(g: int, k: int) -> Fraction:
-    """LHS - RHS of the normalized recursion on closed-form values a(g, .).
-
-    This is residual-a of the module docstring over D(g), at step (g, k) with
-    g >= 2 and 0 <= k <= 3g-2.
-    """
-    return _residual_at(g, k, 3 * g - 2, _a_residuals, lambda gg: _rows(gg, {"a"}))
-
-
-def residual_rec_b(g: int, k: int) -> Fraction:
-    """LHS - RHS of the difference recursion on closed-form differences b(g, .).
-
-    This is residual-b of the module docstring over D(g), at step (g, k) with
-    g >= 2 and k, k+1 in the difference domain; b(g-1, -1) = a(g-1, 0) = 1.
-    """
-    return _residual_at(g, k, b_domain_max(g) - 1, _b_residuals, lambda gg: _rows(gg, {"b"}))
 
 
 def cross_validate(g_max: int) -> CheckReport:

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -216,16 +217,21 @@ class TestTable:
 
     def test_method_both_mismatch_exits_3(self, capsys, monkeypatch):
         # entry 2 of the genus 2 half row is mirrored to k = 3, so k = 2 differs first
-        real = closedform._t_half_row
+        real = closedform._t_half
         monkeypatch.setattr(
             closedform,
-            "_t_half_row",
-            lambda g: tuple(s + 1 if k == 2 else s for k, s in enumerate(real(g))),
+            "_t_half",
+            lambda g: (s + 1 if k == 2 else s for k, s in enumerate(real(g))),
         )
         code, out, err = run_cli(capsys, "table", "--g", "2", "--method", "both")
         assert code == 3
         assert out == ""
         assert "path mismatch at (2,2): closed 11/2160, recursive 29/5760" in err
+
+    def test_fills_no_closed_cache(self, capsys):
+        closedform.clear_caches()
+        assert run_cli(capsys, "table", "--g", "5", "--method", "both")[0] == 0
+        assert closedform._t_half_row.cache_info().currsize == 0
 
     def test_asymmetric_recursive_row_prints_as_it_is(self, capsys, monkeypatch):
         # S(3, 6) and S(3, 7) shifted by 1: past the middle, unequal to their mirrors
@@ -521,9 +527,40 @@ class TestExitCodeContract:
             assert out.getvalue()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def resolve(dotted: str):
+    """The object a dotted ``tau2.x.y`` name reaches, by attribute or as a submodule."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        try:
+            obj = getattr(obj, parts[i])
+        except AttributeError:
+            obj = importlib.import_module(".".join(parts[: i + 1]))
+    return obj
+
+
 class TestReadme:
+    def test_library_names_resolve(self):
+        names = set(re.findall(r"\btau2(?:\.[A-Za-z_]\w*)+", README.read_text(encoding="utf-8")))
+        assert "tau2.recursive_row" in names
+        unresolved = []
+        for name in sorted(names):
+            try:
+                resolve(name)
+            except (AttributeError, ImportError):
+                unresolved.append(name)
+        assert unresolved == []
+
+    def test_resolve_rejects_a_deleted_name(self):
+        assert resolve("tau2.closedform.two_point_closed") is closedform.two_point_closed
+        with pytest.raises(ImportError):
+            resolve("tau2.one_point_at")
+
     def test_flags_line_matches_the_parser(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         flags_line = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
         documented = set(re.findall(r"--[a-z][a-z-]*", flags_line))
         parser = cli._build_parser()

@@ -2,19 +2,13 @@
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tau2.combinatorics import (
-    binomial,
-    double_factorial_odd,
-    multinomial,
-    odd_lcm,
-    rational_str,
-)
+from tau2.combinatorics import double_factorial_odd, multinomial, odd_lcm, rational_str
 
 
 class TestDoubleFactorialOdd:
@@ -88,7 +82,7 @@ class TestMultinomial:
         assert multinomial(parts) == multinomial(sorted(parts, reverse=True))
 
     def test_binomial_special_case(self):
-        assert multinomial([3, 4]) == binomial(7, 3)
+        assert multinomial([3, 4]) == comb(7, 3)
 
 
 class TestRationalStr:

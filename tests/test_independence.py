@@ -59,4 +59,4 @@ def test_guard_catches_every_import_form(line):
 
 def test_guard_allows_shared_combinatorics():
     assert not reaches("from .combinatorics import double_factorial_odd", "closedform")
-    assert not reaches("from tau2 import binomial", "closedform")
+    assert not reaches("from tau2 import odd_lcm", "closedform")

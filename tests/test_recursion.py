@@ -22,10 +22,8 @@ from tau2.recursion import (
     _int_rows,
     _scaled,
     genus0_npoint,
-    genus1_seed,
     genus_row,
     one_point,
-    one_point_at,
     recursive_row,
 )
 from tau2.verification import check_symmetry, cross_validate
@@ -116,32 +114,6 @@ class TestOnePoint:
         assert one_point(g) == oracle(g, (3 * g - 2,))
 
 
-class TestOnePointAt:
-    @pytest.mark.parametrize(
-        "d,expected",
-        [
-            (1, Fraction(1, 24)),
-            (0, Fraction(0)),
-            (-1, Fraction(0)),
-            (-5, Fraction(0)),
-            (2, Fraction(0)),
-            (3, Fraction(0)),
-            (4, Fraction(1, 1152)),
-            (7, Fraction(1, 82944)),
-        ],
-    )
-    def test_total_extension(self, d, expected):
-        assert one_point_at(d) == expected
-
-    @given(st.integers(min_value=-20, max_value=40))
-    def test_nonzero_exactly_on_valid_indices(self, d):
-        value = one_point_at(d)
-        if d >= 1 and (d + 2) % 3 == 0:
-            assert value == one_point((d + 2) // 3)
-        else:
-            assert value == 0
-
-
 class TestGenus0Npoint:
     @pytest.mark.parametrize(
         "ds,expected",
@@ -194,17 +166,14 @@ class TestGenus0Npoint:
 
 
 class TestGenus1Seed:
-    def test_seed_values(self):
-        seed = genus1_seed()
-        assert seed == {(1, 0): Fraction(1, 24), (1, 1): Fraction(1, 24)}
-
     def test_seed_matches_oracle(self):
         assert oracle(1, (0, 2)) == Fraction(1, 24)
         assert oracle(1, (1, 1)) == Fraction(1, 24)
 
     def test_integer_seed_is_the_scaled_seed_row(self):
+        # N(1) = 24 * 1! * lcm(1, 3) = 72 times the oracle's genus 1 row
         (seed,) = _int_rows(1)
-        assert seed == _scaled(1, genus_row(1)) == (3, 3, 3)
+        assert seed == _scaled(1, [oracle(1, (k, 2 - k)) for k in range(3)]) == (3, 3, 3)
 
 
 class TestGenusRow:

@@ -46,16 +46,23 @@ COMMANDS = [
 LAYERS = ("closedform", "combinatorics", "recursion", "verification")
 
 # tau2.__all__ at the commit that made the layers load lazily, less the
-# Fraction table layer (TwoPointTable, build_table, two_point_recursive) and
-# the Fraction single value two_point_streamed
+# Fraction table layer (TwoPointTable, build_table, two_point_recursive), the
+# Fraction single value two_point_streamed, and the names nothing ran (DELETED)
 PUBLIC = {
     "CheckFailure", "CheckReport", "__version__", "a_closed",
-    "b_domain_max", "b_value", "binomial", "check_bounds",
+    "b_domain_max", "b_value", "check_bounds",
     "check_residual_a", "check_residual_b", "check_residual_tau", "check_symmetry",
-    "clear_caches", "cross_validate", "double_factorial_odd", "factorial",
-    "genus0_npoint", "genus1_seed", "genus_row", "multinomial", "normalize",
-    "odd_lcm", "one_point", "one_point_at", "rational_str", "recursive_row",
-    "residual_rec_a", "residual_rec_b", "residual_rec_tau", "two_point_closed",
+    "clear_caches", "cross_validate", "double_factorial_odd",
+    "genus0_npoint", "genus_row", "multinomial", "normalize",
+    "odd_lcm", "one_point", "rational_str", "recursive_row", "two_point_closed",
+}  # fmt: skip
+# name: the layer that exported it.  The point-form residuals (one entry per
+# call, rows rebuilt each time), the Fraction genus 1 seed and <tau_d> for any d
+# had only their own tests as callers; factorial and binomial were math's.
+DELETED = {
+    "residual_rec_tau": "verification", "residual_rec_a": "verification",
+    "residual_rec_b": "verification", "genus1_seed": "recursion",
+    "one_point_at": "recursion", "factorial": "combinatorics", "binomial": "combinatorics",
 }  # fmt: skip
 
 # functions whose calls and times the benchmark's tracer (perfbench/trace_job.py)
@@ -150,6 +157,14 @@ def test_each_public_name_imports_from_the_package(name):
     if name != "__version__":
         layer = next(getattr(tau2, m) for m in LAYERS if name in getattr(tau2, m).__all__)
         assert namespace[name] is getattr(layer, name)
+
+
+@pytest.mark.parametrize("name", sorted(DELETED))
+def test_deleted_name_is_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(tau2, name)
+    with pytest.raises(AttributeError):
+        getattr(getattr(tau2, DELETED[name]), name)
 
 
 def test_layers_and_names_are_listed():

@@ -8,7 +8,7 @@ import pytest
 
 import tau2.cli as cli
 from tau2 import closedform, verification
-from tau2.recursion import _int_rows, recursive_row
+from tau2.recursion import _int_rows
 from tau2.verification import (
     CheckFailure,
     CheckReport,
@@ -18,9 +18,6 @@ from tau2.verification import (
     check_residual_tau,
     check_symmetry,
     cross_validate,
-    residual_rec_a,
-    residual_rec_b,
-    residual_rec_tau,
 )
 
 
@@ -37,77 +34,15 @@ def use_rows(monkeypatch, rows) -> None:
 
 
 class TestResidualTau:
-    @pytest.mark.parametrize("g,k", [(2, 0), (2, 1), (3, 4)])
-    def test_vanishes_on_closed_form(self, g, k):
-        assert residual_rec_tau(g, k) == 0
-
-    def test_full_domain_vanishes(self):
-        for g in range(2, 9):
-            for k in range(3 * g - 1):
-                assert residual_rec_tau(g, k) == 0, (g, k)
-
-    def test_vanishes_on_recursive_backend(self):
-        rows = {g: recursive_row(g) for g in range(1, 7)}
-        for g in range(2, 7):
-            for k in range(3 * g - 1):
-                assert residual_rec_tau(g, k, lambda gg, i: rows[gg][i]) == 0, (g, k)
-
-    def test_detects_corrupt_backend(self):
-        rows = {g: recursive_row(g) for g in range(1, 4)}
-
-        def corrupted(g, k):
-            value = rows[g][k]
-            return value + Fraction(1, 7) if (g, k) == (3, 4) else value
-
-        assert any(residual_rec_tau(3, k, corrupted) != 0 for k in range(8))
-
-    def test_rejects_genus_one(self):
-        with pytest.raises(ValueError):
-            residual_rec_tau(1, 0)
-
-    def test_rejects_step_out_of_range(self):
-        with pytest.raises(ValueError, match=r"0\.\.4"):
-            residual_rec_tau(2, 5)
-
-
-class TestResidualA:
-    @pytest.mark.parametrize("g,k", [(2, 0), (2, 2), (4, 5)])
-    def test_vanishes(self, g, k):
-        assert residual_rec_a(g, k) == 0
-
-    def test_full_domain_vanishes(self):
-        for g in range(2, 9):
-            for k in range(3 * g - 1):
-                assert residual_rec_a(g, k) == 0, (g, k)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            residual_rec_a(1, 0)
-        with pytest.raises(ValueError):
-            residual_rec_a(2, -1)
-        with pytest.raises(ValueError):
-            residual_rec_a(2, 5)
-
-
-class TestResidualB:
-    @pytest.mark.parametrize("g,k", [(2, 0), (3, 1), (3, 2)])
-    def test_vanishes(self, g, k):
-        assert residual_rec_b(g, k) == 0
-
-    def test_full_domain_vanishes(self):
-        from tau2.closedform import b_domain_max
-
-        for g in range(2, 13):
-            for k in range(b_domain_max(g)):
-                assert residual_rec_b(g, k) == 0, (g, k)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            residual_rec_b(1, 0)
-        with pytest.raises(ValueError):
-            residual_rec_b(2, 1)
-        with pytest.raises(ValueError):
-            residual_rec_b(3, 3)
+    def test_vanishes_on_recursive_rows(self):
+        # residual-tau is the recursion's own step, so it holds on the recursive rows too
+        recursive, below = _int_rows(6), None
+        for g in range(1, 7):
+            rows = verification._rows(g, {"rec"}, recursive)
+            rows["s"] = rows["rec"]
+            if below is not None:
+                assert verification._tau_residuals(g, rows, below) == (3 * g - 1, rows["n"], [])
+            below = rows
 
 
 class TestCrossValidate:
@@ -213,13 +148,12 @@ FAULT_LOCI = {
 @pytest.fixture(params=sorted(FAULT_LOCI))
 def fault(request, monkeypatch):
     """Inject one fault and give its failing loci at g_max = 8, by check."""
-    real_half, real_q = closedform._t_half_row, closedform._scaled_q
-    closedform.clear_caches()
+    real_half, real_q = closedform._t_half, closedform._scaled_q
     if request.param == "closed":
         monkeypatch.setattr(
             closedform,
-            "_t_half_row",
-            lambda g: tuple(s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g))),
+            "_t_half",
+            lambda g: (s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g))),
         )
     elif request.param == "recursive":
         rows = corrupted_rows(8, 3, 4)
@@ -232,7 +166,6 @@ def fault(request, monkeypatch):
             lambda g, s: (sq + 3 * s * ((g, k) == (3, 1)) for k, sq in enumerate(real_q(g, s))),
         )
     yield FAULT_LOCI[request.param]
-    real_half.cache_clear()  # the closed rows made under the fault
 
 
 class TestWalk:
@@ -248,8 +181,8 @@ class TestWalk:
 
     def test_each_row_is_built_once(self, monkeypatch):
         closed, recursive = [], []
-        real_half, real_rows = closedform._t_half_row, verification._int_rows
-        monkeypatch.setattr(closedform, "_t_half_row", lambda g: closed.append(g) or real_half(g))
+        real_half, real_rows = closedform._t_half, verification._int_rows
+        monkeypatch.setattr(closedform, "_t_half", lambda g: closed.append(g) or real_half(g))
         monkeypatch.setattr(
             verification, "_int_rows", lambda g_max: recursive.append(g_max) or real_rows(g_max)
         )
@@ -261,12 +194,17 @@ class TestWalk:
         calls = []
         real = closedform._t_half
         monkeypatch.setattr(closedform, "_t_half", lambda g: calls.append(g) or real(g))
-        closedform.clear_caches()
         assert verification._run(["symmetry"], 6)[0].passed
         assert calls == []
         assert verification._run(["cross"], 6)[0].passed
         assert calls == [1, 2, 3, 4, 5, 6]
+
+    def test_walk_fills_no_closed_cache(self):
+        # the walk keeps genera g-1 and g only; the cache is for point lookups
         closedform.clear_caches()
+        assert all(r.passed for r in verification._run(CHECKS, 40))
+        assert closedform._t_half_row.cache_info().currsize == 0
+        assert closedform._n.cache_info().currsize == 0
 
     def test_times_cover_each_check_and_the_rows(self):
         times = {}
