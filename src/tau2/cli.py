@@ -4,7 +4,9 @@ Four subcommands: ``value`` (one correlator, default cross-checked on both
 computation paths), ``table`` (one full genus row, default closed form,
 written line by line), ``verify`` (the exact check suite), and ``bench``
 (wall time and value bit-size per genus for either path).  Each imports only
-the layers it runs; ``value`` and ``table`` print integer entries through ``_texts``.
+the layers it runs.  The bodies of ``value`` and ``table``, which print
+integer entries as text, sit in ``tau2.output``; ``cmd_value`` and
+``cmd_table`` import it on first call, so no other command compiles it.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -30,8 +32,6 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
-CSV_HEADER = "g,k,correlator,normalized"
-
 _CHECKS = ("cross", "symmetry", "bounds", "residual-tau", "residual-a", "residual-b")
 
 
@@ -39,125 +39,14 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _texts(s: int, n: int, w) -> tuple[str, str]:
-    """The printed correlator S / N(g) and normalized value a(g, k) = W(k) S / L(g) of S = S(g, k).
-
-    Given n = N(g) = 24^g g! L(g) and w = W(k) / L(g), W from ``combinatorics._weight``.
-    """
-    from fractions import Fraction
-    from .combinatorics import rational_str
-    return rational_str(Fraction(s, n)), rational_str(w * s)
-
-
-def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
-    """Report entry (g, k), where the paths' integers S(g, k) differ; the exit code."""
-    from fractions import Fraction
-    from .combinatorics import _denominator, rational_str
-    n = _denominator(g)
-    c, r = (rational_str(Fraction(s, n)) for s in (closed, recursive))
-    _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
-    return EXIT_MISMATCH
-
-
-def _recursive_int_row(g: int) -> tuple[int, ...]:
-    """S(g, .) from the recursion, keeping no row below it."""
-    from . import recursion
-    for row in recursion._int_rows(g):
-        pass
-    return row
-
-
 def cmd_value(args: argparse.Namespace) -> int:
-    g, k = args.g, args.k
-    if g < 1:
-        _diag(f"g must be >= 1, got {g}")
-        return EXIT_USAGE
-    if not 0 <= k <= 3 * g - 1:
-        _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
-        return EXIT_USAGE
-
-    if args.method != "recursive":
-        from . import closedform
-        s = closedform._t_streamed(g, k)
-    if args.method != "closed":
-        recursive = _recursive_int_row(g)[k]
-        if args.method == "both" and s != recursive:
-            return _mismatch(g, k, s, recursive)
-        s = recursive
-
-    from .combinatorics import _denominator, _weight, odd_lcm
-    corr, norm = _texts(s, _denominator(g), _weight(g, k) / odd_lcm(2 * g + 1))
-    if args.format == "csv":
-        print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
-    elif args.format == "json":
-        import json
-        print(json.dumps({"g": g, "k": k, "correlator": corr, "normalized": norm}))
-    else:
-        print(corr, norm, sep="\n")
-    return EXIT_OK
-
-
-def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
-    """Write one integer genus row S(g, .) to stdout, each line as soon as it is made.
-
-    w = W(k) / L(g) runs along the row as W(k+1) = W(k) (2k+3)/(6g-1-2k).  As
-    W(k) = W(3g-1-k), an entry equal to its mirror reuses the texts kept for the
-    first half.  json goes in pieces that join to json.dumps({"g": g, "rows": [...]}).
-    """
-    from fractions import Fraction
-    from .combinatorics import _denominator, odd_lcm
-    n = _denominator(g)
-    w = Fraction(1, odd_lcm(2 * g + 1))
-    write = sys.stdout.write
-    if fmt == "json":
-        import json
-        write(f'{{"g": {g}, "rows": [')
-    elif fmt == "csv":
-        write(CSV_HEADER + "\n")
-    sep = "," if fmt == "csv" else " "
-    half = []
-    for k, s in enumerate(row):
-        m = 3 * g - 1 - k
-        c, a = half[m] if m < k and row[m] == s else _texts(s, n, w)
-        if k <= m:
-            half.append((c, a))
-        if fmt == "json":
-            write((", " if k else "") + json.dumps({"k": k, "correlator": c, "normalized": a}))
-        else:
-            write(f"{g}{sep}{k}{sep}{c}{sep}{a}\n")
-        w *= Fraction(2 * k + 3, 6 * g - 1 - 2 * k)
-    if fmt == "json":
-        write("]}\n")
+    from .output import value
+    return value(args)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    g = args.g
-    if g < 1:
-        _diag(f"g must be >= 1, got {g}")
-        return EXIT_USAGE
-
-    start = perf_counter()
-    if args.method == "closed":
-        from . import closedform
-        row = closedform._mirrored(g, tuple(closedform._t_half(g)))
-    else:
-        row = _recursive_int_row(g)
-    ms = (perf_counter() - start) * 1000
-    _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
-
-    if args.method == "both":
-        # rows are written only after both paths agree entry by entry
-        from . import closedform
-        start = perf_counter()
-        closed = closedform._mirrored(g, tuple(closedform._t_half(g)))
-        if closed != row:
-            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
-            return _mismatch(g, k, closed[k], row[k])
-        ms = (perf_counter() - start) * 1000
-        _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
-
-    _write_table(g, row, args.format)
-    return EXIT_OK
+    from .output import table
+    return table(args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -229,9 +118,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for g in range(1, args.g_max + 1):
         cells = [str(g)]
         if do_closed:
-            closedform.clear_caches()
             start = perf_counter()
-            closedform._t_half_row(g)
+            half = tuple(closedform._t_half(g))
             ms = (perf_counter() - start) * 1000
             cells += [f"{ms:.3f}", f"{ms * 1000 / (3 * g):.2f}"]
         if do_recursive:
@@ -243,7 +131,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{recursive_cumulative:.3f}",
                 f"{recursive_cumulative * 1000 / (3 * g):.2f}",
             ]
-        cells.append(str(_row_bits(g, closedform._t_half_row(g) if do_closed else int_row)))
+        cells.append(str(_row_bits(g, half if do_closed else int_row)))
         print("\t".join(cells))
     return EXIT_OK
 

@@ -32,18 +32,18 @@ multiplied or divided by small integers.  Every division is checked; a
 nonzero remainder raises ``ArithmeticError`` instead of truncating.
 
 That L(g) suffices to keep every division by 2k+3 exact is observed, not
-proved: it holds at every g <= 1200 and at g = 2000.  The unit (6g-1)!! in
-its place is a multiple of every (2k+3)!! and provably suffices, but over 80%
-of its entries' bits at g = 1000 are a common factor.  A genus where L(g)
-fails raises ``ArithmeticError`` (the CLI exits 4); it never yields a wrong
-value.
+proved, over the range the ``combinatorics`` docstring states: it holds
+exactly when every S(g, .) is an integer.  The unit (6g-1)!! in its place is
+a multiple of every (2k+3)!! and provably suffices, but over 80% of its
+entries' bits at g = 1000 are a common factor.  A genus where L(g) fails
+raises ``ArithmeticError`` (the CLI exits 4); it never yields a wrong value.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-The public point lookups ``two_point_closed`` and ``a_closed`` (and the CLI's
-``bench``) read a per-genus cache of the half row (and of N(g)).  Callers that
-read a row once (``verification``, the CLI's ``table``) take it straight from
+The public point lookups ``two_point_closed`` and ``a_closed`` read a
+per-genus cache of the half row (and of N(g)).  Callers that read a row once
+(``verification``, the CLI's ``table`` and ``bench``) take it straight from
 ``_t_half``, and the CLI's ``value`` reads one entry from ``_t_streamed``;
-none of the three fills the cache.
+no command fills the cache.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -106,7 +106,7 @@ def b_value(g: int, k: int) -> Fraction:
         )
     from fractions import Fraction
     q = list(_scaled_q(g, 1))[k]
-    return _weight(g, k) * Fraction(q, 6 * g - 1 - 2 * k)
+    return Fraction(*_weight(g, k)) * Fraction(q, 6 * g - 1 - 2 * k)
 
 
 def _t_half(g: int) -> Iterator[int]:
@@ -163,12 +163,13 @@ def a_closed(g: int, k: int) -> Fraction:
     """
     from fractions import Fraction
     m = _mirror(g, k)
-    return _weight(g, m) * Fraction(_t_half_row(g)[m], odd_lcm(2 * g + 1))
+    return Fraction(*_weight(g, m)) * Fraction(_t_half_row(g)[m], odd_lcm(2 * g + 1))
 
 
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:
     """Rescale a two-point correlator to its normalized value a(g, k) = 24^g g! W(k) corr."""
-    return corr * (24**g * factorial(g)) * _weight(g, _mirror(g, k))
+    from fractions import Fraction
+    return corr * (24**g * factorial(g)) * Fraction(*_weight(g, _mirror(g, k)))
 
 
 def two_point_closed(g: int, k: int) -> Fraction:

@@ -1,0 +1,148 @@
+"""The ``value`` and ``table`` commands: integer entries S(g, k) up to their printed text.
+
+Only these two commands import this module (``cli.cmd_value`` and
+``cli.cmd_table`` load it on first call), so ``--help``, ``verify`` and
+``bench`` neither compile nor load it.  An entry stays an integer until it
+becomes text: the correlator is S / N(g) and the normalized value
+W(k) S / L(g), each reduced to lowest terms by ``combinatorics._ratio_str``;
+no ``fractions.Fraction`` is built.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from math import gcd
+from time import perf_counter
+
+from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
+from .combinatorics import _denominator, _ratio_str, _weight, odd_lcm
+
+CSV_HEADER = "g,k,correlator,normalized"
+
+
+def _texts(s: int, n: int, wn: int, wd: int) -> tuple[str, str]:
+    """The printed correlator S / N(g) and normalized value a(g, k) = W(k) S / L(g) of S = S(g, k).
+
+    Given n = N(g) = 24^g g! L(g) and wn / wd = W(k) / L(g) in lowest terms, W from
+    ``combinatorics._weight``.  The normalized value cancels crosswise, as
+    ``Fraction.__mul__`` does: one gcd of S and wd, none with wn.
+    """
+    return _ratio_str(s, n), _ratio_str(s, wd, wn)
+
+
+def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
+    """Report entry (g, k), where the paths' integers S(g, k) differ; the exit code."""
+    n = _denominator(g)
+    c, r = (_ratio_str(s, n) for s in (closed, recursive))
+    _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
+    return EXIT_MISMATCH
+
+
+def _recursive_int_row(g: int) -> tuple[int, ...]:
+    """S(g, .) from the recursion, keeping no row below it."""
+    from . import recursion
+    for row in recursion._int_rows(g):
+        pass
+    return row
+
+
+def value(args: argparse.Namespace) -> int:
+    """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
+    g, k = args.g, args.k
+    if g < 1:
+        _diag(f"g must be >= 1, got {g}")
+        return EXIT_USAGE
+    if not 0 <= k <= 3 * g - 1:
+        _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
+        return EXIT_USAGE
+
+    if args.method != "recursive":
+        from . import closedform
+        s = closedform._t_streamed(g, k)
+    if args.method != "closed":
+        recursive = _recursive_int_row(g)[k]
+        if args.method == "both" and s != recursive:
+            return _mismatch(g, k, s, recursive)
+        s = recursive
+
+    wn, wd = _weight(g, k)
+    wd *= odd_lcm(2 * g + 1)
+    d = gcd(wn, wd)
+    corr, norm = _texts(s, _denominator(g), wn // d, wd // d)
+    if args.format == "csv":
+        print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
+    elif args.format == "json":
+        import json
+        print(json.dumps({"g": g, "k": k, "correlator": corr, "normalized": norm}))
+    else:
+        print(corr, norm, sep="\n")
+    return EXIT_OK
+
+
+def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
+    """Write one integer genus row S(g, .) to stdout, each line as soon as it is made.
+
+    w = W(k) / L(g) runs along the row in lowest terms, as wn / wd, by
+    W(k+1) = W(k) (2k+3)/(6g-1-2k).  As W(k) = W(3g-1-k), an entry equal to its
+    mirror reuses the texts kept for the first half.  json goes in pieces that
+    join to json.dumps({"g": g, "rows": [...]}).
+    """
+    n = _denominator(g)
+    wn, wd = 1, odd_lcm(2 * g + 1)
+    write = sys.stdout.write
+    if fmt == "json":
+        import json
+        write(f'{{"g": {g}, "rows": [')
+    elif fmt == "csv":
+        write(CSV_HEADER + "\n")
+    sep = "," if fmt == "csv" else " "
+    half = []
+    for k, s in enumerate(row):
+        m = 3 * g - 1 - k
+        c, a = half[m] if m < k and row[m] == s else _texts(s, n, wn, wd)
+        if k <= m:
+            half.append((c, a))
+        if fmt == "json":
+            write((", " if k else "") + json.dumps({"k": k, "correlator": c, "normalized": a}))
+        else:
+            write(f"{g}{sep}{k}{sep}{c}{sep}{a}\n")
+        # the step ratio in lowest terms, then crosswise, as Fraction.__mul__ does
+        up, down = 2 * k + 3, 6 * g - 1 - 2 * k
+        e = gcd(up, down)
+        up, down = up // e, down // e
+        x, y = gcd(up, wd), gcd(down, wn)
+        wn, wd = wn // y * (up // x), wd // x * (down // y)
+    if fmt == "json":
+        write("]}\n")
+
+
+def table(args: argparse.Namespace) -> int:
+    """``tau2 table``: one genus row on the chosen paths, one line per entry."""
+    g = args.g
+    if g < 1:
+        _diag(f"g must be >= 1, got {g}")
+        return EXIT_USAGE
+
+    start = perf_counter()
+    if args.method == "closed":
+        from . import closedform
+        row = closedform._mirrored(g, tuple(closedform._t_half(g)))
+    else:
+        row = _recursive_int_row(g)
+    ms = (perf_counter() - start) * 1000
+    _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
+
+    if args.method == "both":
+        # rows are written only after both paths agree entry by entry
+        from . import closedform
+        start = perf_counter()
+        closed = closedform._mirrored(g, tuple(closedform._t_half(g)))
+        if closed != row:
+            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
+            return _mismatch(g, k, closed[k], row[k])
+        ms = (perf_counter() - start) * 1000
+        _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
+
+    _write_table(g, row, args.format)
+    return EXIT_OK

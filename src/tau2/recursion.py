@@ -25,8 +25,9 @@ multiplied through by N(g): N(g)/N(g-1) = 24g L(g)/L(g-1) absorbs the 1/6,
 and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The ratio
 L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
 by a checked division.  That every division by 2k+1 is exact on this unit is
-observed (every g <= 600), not proved; a nonzero remainder raises
-``ArithmeticError`` instead of truncating.  Inside the package rows stay
+observed, not proved, over the range the ``combinatorics`` docstring states:
+it holds exactly when every S(g, .) is an integer.  A nonzero remainder
+raises ``ArithmeticError`` instead of truncating.  Inside the package rows stay
 integers (``_int_rows``, which holds the one genus 1 seed); only the public
 ``genus_row`` and ``recursive_row`` hand out ``Fraction`` values S(g, k) / N(g).
 ``one_point`` (the values 1/(24^g g!)) and ``genus0_npoint`` (the genus-0

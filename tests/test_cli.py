@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -388,6 +389,19 @@ class TestVerify:
         assert lines[0] == "cross: FAIL (checked 9)"
         assert "(2,1): expected 23/8640, got 1/384" in lines[1]
 
+    def test_stderr_timings_fit_in_the_run(self, capsys):
+        # each "verify: <name> in X ms" is a duration: never negative, and all of
+        # them together no longer than the command, up to their 0.1 ms rounding
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "verify", "--g-max", "25")
+        wall_ms = (time.perf_counter() - start) * 1000
+        assert code == 0
+        timings = re.findall(r"^verify: (\S+) in (-?\d+\.\d) ms$", err, re.MULTILINE)
+        assert [name for name, _ in timings] == ["rows", *cli._CHECKS]
+        ms = [float(value) for _, value in timings]
+        assert min(ms) >= 0
+        assert sum(ms) <= wall_ms + 0.05 * len(ms)
+
     def test_failure_report_in_json(self, capsys, monkeypatch):
         self._corrupt(monkeypatch)
         code, out, _ = run_cli(
@@ -433,6 +447,12 @@ class TestBench:
         bits = [int(line.split("\t")[-1]) for line in lines[1:]]
         assert bits == sorted(bits)
         assert bits[-1] > bits[0]
+
+    def test_touches_no_closed_cache(self, capsys):
+        closedform.clear_caches()
+        assert run_cli(capsys, "bench", "--g-max", "3", "--method", "closed")[0] == 0
+        info = closedform._t_half_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_g_max_zero_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--g-max", "0")

@@ -1,4 +1,4 @@
-"""Start-up: each command imports only the layers it runs, and the package stays whole.
+"""Start-up: each command imports only the modules it runs, and the package stays whole.
 
 A command is run in a fresh interpreter through ``tau2.cli.main``; the
 modules it left in ``sys.modules`` are compared with those of an interpreter
@@ -39,9 +39,18 @@ VALUE_BOTH_JSON = ["value", "--g", "3", "--k", "1", "--format", "json"]
 VERIFY_CSV = ["verify", "--g-max", "3", "--format", "csv"]
 VERIFY_JSON = ["verify", "--g-max", "3", "--format", "json"]
 BENCH = ["bench", "--g-max", "2"]
+# every method and format of the two commands that print through tau2.output
+OUTPUT = [
+    [command, "--g", "3", *(["--k", "1"] if command == "value" else []),
+     "--method", method, "--format", fmt]
+    for command in ("table", "value")
+    for method in ("closed", "recursive", "both")
+    for fmt in ("plain", "csv", "json")
+]  # fmt: skip
 COMMANDS = [
-    HELP, TABLE_CSV, TABLE_JSON, VALUE_CLOSED, VALUE_BOTH_JSON, VERIFY_CSV, VERIFY_JSON, BENCH
-]
+    HELP, TABLE_CSV, TABLE_JSON, VALUE_CLOSED, VALUE_BOTH_JSON, VERIFY_CSV, VERIFY_JSON, BENCH,
+    *OUTPUT,
+]  # fmt: skip
 
 LAYERS = ("closedform", "combinatorics", "recursion", "verification")
 
@@ -122,6 +131,19 @@ def test_no_command_loads_dataclasses(loaded, argv):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_json_loads_only_for_json_format(loaded, argv):
     assert ("json" in loaded[tuple(argv)]) == (argv[-2:] == ["--format", "json"])
+
+
+@pytest.mark.parametrize("argv", OUTPUT, ids=" ".join)
+def test_table_and_value_print_without_fractions(loaded, argv):
+    # entries stay integers up to their text; Fraction would bring decimal and numbers
+    mods = loaded[tuple(argv)]
+    assert "tau2.output" in mods
+    assert not mods & {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [HELP, VERIFY_CSV, VERIFY_JSON, BENCH], ids=" ".join)
+def test_other_commands_skip_the_output_module(loaded, argv):
+    assert "tau2.output" not in loaded[tuple(argv)]
 
 
 def test_verify_loads_verification(loaded):

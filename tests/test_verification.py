@@ -100,6 +100,55 @@ class TestCheckBounds:
         assert report.checked == 0
 
 
+# D(2) = 11!! = 10395 and D(3) = 17!! = 34459425; the lower bound (6g-3) D / (6g-1)
+# is 8505 at genus 2 and 30405375 at genus 3, so both bounds are integers there
+BOUNDS_FAULTS = {
+    (2, 2): 8505 + 1,  # just above the lower bound: passes
+    (3, 2): 34459425,  # on the upper bound: fails, the window is strict
+    (3, 3): 30405375,  # on the lower bound: fails
+    (3, 4): 30405375 - 1,  # below the lower bound
+    (3, 5): 34459425 + 1,  # above the upper bound
+    (3, 6): 34459425 - 1,  # just below the upper bound: passes
+}
+BOUNDS_FAILED = """\
+bounds: FAIL (checked 7)
+  (3,2): expected 1, got 1
+  (3,3): expected 15/17, got 15/17
+  (3,4): expected 15/17, got 30405374/34459425
+  (3,5): expected 1, got 34459426/34459425
+"""
+
+
+class TestBoundsFailures:
+    """A(g, k) pushed onto, below and above the window (6g-3) D < (6g-1) A < (6g-1) D."""
+
+    @pytest.fixture(autouse=True)
+    def pushed(self, monkeypatch):
+        real = verification._rows
+
+        def rows(g, need, recursive=None):
+            out = real(g, need, recursive)
+            out["a"] = tuple(BOUNDS_FAULTS.get((g, k), a) for k, a in enumerate(out["a"]))
+            return out
+
+        monkeypatch.setattr(verification, "_rows", rows)
+
+    def test_failures_are_pinned(self):
+        report = check_bounds(3)
+        assert report.checked == 7
+        assert report.failures == (
+            CheckFailure(3, 2, Fraction(1), Fraction(1)),
+            CheckFailure(3, 3, Fraction(15, 17), Fraction(15, 17)),
+            CheckFailure(3, 4, Fraction(15, 17), Fraction(30405374, 34459425)),
+            CheckFailure(3, 5, Fraction(1), Fraction(34459426, 34459425)),
+        )
+
+    def test_verify_prints_the_failures(self, capsys):
+        code, out, _ = run_verify(capsys, "--g-max", "3", "--checks", "bounds")
+        assert code == 1
+        assert out == BOUNDS_FAILED
+
+
 class TestCheckScans:
     def test_residual_scans_pass(self):
         assert check_residual_tau(8).passed
