@@ -13,9 +13,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_LAYERS = {  # each layer's __all__, in order
+_LAYERS = {  # each layer's __all__, in order; each layer reads its own from here
     "closedform": "b_domain_max b_value a_closed normalize two_point_closed clear_caches",
-    "combinatorics": "double_factorial_odd odd_lcm multinomial rational_str",
+    "combinatorics": "double_factorial_odd odd_lcm rational_str",
     "recursion": "one_point genus0_npoint genus_row recursive_row",
     "verification": "CheckFailure CheckReport cross_validate check_symmetry check_bounds "
     "check_residual_tau check_residual_a check_residual_b",

@@ -7,11 +7,13 @@ written line by line), ``verify`` (the exact check suite), and ``bench``
 the layers it runs.  The bodies of ``value`` and ``table``, which print
 integer entries as text, sit in ``tau2.output``; ``cmd_value`` and
 ``cmd_table`` import it on first call, so no other command compiles it.
+``verify``'s report is written by ``tau2.verification``, beside ``CheckReport``.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
 error, 3 mismatch between the two computation paths, 4 internal error (any
-other exception, reported as one line on stderr).
+other exception, reported as one line on stderr).  A reader that closes stdout
+early ends the command quietly with the code it had reached: 0, or ``verify``'s 1.
 
 Values past Python's default int -> str digit limit are printed in full: the
 limit is lifted while a command runs, and kept while argv is parsed.
@@ -62,30 +64,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _diag(f"each check may be named once, got --checks {args.checks}")
         return EXIT_USAGE
     from . import verification
-    from .combinatorics import rational_str
 
     times = {}
     reports = verification._run(names, args.g_max, times)
+    args.verdict = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
     for name, seconds in times.items():
         _diag(f"verify: {name} in {seconds * 1000:.1f} ms")
-
-    if args.format == "json":
-        import json
-        print(json.dumps([r.to_json_obj() for r in reports]))
-    elif args.format == "csv":
-        print("check,passed,checked,failures")
-        for r in reports:
-            print(f"{r.check_name},{str(r.passed).lower()},{r.checked},{len(r.failures)}")
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.check_name}: {status} (checked {r.checked})")
-            for f in r.failures:
-                print(
-                    f"  ({f.g},{f.k}): expected {rational_str(f.expected)}, "
-                    f"got {rational_str(f.actual)}"
-                )
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    verification._print_reports(reports, args.format)
+    return args.verdict
 
 
 def _row_bits(g: int, row: tuple[int, ...]) -> int:
@@ -178,7 +164,15 @@ def main(argv: list[str] | None = None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with the exit-time flush going nowhere;
+        # table and value print only after every check, verify after args.verdict is set
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return getattr(args, "verdict", EXIT_OK)
     except Exception as exc:
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]

@@ -56,16 +56,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
+from . import _LAYERS
 from .combinatorics import _denominator, _exact, _weight, odd_lcm
 
-__all__ = [
-    "b_domain_max",
-    "b_value",
-    "a_closed",
-    "normalize",
-    "two_point_closed",
-    "clear_caches",
-]
+__all__ = _LAYERS["closedform"].split()
 
 
 def b_domain_max(g: int) -> int:

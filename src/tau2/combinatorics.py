@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: odd double factorials, odd lcms, multinomials.
+"""Exact combinatorial primitives: odd double factorials, odd lcms, canonical p/q text.
 
 Everything here is integer arithmetic with no rounding, built on Python's
 arbitrary-precision ``int``.  A rational p/q reaches text through one rule,
@@ -29,15 +29,11 @@ g <= 1200 and at g = 2000.
 from __future__ import annotations
 
 import math
-from math import comb, gcd, isqrt, prod
-from typing import Sequence
+from math import gcd, isqrt, prod
 
-__all__ = [
-    "double_factorial_odd",
-    "odd_lcm",
-    "multinomial",
-    "rational_str",
-]
+from . import _LAYERS
+
+__all__ = _LAYERS["combinatorics"].split()
 
 
 def _exact(n: int, d: int, g: int, k: int) -> int:
@@ -93,18 +89,6 @@ def _weight(g: int, k: int) -> tuple[int, int]:
     """
     m = min(k, 3 * g - 1 - k)
     return prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2))
-
-
-def multinomial(parts: Sequence[int]) -> int:
-    """Multinomial coefficient (sum parts)! / prod(part_i!) for parts >= 0."""
-    total = 0
-    result = 1
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"multinomial parts must be >= 0, got {p}")
-        total += p
-        result *= comb(total, p)
-    return result
 
 
 def _ratio_str(p: int, q: int, c: int = 1) -> str:

@@ -5,7 +5,9 @@ Only these two commands import this module (``cli.cmd_value`` and
 ``bench`` neither compile nor load it.  An entry stays an integer until it
 becomes text: the correlator is S / N(g) and the normalized value
 W(k) S / L(g), each reduced to lowest terms by ``combinatorics._ratio_str``;
-no ``fractions.Fraction`` is built.
+no ``fractions.Fraction`` is built.  With W(k) / L(g) = wn / wd in lowest
+terms, S wn / wd cancels crosswise, as ``Fraction.__mul__`` does: one gcd of
+S and wd, and none with wn, which ``_ratio_str`` takes as its factor c.
 """
 
 from __future__ import annotations
@@ -21,30 +23,12 @@ from .combinatorics import _denominator, _ratio_str, _weight, odd_lcm
 CSV_HEADER = "g,k,correlator,normalized"
 
 
-def _texts(s: int, n: int, wn: int, wd: int) -> tuple[str, str]:
-    """The printed correlator S / N(g) and normalized value a(g, k) = W(k) S / L(g) of S = S(g, k).
-
-    Given n = N(g) = 24^g g! L(g) and wn / wd = W(k) / L(g) in lowest terms, W from
-    ``combinatorics._weight``.  The normalized value cancels crosswise, as
-    ``Fraction.__mul__`` does: one gcd of S and wd, none with wn.
-    """
-    return _ratio_str(s, n), _ratio_str(s, wd, wn)
-
-
 def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
     """Report entry (g, k), where the paths' integers S(g, k) differ; the exit code."""
     n = _denominator(g)
     c, r = (_ratio_str(s, n) for s in (closed, recursive))
     _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
     return EXIT_MISMATCH
-
-
-def _recursive_int_row(g: int) -> tuple[int, ...]:
-    """S(g, .) from the recursion, keeping no row below it."""
-    from . import recursion
-    for row in recursion._int_rows(g):
-        pass
-    return row
 
 
 def value(args: argparse.Namespace) -> int:
@@ -61,7 +45,8 @@ def value(args: argparse.Namespace) -> int:
         from . import closedform
         s = closedform._t_streamed(g, k)
     if args.method != "closed":
-        recursive = _recursive_int_row(g)[k]
+        from .recursion import _last_row
+        recursive = _last_row(g)[k]
         if args.method == "both" and s != recursive:
             return _mismatch(g, k, s, recursive)
         s = recursive
@@ -69,7 +54,7 @@ def value(args: argparse.Namespace) -> int:
     wn, wd = _weight(g, k)
     wd *= odd_lcm(2 * g + 1)
     d = gcd(wn, wd)
-    corr, norm = _texts(s, _denominator(g), wn // d, wd // d)
+    corr, norm = _ratio_str(s, _denominator(g)), _ratio_str(s, wd // d, wn // d)
     if args.format == "csv":
         print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
     elif args.format == "json":
@@ -100,7 +85,7 @@ def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
     half = []
     for k, s in enumerate(row):
         m = 3 * g - 1 - k
-        c, a = half[m] if m < k and row[m] == s else _texts(s, n, wn, wd)
+        c, a = half[m] if m < k and row[m] == s else (_ratio_str(s, n), _ratio_str(s, wd, wn))
         if k <= m:
             half.append((c, a))
         if fmt == "json":
@@ -129,7 +114,8 @@ def table(args: argparse.Namespace) -> int:
         from . import closedform
         row = closedform._mirrored(g, tuple(closedform._t_half(g)))
     else:
-        row = _recursive_int_row(g)
+        from .recursion import _last_row
+        row = _last_row(g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 

@@ -40,17 +40,13 @@ consistency check.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
-from .combinatorics import _denominator, _exact, multinomial, odd_lcm, rational_str
+from . import _LAYERS
+from .combinatorics import _denominator, _exact, odd_lcm, rational_str
 
-__all__ = [
-    "one_point",
-    "genus0_npoint",
-    "genus_row",
-    "recursive_row",
-]
+__all__ = _LAYERS["recursion"].split()
 
 
 def one_point(g: int) -> Fraction:
@@ -73,7 +69,7 @@ def genus0_npoint(ds: Sequence[int]) -> Fraction:
     from fractions import Fraction
     if any(d < 0 for d in ds) or sum(ds) != n - 3:
         return Fraction(0)
-    return Fraction(multinomial(ds))
+    return Fraction(factorial(n - 3) // prod(map(factorial, ds)))
 
 
 def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -138,6 +134,13 @@ def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
+def _last_row(g: int) -> tuple[int, ...]:
+    """Integer row S(g, .) at the end of ``_int_rows(g)``, keeping no row below it."""
+    for row in _int_rows(g):
+        pass
+    return row
+
+
 def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Fraction, ...]:
     """Full row (<tau_0 tau_{3g-1}>, ..., <tau_{3g-1} tau_0>) for one genus.
 
@@ -162,6 +165,4 @@ def recursive_row(g: int) -> tuple[Fraction, ...]:
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    for row in _int_rows(g):
-        pass
-    return _fractions(g, row)
+    return _fractions(g, _last_row(g))

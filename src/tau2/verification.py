@@ -56,21 +56,12 @@ from math import comb
 from time import perf_counter
 from typing import Iterator, NamedTuple, Sequence
 
-from . import closedform
+from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
 from .combinatorics import _denominator, _exact, double_factorial_odd, odd_lcm, rational_str
 from .recursion import _int_rows
 
-__all__ = [
-    "CheckFailure",
-    "CheckReport",
-    "cross_validate",
-    "check_symmetry",
-    "check_bounds",
-    "check_residual_tau",
-    "check_residual_a",
-    "check_residual_b",
-]
+__all__ = _LAYERS["verification"].split()
 
 class CheckFailure(NamedTuple):
     """One violated identity: the locus and both sides of the comparison."""
@@ -112,6 +103,26 @@ class CheckReport(NamedTuple):
                 for f in self.failures
             ],
         }
+
+
+def _print_reports(reports: Sequence[CheckReport], fmt: str) -> None:
+    """``tau2 verify``'s report on stdout: fmt "json", "csv" or "plain"."""
+    if fmt == "json":
+        import json
+        print(json.dumps([r.to_json_obj() for r in reports]))
+    elif fmt == "csv":
+        print("check,passed,checked,failures")
+        for r in reports:
+            print(f"{r.check_name},{str(r.passed).lower()},{r.checked},{len(r.failures)}")
+    else:
+        for r in reports:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{r.check_name}: {status} (checked {r.checked})")
+            for f in r.failures:
+                print(
+                    f"  ({f.g},{f.k}): expected {rational_str(f.expected)}, "
+                    f"got {rational_str(f.actual)}"
+                )
 
 
 def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:

@@ -234,6 +234,22 @@ class TestTable:
         assert run_cli(capsys, "table", "--g", "5", "--method", "both")[0] == 0
         assert closedform._t_half_row.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    def test_stderr_timings_fit_in_the_run(self, capsys, method):
+        # the row's time and, with both, the cross-check's: durations, never
+        # negative, and together no longer than the command, up to their rounding
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "table", "--g", "60", "--method", method)
+        wall_ms = (time.perf_counter() - start) * 1000
+        assert code == 0
+        timings = re.findall(r"^table: (.+) in (-?\d+\.\d) ms$", err, re.MULTILINE)
+        steps = [f"computed genus 60 ({method})", "cross-checked genus 60 on both paths"]
+        assert [step for step, _ in timings] == steps[: 1 + (method == "both")]
+        assert err.count("\n") == len(timings)
+        ms = [float(value) for _, value in timings]
+        assert min(ms) >= 0
+        assert sum(ms) <= wall_ms + 0.05 * len(ms)
+
     def test_asymmetric_recursive_row_prints_as_it_is(self, capsys, monkeypatch):
         # S(3, 6) and S(3, 7) shifted by 1: past the middle, unequal to their mirrors
         real = recursion._int_rows
@@ -509,6 +525,65 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: tau2")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has left: every write raises ``BrokenPipeError``."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+class TestClosedPipe:
+    """A reader that leaves early ends the command quietly, with the code it had reached."""
+
+    def test_table_read_one_line_exits_0(self):
+        # `tau2 table --g 300 --format csv | head -1`: the row is far longer than a pipe holds
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tau2", "table", "--g", "300", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+        )
+        assert proc.stdout.readline() == b"g,k,correlator,normalized\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 0, err
+        # the timing line alone: no "internal error", no "Exception ignored"
+        assert re.fullmatch(r"table: computed genus 300 \(closed\) in \d+\.\d ms\n", err), err
+
+    @pytest.mark.parametrize(
+        "argv,failing,code",
+        [
+            (["table", "--g", "8", "--method", "both"], False, 0),
+            (["value", "--g", "8", "--k", "3", "--format", "json"], False, 0),
+            (["bench", "--g-max", "3"], False, 0),
+            (["verify", "--g-max", "2", "--checks", "cross"], False, 0),
+            (["verify", "--g-max", "2", "--checks", "cross", "--format", "csv"], True, 1),
+        ],
+        ids=["table", "value", "bench", "verify-passing", "verify-failing"],
+    )
+    def test_exit_code_is_the_one_reached(
+        self, capsys, monkeypatch, tmp_path, argv, failing, code
+    ):
+        if failing:
+            TestVerify._corrupt(monkeypatch)
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+            assert cli.main(argv) == code
+        assert "internal error" not in capsys.readouterr().err
 
 
 METHODS = ["closed", "recursive", "both"]

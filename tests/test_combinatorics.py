@@ -2,13 +2,13 @@
 
 import re
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tau2.combinatorics import double_factorial_odd, multinomial, odd_lcm, rational_str
+from tau2.combinatorics import double_factorial_odd, odd_lcm, rational_str
 
 
 class TestDoubleFactorialOdd:
@@ -56,33 +56,6 @@ class TestOddLcm:
     def test_below_one_rejected(self, n):
         with pytest.raises(ValueError):
             odd_lcm(n)
-
-
-class TestMultinomial:
-    @pytest.mark.parametrize(
-        "parts,expected",
-        [([], 1), ([0], 1), ([0, 0, 0], 1), ([1, 1, 0], 2), ([2, 1], 3), ([2, 2, 1], 30)],
-    )
-    def test_small_values(self, parts, expected):
-        assert multinomial(parts) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            multinomial([2, -1])
-
-    @given(st.lists(st.integers(min_value=0, max_value=8), max_size=6))
-    def test_matches_factorial_formula(self, parts):
-        denom = 1
-        for p in parts:
-            denom *= factorial(p)
-        assert multinomial(parts) == factorial(sum(parts)) // denom
-
-    @given(st.lists(st.integers(min_value=0, max_value=8), max_size=6))
-    def test_order_invariant(self, parts):
-        assert multinomial(parts) == multinomial(sorted(parts, reverse=True))
-
-    def test_binomial_special_case(self):
-        assert multinomial([3, 4]) == comb(7, 3)
 
 
 class TestRationalStr:

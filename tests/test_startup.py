@@ -6,6 +6,7 @@ that ran nothing, so what the environment preloads (through ``site``) is not
 counted against tau2.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ import pytest
 
 import tau2
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 PATH = os.environ.get("PYTHONPATH")
 ENV = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + PATH if PATH else ""))
 MARKER = "loaded-modules "
@@ -62,16 +64,18 @@ PUBLIC = {
     "b_domain_max", "b_value", "check_bounds",
     "check_residual_a", "check_residual_b", "check_residual_tau", "check_symmetry",
     "clear_caches", "cross_validate", "double_factorial_odd",
-    "genus0_npoint", "genus_row", "multinomial", "normalize",
+    "genus0_npoint", "genus_row", "normalize",
     "odd_lcm", "one_point", "rational_str", "recursive_row", "two_point_closed",
 }  # fmt: skip
 # name: the layer that exported it.  The point-form residuals (one entry per
 # call, rows rebuilt each time), the Fraction genus 1 seed and <tau_d> for any d
-# had only their own tests as callers; factorial and binomial were math's.
+# had only their own tests as callers; factorial and binomial were math's, and
+# multinomial's one caller, genus0_npoint, computes its formula itself.
 DELETED = {
     "residual_rec_tau": "verification", "residual_rec_a": "verification",
     "residual_rec_b": "verification", "genus1_seed": "recursion",
     "one_point_at": "recursion", "factorial": "combinatorics", "binomial": "combinatorics",
+    "multinomial": "combinatorics",
 }  # fmt: skip
 
 # functions whose calls and times the benchmark's tracer (perfbench/trace_job.py)
@@ -213,3 +217,27 @@ def test_traced_functions_stay_public_functions(layer, name):
     module = getattr(tau2, layer)
     assert name in module.__all__
     assert isinstance(getattr(module, name), types.FunctionType)
+
+
+def test_traced_jobs_report_every_per_layer_metric(monkeypatch):
+    # a traced name that leaves its layer's __all__ is not wrapped, and the
+    # benchmark's per-layer metrics that read it are then absent from its report
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run as bench
+    from checker import Checker
+    from workloads import Job
+
+    jobs = [
+        Job("table", 4, ("table", "--g", "4", "--format", "csv")),
+        Job("value", 5, ("value", "--g", "5", "--k", "3"), 3),
+        Job("verify", 4, ("verify", "--g-max", "4", "--format", "csv")),
+    ]
+    launcher = bench.Launcher(bench.job_env())
+    try:
+        records = [bench.run_job(job, launcher, Checker(5), trace=True) for job in jobs]
+    finally:
+        launcher.close()
+    assert not [r.job.argv for r in records if r.failed or r.trace is None]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    reported = bench.per_layer(records)
+    assert [m["name"] for m in declared if m["name"] not in reported] == []

@@ -1,0 +1,86 @@
+"""Hash what the tau2 CLI prints, one line per command, to compare two checkouts.
+
+    PYTHONPATH=<checkout>/src python3 tools/same_stdout.py > <name>.md5
+    diff parent.md5 change.md5
+
+Each line is ``md5 exit argv``.  ``tau2.cli.main`` runs in this interpreter,
+for the checkout on ``PYTHONPATH``, with stdout captured and hashed.  For
+``value`` stderr is hashed too, after stdout: it carries the exit-3 mismatch
+lines.  ``table`` and ``verify`` write timings on stderr, so theirs is not
+hashed, and ``bench`` is hashed on its ``g`` and ``max_bits`` columns only.
+The commands cover every format and method wherever a command takes them:
+
+- ``value`` at g = 0..30 and k = -1..3g, and ``--method closed`` at four
+  points past the 4300-digit int -> str limit or near it;
+- ``table`` at g = 0..40, 120 and 300, and ``--method closed`` at g = 1000;
+- ``verify --g-max 0..40``; ``bench --g-max 60``;
+- ``--help`` and each subcommand's ``--help``.
+
+Standard library only.  The sweep takes about 30 s (Python 3.11, 2 vCPUs).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from typing import Iterator
+
+from tau2 import cli
+
+FORMATS = ("plain", "csv", "json")
+METHODS = ("closed", "recursive", "both")
+
+
+def commands() -> Iterator[list[str]]:
+    yield ["--help"]
+    for command in ("value", "table", "verify", "bench"):
+        yield [command, "--help"]
+    for g in range(31):
+        for k in range(-1, 3 * g + 1):
+            for method in METHODS:
+                for fmt in FORMATS:
+                    yield ["value", "--g", str(g), "--k", str(k), "--method", method, "--format", fmt]
+    for g, k in ((700, 2000), (1000, 1500), (1200, 1799), (1100, 0)):
+        for fmt in FORMATS:
+            yield ["value", "--g", str(g), "--k", str(k), "--method", "closed", "--format", fmt]
+    for g in (*range(41), 120, 300):
+        for method in METHODS:
+            for fmt in FORMATS:
+                yield ["table", "--g", str(g), "--method", method, "--format", fmt]
+    for fmt in FORMATS:
+        yield ["table", "--g", "1000", "--method", "closed", "--format", fmt]
+    for g_max in range(41):
+        for fmt in FORMATS:
+            yield ["verify", "--g-max", str(g_max), "--format", fmt]
+    for method in METHODS:
+        yield ["bench", "--g-max", "60", "--method", method]
+
+
+def digest(argv: list[str]) -> tuple[str, int]:
+    """md5 of what ``argv`` prints (as the module docstring says) and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse, for --help
+            code = exc.code
+    text = out.getvalue()
+    if argv[0] == "value":
+        text += "\0" + err.getvalue()
+    elif argv[0] == "bench" and "--help" not in argv:
+        # the timing columns change from run to run
+        text = "".join(f"{line[0]}\t{line[-1]}\n" for line in map(str.split, text.splitlines()))
+    return hashlib.md5(text.encode()).hexdigest(), code
+
+
+def main() -> int:
+    for argv in commands():
+        md5, code = digest(argv)
+        print(md5, code, " ".join(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
