@@ -9,7 +9,7 @@ package and anchors the recursive path independently of the closed form.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +163,23 @@ class TestGenus0Npoint:
                 if sum(ds) > 5:
                     continue
                 assert genus0_npoint([1, *ds]) == (n - 2) * genus0_npoint(list(ds)), ds
+
+    # genus0_npoint evaluates the multinomial (n-3)!/(d_1!...d_n!) itself; the
+    # two tests below hold it to that formula at indices past the oracle's range.
+    # Each part is >= 1, so the zeros that make sum(ds) = n - 3 number at least 3.
+    @given(st.lists(st.integers(min_value=1, max_value=8), max_size=6))
+    def test_matches_factorial_formula(self, parts):
+        ds = parts + [0] * (sum(parts) + 3 - len(parts))
+        expected = Fraction(factorial(sum(parts)), prod(map(factorial, parts)))
+        assert expected.denominator == 1
+        assert genus0_npoint(ds) == expected
+
+    @given(st.lists(st.integers(min_value=1, max_value=8), max_size=6), st.randoms())
+    def test_order_invariant(self, parts, rnd):
+        ds = parts + [0] * (sum(parts) + 3 - len(parts))
+        shuffled = list(ds)
+        rnd.shuffle(shuffled)
+        assert genus0_npoint(shuffled) == genus0_npoint(ds) != 0
 
 
 class TestGenus1Seed:
