@@ -31,12 +31,10 @@ advanced by its ratio (g-1-j)/(j+1) or (g-j+1)/j, so L is only ever
 multiplied or divided by small integers.  Every division is checked; a
 nonzero remainder raises ``ArithmeticError`` instead of truncating.
 
-That L(g) suffices to keep every division by 2k+3 exact is observed, not
-proved, over the range the ``combinatorics`` docstring states: it holds
-exactly when every S(g, .) is an integer.  The unit (6g-1)!! in its place is
-a multiple of every (2k+3)!! and provably suffices, but over 80% of its
-entries' bits at g = 1000 are a common factor.  A genus where L(g) fails
-raises ``ArithmeticError`` (the CLI exits 4); it never yields a wrong value.
+L(g) keeps every division by 2k+3 exact at every genus: that holds exactly
+when every S(g, .) is an integer, which the ``combinatorics`` docstring
+proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
+but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
 The public point lookups ``two_point_closed`` and ``a_closed`` read a

@@ -20,10 +20,32 @@ remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
 and by 2k+1 in ``recursion._int_row`` is an entry S(g, k) = N(g) <tau_k
 tau_{3g-1-k}>; every other division is exact by construction (the binomial
 steps of ``closedform._scaled_q``, and L(g)/L(g-1)).  So both loops divide
-exactly at genus g if and only if every S(g, .) is an integer: N(g) is a
-multiple of the reduced denominator of each correlator of the row.  That is
-observed, not proved: the closed half row has been computed at every
-g <= 1200 and at g = 2000.
+exactly at genus g if and only if every S(g, .) is an integer, and it is, at
+every genus:
+
+- Integer form.  Dijkgraaf's two-point function (R. Dijkgraaf, "Intersection
+  theory, integrable hierarchies and topological field theory", 1991),
+  taken in degree 3g and multiplied by 24^g g!, reads
+
+      24^g g! (w+z) row_g(w, z) = sum_{n=0..g} C(g,n) c_n (w^3+z^3)^(g-n) (wz(w+z))^n
+
+  with c_n = 12^n n!^2/(2n+1)!.  As w^3+z^3 = (w+z)(w^2-wz+z^2), each term
+  is divisible by w+z, so S(g, k) = sum_n C(g,n) (L(g) c_n) e(g,n,k) with
+  integer coefficients e(g,n,k) (``tests/dijkgraaf.py`` evaluates it).  It
+  suffices that L(g) c_n is an integer for every n <= g.
+- Nair's lemma (M. Nair, Amer. Math. Monthly 89 (1982) 126-129).  The
+  integral of x^n (1-x)^n over [0, 1] is n!^2/(2n+1)!, and expanding
+  (1-x)^n gives sum_i (-1)^i C(n,i)/(n+i+1).  Each n+i+1 <= 2n+1, so
+  lcm(1, ..., 2n+1) n!^2/(2n+1)! is an integer; at each odd prime, the
+  power that lcm holds is the one that L(n) = odd_lcm(2n+1) holds.
+- The 2-adic step.  The power of 2 in (2n+1)!/n!^2 is the one in C(2n,n),
+  which by Kummer's theorem is the number of 1 bits of n, at most 2n; 12^n
+  holds 2^(2n).  So L(n) c_n is an integer, and L(n) divides L(g) for n <= g.
+
+``verification``'s A(g, k) = D(g) a(g, k) is an integer too: on the closed
+rows it is D(g) plus the integers B(g, j) for j < k, and by symmetry past the
+middle.  An ``ArithmeticError`` from ``_exact`` is therefore a program fault,
+never a genus out of range.
 """
 
 from __future__ import annotations

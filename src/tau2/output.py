@@ -46,7 +46,7 @@ def value(args: argparse.Namespace) -> int:
         s = closedform._t_streamed(g, k)
     if args.method != "closed":
         from .recursion import _last_row
-        recursive = _last_row(g)[k]
+        recursive = _last_row(g, k)[k]
         if args.method == "both" and s != recursive:
             return _mismatch(g, k, s, recursive)
         s = recursive

@@ -24,18 +24,22 @@ correlator recursion
 multiplied through by N(g): N(g)/N(g-1) = 24g L(g)/L(g-1) absorbs the 1/6,
 and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The ratio
 L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
-by a checked division.  That every division by 2k+1 is exact on this unit is
-observed, not proved, over the range the ``combinatorics`` docstring states:
-it holds exactly when every S(g, .) is an integer.  A nonzero remainder
-raises ``ArithmeticError`` instead of truncating.  Inside the package rows stay
-integers (``_int_rows``, which holds the one genus 1 seed); only the public
-``genus_row`` and ``recursive_row`` hand out ``Fraction`` values S(g, k) / N(g).
+by a checked division.  Every division by 2k+1 is exact on this unit at
+every genus: it is exact when every S(g, .) is an integer, which the
+``combinatorics`` docstring proves.  A nonzero remainder, which would be a
+program fault, raises ``ArithmeticError`` instead of truncating.  Inside the
+package rows stay integers (``_int_rows``, which holds the one genus 1 seed);
+only the public ``genus_row`` and ``recursive_row`` hand out ``Fraction``
+values S(g, k) / N(g).
 ``one_point`` (the values 1/(24^g g!)) and ``genus0_npoint`` (the genus-0
 multinomial formula) stand beside the rows: building a row calls neither.
 
-The row is always computed over the full range k = 0..3g-1, never by
-mirroring, so the k <-> 3g-1-k symmetry of the result stays an independent
-consistency check.
+``table``, ``verify`` and the public functions compute each row over the
+full range k = 0..3g-1; ``value`` computes only the prefix of each row that
+its entry reads (``_int_rows`` with k).  Neither mirrors: entry k is
+computed itself, never read as 3g-1-k, so the k <-> 3g-1-k symmetry of the
+result stays an independent consistency check, and ``value --method both``
+still sees an asymmetric recursion in the upper half of a row.
 """
 
 from __future__ import annotations
@@ -93,19 +97,19 @@ def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(t, n) for t in row)
 
 
-def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
-    """Integer row S(g, .) for g >= 2 from the integer row S(g-1, .).
+def _int_row(g: int, below: Sequence[int], last: int) -> tuple[int, ...]:
+    """Integer entries S(g, 0..last) for g >= 2 from the integer entries S(g-1, .).
 
-    See the module docstring for the recursion.  The genus g-1 row is padded
-    with zeros so that B(k-4)..B(k-1) are always the four entries
-    padded[k..k+3].
+    See the module docstring for the recursion.  The genus g-1 entries are
+    padded with zeros so that B(k-4)..B(k-1) are always the four entries
+    padded[k..k+3]; they need to reach entry min(last-1, 3g-4) only.
     """
     top = odd_lcm(2 * g + 1)
     c = 4 * g * _exact(top, odd_lcm(2 * g - 1), g, 0)
     padded = (0, 0, 0, 0, *below, 0, 0)
     row = [top]
     prev = top
-    for k in range(1, 3 * g):
+    for k in range(1, last + 1):
         rhs = (2 * g - 1 - 2 * k) * prev + c * (
             padded[k] + 3 * (padded[k + 1] + padded[k + 2]) + padded[k + 3]
         )
@@ -117,8 +121,14 @@ def _int_row(g: int, below: Sequence[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
-    """Integer rows S(1, .), ..., S(g_max, .) in order.
+def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Integer rows S(1, .), ..., S(g_max, .) in order, or the cone of entry (g_max, k).
+
+    Entry (g, k) reads (g, k-1) and (g-1, k-4..k-1), so entry (g_max, k)
+    depends on entries 0..min(3h-1, h + k - g_max) of each row h and on no
+    row h < g_max - k.  Given k, the rows from max(1, g_max - k) on are
+    yielded as those prefixes.  Without it the rows are full: the cone of
+    (g_max, 3g_max-1) holds every entry of rows 1..g_max.
 
     The seed S(1, .) = (3, 3, 3) is N(1) = 24 * 1! * L(1) = 72 times the genus
     1 row: <tau_0 tau_2> = <tau_1> = 1/24 by the string equation, and
@@ -127,16 +137,21 @@ def _int_rows(g_max: int) -> Iterator[tuple[int, ...]]:
     would involve an unstable genus-0 two-point symbol whose value is not
     fixed by the vanishing conventions, so the row is seeded instead.
     """
-    row = (3, 3, 3)
-    yield row
-    for g in range(2, g_max + 1):
-        row = _int_row(g, row)
+    shift = 2 * g_max - 1 if k is None else k - g_max  # row h ends at min(3h-1, h + shift)
+    row = (3, 3, 3)[: max(0, shift + 2)]
+    if row:
+        yield row
+    for g in range(max(2, -shift), g_max + 1):
+        row = _int_row(g, row, min(3 * g - 1, g + shift))
         yield row
 
 
-def _last_row(g: int) -> tuple[int, ...]:
-    """Integer row S(g, .) at the end of ``_int_rows(g)``, keeping no row below it."""
-    for row in _int_rows(g):
+def _last_row(g: int, k: int | None = None) -> tuple[int, ...]:
+    """Integer row S(g, .) at the end of ``_int_rows(g, k)``, keeping no row below it.
+
+    Given k, that is the prefix S(g, 0..k), computed over the cone of (g, k).
+    """
+    for row in _int_rows(g, k):
         pass
     return row
 
@@ -155,7 +170,7 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
         return recursive_row(1)
     if row_below is None or len(row_below) != 3 * (g - 1):
         raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
-    return _fractions(g, _int_row(g, _scaled(g - 1, row_below)))
+    return _fractions(g, _int_row(g, _scaled(g - 1, row_below), 3 * g - 1))
 
 
 def recursive_row(g: int) -> tuple[Fraction, ...]:

@@ -147,8 +147,8 @@ class TestValue:
         # S(3, 7) shifted by 1: k = 7 > (3g-1)/2, so the closed side reads its mirror S(3, 1)
         real = recursion._int_rows
 
-        def shifted(g_max):
-            for g, row in enumerate(real(g_max), start=1):
+        def shifted(g_max, *cone):
+            for g, row in enumerate(real(g_max, *cone), start=1):
                 yield tuple(s + (g == 3 and k == 7) for k, s in enumerate(row))
 
         monkeypatch.setattr(recursion, "_int_rows", shifted)
@@ -157,16 +157,53 @@ class TestValue:
         assert out == ""
         assert err == "path mismatch at (3,7): closed 5/82944, recursive 263/4354560\n"
 
+    @staticmethod
+    def _fault_genus3_entry7(monkeypatch):
+        # S(3, 7) shifted wherever row 3 reaches it; the shift is a multiple of each
+        # 2k+1 = 17..23 that row 4 divides by past (4, 7), so the row stays integral
+        real = recursion._int_row
+
+        def faulty(g, below, last):
+            row = real(g, below, last)
+            if g == 3 and len(row) > 7:
+                row = (*row[:7], row[7] + 17 * 19 * 21 * 23, *row[8:])
+            return row
+
+        monkeypatch.setattr(recursion, "_int_row", faulty)
+
+    def test_fault_outside_the_cone_leaves_the_value(self, capsys, monkeypatch):
+        # (4, 6) reads entries 0..5 of row 3; table reads all of it
+        argv = ("value", "--g", "4", "--k", "6", "--method", "both")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        _, table, _ = run_cli(capsys, "table", "--g", "4", "--method", "recursive")
+        self._fault_genus3_entry7(monkeypatch)
+        assert run_cli(capsys, *argv) == expected
+        code, out, _ = run_cli(capsys, "table", "--g", "4", "--method", "recursive")
+        assert code == 0
+        assert out != table
+
+    def test_fault_inside_the_cone_in_the_upper_half_exits_3(self, capsys, monkeypatch):
+        # (4, 9) reads entries 0..8 of row 3; 9 > (3g-1)/2, so closed reads S(4, 2)
+        self._fault_genus3_entry7(monkeypatch)
+        code, out, err = run_cli(capsys, "value", "--g", "4", "--k", "9")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("path mismatch at (4,9): closed ")
+
     @pytest.mark.parametrize("g", range(1, 13))
     def test_each_value_is_its_table_line(self, capsys, g):
-        code, out, _ = run_cli(capsys, "table", "--g", str(g), "--format", "csv")
-        assert code == 0
-        table = out.splitlines()
-        for k in range(3 * g):
-            argv = ["value", "--g", str(g), "--k", str(k), "--method", "closed", "--format", "csv"]
+        # the recursive value comes from the cone of (g, k), the table line from full rows
+        for method in ("closed", "recursive"):
+            argv = ["table", "--g", str(g), "--method", method, "--format", "csv"]
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
-            assert out.splitlines() == [table[0], table[k + 1]], (g, k)
+            table = out.splitlines()
+            for k in range(3 * g):
+                argv = ["value", "--g", str(g), "--k", str(k), "--method", method]
+                code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+                assert code == 0
+                assert out.splitlines() == [table[0], table[k + 1]], (method, g, k)
 
 
 class TestTable:
@@ -254,8 +291,8 @@ class TestTable:
         # S(3, 6) and S(3, 7) shifted by 1: past the middle, unequal to their mirrors
         real = recursion._int_rows
 
-        def shifted(g_max):
-            for g, row in enumerate(real(g_max), start=1):
+        def shifted(g_max, *cone):
+            for g, row in enumerate(real(g_max, *cone), start=1):
                 yield tuple(s + (g == 3 and k in (6, 7)) for k, s in enumerate(row))
 
         monkeypatch.setattr(recursion, "_int_rows", shifted)
@@ -489,7 +526,7 @@ class TestEntryPoints:
         assert exc.value.code == 0
 
     def test_internal_error_exits_4(self, capsys, monkeypatch):
-        def broken(g):
+        def broken(g, *cone):
             raise RuntimeError("row store\nunavailable")
 
         monkeypatch.setattr(recursion, "_int_rows", broken)

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -56,6 +56,33 @@ class TestOddLcm:
     def test_below_one_rejected(self, n):
         with pytest.raises(ValueError):
             odd_lcm(n)
+
+
+class TestExactnessProof:
+    """The steps of the exactness proof in the ``combinatorics`` docstring."""
+
+    def test_unit_times_c_n_is_an_integer_to_1500(self):
+        # v = L(n) c_n, c_n = 12^n n!^2/(2n+1)!, stepped by c_{n+1} = c_n 6(n+1)/(2n+3):
+        # a zero remainder at each step makes every v an integer, from v = 1 at n = 0
+        unit, v = 1, 1
+        for n in range(1500):
+            step = lcm(unit, 2 * n + 3) // unit
+            unit *= step
+            v, r = divmod(v * step * 6 * (n + 1), 2 * n + 3)
+            assert r == 0, n + 1
+        assert unit == odd_lcm(3001)
+
+    @pytest.mark.parametrize("n", range(0, 1000, 7))
+    def test_power_of_2_in_central_binomial_is_the_ones_of_n(self, n):
+        c = comb(2 * n, n)
+        assert (c & -c).bit_length() - 1 == bin(n).count("1")
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_nair_sum(self, n):
+        # the integral of x^n (1-x)^n over [0, 1], expanded in powers of x
+        total = sum(Fraction((-1) ** i * comb(n, i), n + i + 1) for i in range(n + 1))
+        assert total == Fraction(factorial(n) ** 2, factorial(2 * n + 1))
+        assert (total * lcm(*range(1, 2 * n + 2))).denominator == 1
 
 
 class TestRationalStr:

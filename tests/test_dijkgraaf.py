@@ -1,0 +1,47 @@
+"""Both paths against Dijkgraaf's two-point function (``dijkgraaf.py``, beside this file).
+
+The evaluator shares no code with tau2, so it checks the values at the
+genera the benchmark runs, where the n-point oracle of ``test_recursion``
+cannot reach.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dijkgraaf
+from tau2 import closedform
+from tau2.recursion import _last_row
+
+
+def test_oracle_imports_nothing_from_tau2():
+    tree = ast.parse(Path(dijkgraaf.__file__).read_text(encoding="utf-8"))
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert modules == ["math"]
+
+
+def test_both_full_rows_to_genus_60():
+    for g in range(1, 61):
+        row = dijkgraaf.row(g)
+        assert row == _last_row(g), g
+        assert row == closedform._mirrored(g, tuple(closedform._t_half(g))), g
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=61, max_value=400), st.data())
+def test_closed_path_beyond_the_full_rows(g, data):
+    k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
+    assert dijkgraaf.two_point(g, k) == closedform._t_streamed(g, k)
+
+
+@pytest.mark.parametrize("g,k", [(700, 1000), (1000, 300), (1000, 1499)])
+def test_closed_path_at_large_genus(g, k):
+    assert dijkgraaf.two_point(g, k) == closedform._t_streamed(g, k)
+
+
+def test_cone_recursion_at_genus_1000():
+    assert dijkgraaf.two_point(1000, 20) == _last_row(1000, 20)[20]

@@ -20,6 +20,7 @@ from tau2.closedform import two_point_closed
 from tau2.combinatorics import _denominator
 from tau2.recursion import (
     _int_rows,
+    _last_row,
     _scaled,
     genus0_npoint,
     genus_row,
@@ -250,6 +251,32 @@ class TestRecursiveRow:
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError):
             recursive_row(0)
+
+
+class TestCone:
+    """``_int_rows(g, k)`` computes only the entries that entry (g, k) reads."""
+
+    @pytest.mark.parametrize("g", range(1, 41))
+    def test_every_entry_equals_the_full_row(self, g):
+        full = _last_row(g)
+        for k in range(3 * g):
+            assert _last_row(g, k) == full[: k + 1], (g, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=150), st.data())
+    def test_entry_equals_the_full_row_to_genus_150(self, g, data):
+        k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
+        assert _last_row(g, k)[k] == _last_row(g)[k]
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_rows_are_the_prefixes_of_the_cone(self, g):
+        full = list(_int_rows(g))
+        for k in range(3 * g):
+            first = max(1, g - k)
+            cone = list(_int_rows(g, k))
+            assert len(cone) == g - first + 1, (g, k)
+            for h, row in enumerate(cone, start=first):
+                assert row == full[h - 1][: min(3 * h, h + k - g + 1)], (g, k, h)
 
 
 class TestTwoPointRecursive:

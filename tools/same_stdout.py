@@ -10,13 +10,16 @@ lines.  ``table`` and ``verify`` write timings on stderr, so theirs is not
 hashed, and ``bench`` is hashed on its ``g`` and ``max_bits`` columns only.
 The commands cover every format and method wherever a command takes them:
 
-- ``value`` at g = 0..30 and k = -1..3g, and ``--method closed`` at four
-  points past the 4300-digit int -> str limit or near it;
+- ``value`` at g = 0..30 and k = -1..3g; ``--method closed`` at four
+  points past the 4300-digit int -> str limit or near it; and
+  ``--method recursive|both`` at g = 120 and 300 with k at both ends of
+  the row, at g-1 and g, where the recursion's cone starts to skip rows,
+  and at the middle;
 - ``table`` at g = 0..40, 120 and 300, and ``--method closed`` at g = 1000;
 - ``verify --g-max 0..40``; ``bench --g-max 60``;
 - ``--help`` and each subcommand's ``--help``.
 
-Standard library only.  The sweep takes about 30 s (Python 3.11, 2 vCPUs).
+Standard library only.  The sweep takes about 35 s (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ def commands() -> Iterator[list[str]]:
     for g, k in ((700, 2000), (1000, 1500), (1200, 1799), (1100, 0)):
         for fmt in FORMATS:
             yield ["value", "--g", str(g), "--k", str(k), "--method", "closed", "--format", fmt]
+    for g in (120, 300):
+        for k in sorted({0, 1, g - 1, g, (3 * g - 1) // 2, 3 * g - 1}):
+            for method in METHODS[1:]:
+                for fmt in FORMATS:
+                    yield ["value", "--g", str(g), "--k", str(k), "--method", method, "--format", fmt]
     for g in (*range(41), 120, 300):
         for method in METHODS:
             for fmt in FORMATS:
