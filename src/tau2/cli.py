@@ -9,6 +9,13 @@ integer entries as text, sit in ``tau2.output``; ``cmd_value`` and
 ``cmd_table`` import it on first call, so no other command compiles it.
 ``verify``'s report is written by ``tau2.verification``, beside ``CheckReport``.
 
+The command line is declared once, in ``_COMMANDS``.  ``main`` reads argv of
+the plain form ``command --flag value ...`` itself (``_parse``), so a
+well-formed command never imports ``argparse``.  Any other argv (``--help``,
+``--flag=value``, abbreviations, usage errors) goes to the argparse parser
+built from the same table (``_build_parser``), which prints the help and the
+errors and exits as argparse does.  Both hand the command the same attributes.
+
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
 error, 3 mismatch between the two computation paths, 4 internal error (any
@@ -21,10 +28,10 @@ limit is lifted while a command runs, and kept while argv is parsed.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from time import perf_counter
+from types import SimpleNamespace
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
 
@@ -35,23 +42,50 @@ EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
 _CHECKS = ("cross", "symmetry", "bounds", "residual-tau", "residual-a", "residual-b")
+_METHODS = ("closed", "recursive", "both")
+_FORMATS = ("plain", "csv", "json")
+_REQUIRED = object()
+
+# command: (help line, {flag: (int, str or the choices; the default or _REQUIRED; help)})
+_COMMANDS = {
+    "value": ("one correlator and its normalized form", {
+        "--g": (int, _REQUIRED, "genus, >= 1"),
+        "--k": (int, _REQUIRED, "first index, 0..3g-1"),
+        "--method": (_METHODS, "both", None),
+        "--format": (_FORMATS, "plain", None),
+    }),
+    "table": ("full row k = 0..3g-1 at one genus", {
+        "--g": (int, _REQUIRED, "genus, >= 1"),
+        "--method": (_METHODS, "closed", None),
+        "--format": (_FORMATS, "plain", None),
+    }),
+    "verify": ("run the exact cross-check suite", {
+        "--g-max": (int, _REQUIRED, "top genus, >= 1"),
+        "--checks": (str, None, f"comma list from: {', '.join(_CHECKS)}"),
+        "--format": (_FORMATS, "plain", None),
+    }),
+    "bench": ("time both computation paths per genus", {
+        "--g-max": (int, _REQUIRED, "top genus, >= 1"),
+        "--method": (_METHODS, "both", None),
+    }),
+}  # fmt: skip
 
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def cmd_value(args: argparse.Namespace) -> int:
+def cmd_value(args: SimpleNamespace) -> int:
     from .output import value
     return value(args)
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     from .output import table
     return table(args)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     if args.g_max < 1:
         _diag(f"g-max must be >= 1, got {args.g_max}")
         return EXIT_USAGE
@@ -82,7 +116,7 @@ def _row_bits(g: int, row: tuple[int, ...]) -> int:
     return max((s // (d := gcd(s, n))).bit_length() + (n // d).bit_length() for s in row)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     if args.g_max < 1:
         _diag(f"g-max must be >= 1, got {args.g_max}")
         return EXIT_USAGE
@@ -122,43 +156,68 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse form of ``_COMMANDS``, for ``--help`` and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tau2",
         description="Exact two-point correlators of 2D topological gravity, "
         "computed by genus recursion and by closed form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    value = sub.add_parser("value", help="one correlator and its normalized form")
-    value.add_argument("--g", type=int, required=True, help="genus, >= 1")
-    value.add_argument("--k", type=int, required=True, help="first index, 0..3g-1")
-    value.add_argument("--method", choices=("closed", "recursive", "both"), default="both")
-    value.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    value.set_defaults(func=cmd_value)
-
-    table = sub.add_parser("table", help="full row k = 0..3g-1 at one genus")
-    table.add_argument("--g", type=int, required=True, help="genus, >= 1")
-    table.add_argument("--method", choices=("closed", "recursive", "both"), default="closed")
-    table.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    table.set_defaults(func=cmd_table)
-
-    verify = sub.add_parser("verify", help="run the exact cross-check suite")
-    verify.add_argument("--g-max", type=int, required=True, help="top genus, >= 1")
-    verify.add_argument("--checks", help=f"comma list from: {', '.join(_CHECKS)}")
-    verify.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    verify.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="time both computation paths per genus")
-    bench.add_argument("--g-max", type=int, required=True, help="top genus, >= 1")
-    bench.add_argument("--method", choices=("closed", "recursive", "both"), default="both")
-    bench.set_defaults(func=cmd_bench)
-
+    for command, (help_line, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_line)
+        for flag, (kind, default, text) in flags.items():
+            choices = kind if isinstance(kind, tuple) else None
+            subparser.add_argument(
+                flag, type=None if choices else kind, choices=choices,
+                required=default is _REQUIRED, default=None if default is _REQUIRED else default,
+                help=text,
+            )  # fmt: skip
+        subparser.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """``argv`` as ``_build_parser().parse_args`` reads it, or None to leave it to argparse.
+
+    Only the plain form is read here: a command, then flags spelled in full,
+    each followed by one value that does not start with "-".  A repeated
+    flag keeps its last value.  Anything else (``-h``, ``--g=3``, an
+    abbreviated or unknown flag, a negative number, a missing or invalid
+    value) returns None, so argparse prints its help or its error.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMANDS[argv[0]][1]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if any(flag not in flags or value.startswith("-") for flag, value in given.items()):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, (kind, default, _) in flags.items():
+        value = given.get(flag, default)
+        if value is _REQUIRED:
+            return None
+        if flag in given:
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+            else:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    # looked up now, not when the module loaded, so a rebound cmd_* is the one called
+    args.func = globals()[f"cmd_{argv[0]}"]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:

@@ -12,10 +12,10 @@ S and wd, and none with wn, which ``_ratio_str`` takes as its factor c.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from math import gcd
 from time import perf_counter
+from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
 from .combinatorics import _denominator, _ratio_str, _weight, odd_lcm
@@ -31,7 +31,7 @@ def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
     return EXIT_MISMATCH
 
 
-def value(args: argparse.Namespace) -> int:
+def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
     if g < 1:
@@ -102,7 +102,7 @@ def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
         write("]}\n")
 
 
-def table(args: argparse.Namespace) -> int:
+def table(args: SimpleNamespace) -> int:
     """``tau2 table``: one genus row on the chosen paths, one line per entry."""
     g = args.g
     if g < 1:

@@ -97,15 +97,16 @@ def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(t, n) for t in row)
 
 
-def _int_row(g: int, below: Sequence[int], last: int) -> tuple[int, ...]:
+def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, ...]:
     """Integer entries S(g, 0..last) for g >= 2 from the integer entries S(g-1, .).
 
-    See the module docstring for the recursion.  The genus g-1 entries are
-    padded with zeros so that B(k-4)..B(k-1) are always the four entries
-    padded[k..k+3]; they need to reach entry min(last-1, 3g-4) only.
+    ``unit`` is the genus g-1 unit L(g-1); the row's own unit L(g) is its
+    entry 0.  See the module docstring for the recursion.  The genus g-1
+    entries are padded with zeros so that B(k-4)..B(k-1) are always the four
+    entries padded[k..k+3]; they need to reach entry min(last-1, 3g-4) only.
     """
     top = odd_lcm(2 * g + 1)
-    c = 4 * g * _exact(top, odd_lcm(2 * g - 1), g, 0)
+    c = 4 * g * _exact(top, unit, g, 0)
     padded = (0, 0, 0, 0, *below, 0, 0)
     row = [top]
     prev = top
@@ -141,8 +142,11 @@ def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
     row = (3, 3, 3)[: max(0, shift + 2)]
     if row:
         yield row
-    for g in range(max(2, -shift), g_max + 1):
-        row = _int_row(g, row, min(3 * g - 1, g + shift))
+    start = max(2, -shift)
+    unit = odd_lcm(2 * start - 1)  # L(start - 1); after that, each row's entry 0
+    for g in range(start, g_max + 1):
+        row = _int_row(g, row, min(3 * g - 1, g + shift), unit)
+        unit = row[0]
         yield row
 
 
@@ -170,7 +174,7 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
         return recursive_row(1)
     if row_below is None or len(row_below) != 3 * (g - 1):
         raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
-    return _fractions(g, _int_row(g, _scaled(g - 1, row_below), 3 * g - 1))
+    return _fractions(g, _int_row(g, _scaled(g - 1, row_below), 3 * g - 1, odd_lcm(2 * g - 1)))
 
 
 def recursive_row(g: int) -> tuple[Fraction, ...]:

@@ -163,8 +163,8 @@ class TestValue:
         # 2k+1 = 17..23 that row 4 divides by past (4, 7), so the row stays integral
         real = recursion._int_row
 
-        def faulty(g, below, last):
-            row = real(g, below, last)
+        def faulty(g, below, last, *unit):
+            row = real(g, below, last, *unit)
             if g == 3 and len(row) > 7:
                 row = (*row[:7], row[7] + 17 * 19 * 21 * 23, *row[8:])
             return row
@@ -657,6 +657,94 @@ class TestExitCodeContract:
             assert err.getvalue().endswith("\n")
         else:
             assert out.getvalue()
+
+
+# flags as given, abbreviated, unknown or for help, and values of every kind argparse reads
+SPELLINGS = ["--g", "--k", "--g-max", "--method", "--format", "--checks",
+             "--form", "--meth", "--g-m", "--che", "--cache", "-h", "--help", "--", "-g"]
+TEXTS = ["0", "3", "-1", "+2", " 4", "1_0", "x", "", "3.5", "--g", *METHODS,
+         "plain", "csv", "json", "cross,bounds"]  # fmt: skip
+
+
+def _value_of(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.integers(0, 40).map(str) | st.sampled_from(["+2", " 4", "1_0", "07", "\u0663"])
+    return st.text(max_size=4)
+
+
+@st.composite
+def plain_argv(draw):
+    """A command and its flags in any order, each with a value of its kind; some repeated."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][1]
+    chosen = draw(st.lists(st.sampled_from(list(flags)), max_size=2 * len(flags)))
+    argv = [command]
+    for flag in draw(st.permutations(list(flags))) + chosen:
+        argv += [flag, draw(_value_of(flags[flag][0]))]
+    return argv
+
+
+@st.composite
+def any_argv(draw):
+    """A command and up to six flags or values, as pairs, as --flag=value or alone."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(list(cli._COMMANDS[command][1])) | st.sampled_from(SPELLINGS))
+        value = draw(st.sampled_from(TEXTS) | st.integers(-3, 40).map(str) | st.text(max_size=3))
+        argv += draw(st.sampled_from([[flag, value], [flag, value], [f"{flag}={value}"], [flag], [value]]))
+    return argv
+
+
+def _fields(namespace):
+    """Each attribute with its type; the command function by name."""
+    fields = {name: (type(value), value) for name, value in vars(namespace).items()}
+    fields["func"] = fields["func"][1].__name__
+    return fields
+
+
+class TestParse:
+    """``cli._parse`` reads the plain argv form as argparse does, and leaves the rest to it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(plain_argv() | any_argv())
+    def test_accepted_argv_parses_as_argparse_does(self, argv):
+        fast = cli._parse(argv)
+        if fast is not None:
+            assert _fields(fast) == _fields(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--g", "100", "--format", "csv"],
+            ["value", "--g", "100", "--k", "150"],
+            ["value", "--g", "1000", "--k", "1500", "--method", "closed"],
+            ["verify", "--g-max", "40", "--format", "csv"],
+            ["verify", "--checks", "bounds,cross", "--g-max", "3"],
+            ["bench", "--g-max", "2", "--method", "closed"],
+            ["table", "--g", "3", "--g", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_well_formed_argv_takes_the_fast_path(self, argv):
+        assert cli._parse(argv) is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["frob"], ["--help"], ["verify", "-h"], ["value", "--g", "2"],
+            ["value", "--g=2", "--k=1"], ["table", "--form", "csv", "--g", "3"],
+            ["verify", "--g", "3"], ["value", "--g", "3", "--k", "-1"],
+            ["table", "--g", "3", "--k", "1"], ["table", "--g", "x"], ["table", "--g", ""],
+            ["table", "--g", "3", "--method", "fast"], ["table", "--g", "3", "extra"],
+            ["table", "--g", "3", "--format"], ["table", "--g", "3", "--", "--format", "csv"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no command",
+    )  # fmt: skip
+    def test_other_argv_is_left_to_argparse(self, argv):
+        assert cli._parse(argv) is None
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

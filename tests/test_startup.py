@@ -41,6 +41,7 @@ VALUE_BOTH_JSON = ["value", "--g", "3", "--k", "1", "--format", "json"]
 VERIFY_CSV = ["verify", "--g-max", "3", "--format", "csv"]
 VERIFY_JSON = ["verify", "--g-max", "3", "--format", "json"]
 BENCH = ["bench", "--g-max", "2"]
+USAGE_ERROR = ["value", "--g", "2"]
 # every method and format of the two commands that print through tau2.output
 OUTPUT = [
     [command, "--g", "3", *(["--k", "1"] if command == "value" else []),
@@ -49,10 +50,12 @@ OUTPUT = [
     for method in ("closed", "recursive", "both")
     for fmt in ("plain", "csv", "json")
 ]  # fmt: skip
-COMMANDS = [
-    HELP, TABLE_CSV, TABLE_JSON, VALUE_CLOSED, VALUE_BOTH_JSON, VERIFY_CSV, VERIFY_JSON, BENCH,
-    *OUTPUT,
+WELL_FORMED = [
+    TABLE_CSV, TABLE_JSON, VALUE_CLOSED, VALUE_BOTH_JSON, VERIFY_CSV, VERIFY_JSON, BENCH, *OUTPUT,
 ]  # fmt: skip
+COMMANDS = [HELP, USAGE_ERROR, *WELL_FORMED]
+# what argparse brings: gettext on import, locale with its first translated string
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 LAYERS = ("closedform", "combinatorics", "recursion", "verification")
 
@@ -118,6 +121,33 @@ def test_help_loads_no_layer(loaded):
     assert "tau2.cli" in mods
     assert not mods & {f"tau2.{layer}" for layer in LAYERS}
     assert not mods & {"dataclasses", "json", "fractions"}
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_well_formed_commands_load_no_argparse(loaded, argv):
+    assert not loaded[tuple(argv)] & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [HELP, USAGE_ERROR], ids=" ".join)
+def test_help_and_usage_errors_load_argparse(loaded, argv):
+    assert "argparse" in loaded[tuple(argv)]
+
+
+def test_fast_path_calls_the_command_bound_now(monkeypatch):
+    # the benchmark's tracer rebinds cli.cmd_* after import; main must call that binding
+    from tau2 import cli
+
+    def no_argparse():
+        raise AssertionError("a well-formed argv reached argparse")
+
+    calls = []
+    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    monkeypatch.setattr(cli, "cmd_value", lambda args: calls.append(args) or 0)
+    assert cli.main(["value", "--g", "3", "--k", "1"]) == 0
+    assert [vars(args) for args in calls] == [
+        {"command": "value", "g": 3, "k": 1, "method": "both", "format": "plain",
+         "func": cli.cmd_value},
+    ]  # fmt: skip
 
 
 @pytest.mark.parametrize("argv", [TABLE_CSV, VALUE_CLOSED], ids=" ".join)

@@ -17,7 +17,11 @@ The commands cover every format and method wherever a command takes them:
   and at the middle;
 - ``table`` at g = 0..40, 120 and 300, and ``--method closed`` at g = 1000;
 - ``verify --g-max 0..40``; ``bench --g-max 60``;
-- ``--help`` and each subcommand's ``--help``.
+- ``--help`` and each subcommand's ``--help``;
+- argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
+  ``--flag=value``, an abbreviation, a negative number, a flag of another
+  command, ``-h``, no command and an unknown one.  For these stderr is hashed
+  too, with any ``<n> ms`` timing masked.
 
 Standard library only.  The sweep takes about 35 s (Python 3.11, 2 vCPUs).
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Iterator
@@ -34,9 +39,15 @@ from tau2 import cli
 
 FORMATS = ("plain", "csv", "json")
 METHODS = ("closed", "recursive", "both")
+FALLBACK = (
+    ["value", "--g", "2"], ["value", "--g=2", "--k=1"], ["table", "--form", "csv", "--g", "3"],
+    ["value", "--g", "3", "--k", "-1"], ["table", "--g", "3", "--k", "1"], ["verify", "-h"],
+    [], ["frob"],
+)  # fmt: skip
 
 
 def commands() -> Iterator[list[str]]:
+    yield from FALLBACK
     yield ["--help"]
     for command in ("value", "table", "verify", "bench"):
         yield [command, "--help"]
@@ -72,10 +83,12 @@ def digest(argv: list[str]) -> tuple[str, int]:
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse, for --help
+        except SystemExit as exc:  # argparse, for --help and usage errors
             code = exc.code
     text = out.getvalue()
-    if argv[0] == "value":
+    if argv in FALLBACK:
+        text += "\0" + re.sub(r"\d+\.\d+ ms", "<n> ms", err.getvalue())
+    elif argv[0] == "value":
         text += "\0" + err.getvalue()
     elif argv[0] == "bench" and "--help" not in argv:
         # the timing columns change from run to run
