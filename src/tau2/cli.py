@@ -191,23 +191,26 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return None
     flags = _COMMANDS[argv[0]][1]
-    given = dict(zip(argv[1::2], argv[2::2]))
-    if any(flag not in flags or value.startswith("-") for flag, value in given.items()):
-        return None
+    # every occurrence is checked, as argparse does, not only the last of a repeated flag
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value.startswith("-"):
+            return None
+        kind = flags[flag][0]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        given[flag] = value
     args = SimpleNamespace(command=argv[0])
-    for flag, (kind, default, _) in flags.items():
+    for flag, (_, default, _) in flags.items():
         value = given.get(flag, default)
         if value is _REQUIRED:
             return None
-        if flag in given:
-            if isinstance(kind, tuple):
-                if value not in kind:
-                    return None
-            else:
-                try:
-                    value = kind(value)
-                except ValueError:
-                    return None
         setattr(args, flag[2:].replace("-", "_"), value)
     # looked up now, not when the module loaded, so a rebound cmd_* is the one called
     args.func = globals()[f"cmd_{argv[0]}"]

@@ -740,6 +740,8 @@ class TestParse:
             ["table", "--g", "3", "--k", "1"], ["table", "--g", "x"], ["table", "--g", ""],
             ["table", "--g", "3", "--method", "fast"], ["table", "--g", "3", "extra"],
             ["table", "--g", "3", "--format"], ["table", "--g", "3", "--", "--format", "csv"],
+            ["table", "--g", "--g=0", "--g", "0"], ["table", "--g", "-1", "--g", "3"],
+            ["table", "--g", "x", "--g", "3"], ["table", "--g", "3", "--method", "fast", "--method", "closed"],
         ],
         ids=lambda argv: " ".join(argv) or "no command",
     )  # fmt: skip
