@@ -3,24 +3,26 @@
 Four subcommands: ``value`` (one correlator, default cross-checked on both
 computation paths), ``table`` (one full genus row, default closed form,
 written line by line), ``verify`` (the exact check suite), and ``bench``
-(wall time and value bit-size per genus for either path).  Each imports only
-the layers it runs.  The bodies of ``value`` and ``table``, which print
-integer entries as text, sit in ``tau2.output``; ``cmd_value`` and
-``cmd_table`` import it on first call, so no other command compiles it.
-``verify``'s report is written by ``tau2.verification``, beside ``CheckReport``.
+(wall time and value bit-size per genus for either path).  This module holds
+the command table ``_COMMANDS``, ``_parse``, ``main``, ``run``, the exit
+codes and each command's ``cmd_*`` entry point.  Every other body loads on
+first use, so a job compiles only what its command runs: ``value`` and
+``table`` in ``tau2.output``, ``bench`` in ``tau2.bench``, ``verify``'s
+report in ``tau2.verification``, and the argparse form in ``tau2.usage``.
 
-The command line is declared once, in ``_COMMANDS``.  ``main`` reads argv of
-the plain form ``command --flag value ...`` itself (``_parse``), so a
-well-formed command never imports ``argparse``.  Any other argv (``--help``,
-``--flag=value``, abbreviations, usage errors) goes to the argparse parser
-built from the same table (``_build_parser``), which prints the help and the
-errors and exits as argparse does.  Both hand the command the same attributes.
+``main`` reads argv of the plain form ``command --flag value ...`` itself
+(``_parse``), so a well-formed command never imports ``argparse``.  Any
+other argv (``--help``, ``--flag=value``, abbreviations, usage errors) goes
+to the parser that ``tau2.usage`` builds from ``_COMMANDS``, which prints
+the help and the errors and exits as argparse does.  Both hand the command
+the same attributes.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
-error, 3 mismatch between the two computation paths, 4 internal error (any
-other exception, reported as one line on stderr).  A reader that closes stdout
-early ends the command quietly with the code it had reached: 0, or ``verify``'s 1.
+error (a genus too large to hold included), 3 mismatch between the two
+computation paths, 4 internal error (any other exception, reported as one
+line on stderr).  A reader that closes stdout early ends the command quietly
+with the code it had reached: 0, or ``verify``'s 1.
 
 Values past Python's default int -> str digit limit are printed in full: the
 limit is lifted while a command runs, and kept while argv is parsed.
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import os
 import sys
-from time import perf_counter
 from types import SimpleNamespace
 
 __all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
@@ -86,8 +87,9 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    if args.g_max < 1:
-        _diag(f"g-max must be >= 1, got {args.g_max}")
+    from .combinatorics import _genus_error
+    if error := _genus_error("g-max", args.g_max, 3 * args.g_max):
+        _diag(error)
         return EXIT_USAGE
     names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
     unknown = [c for c in names if c not in _CHECKS]
@@ -108,79 +110,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return args.verdict
 
 
-def _row_bits(g: int, row: tuple[int, ...]) -> int:
-    """Largest numerator plus denominator bit length of the reduced values S(g, k) / N(g)."""
-    from math import gcd
-    from .combinatorics import _denominator
-    n = _denominator(g)
-    return max((s // (d := gcd(s, n))).bit_length() + (n // d).bit_length() for s in row)
-
-
 def cmd_bench(args: SimpleNamespace) -> int:
-    if args.g_max < 1:
-        _diag(f"g-max must be >= 1, got {args.g_max}")
-        return EXIT_USAGE
-    do_closed = args.method in ("closed", "both")
-    do_recursive = args.method in ("recursive", "both")
-
-    columns = ["g"]
-    if do_closed:
-        columns += ["closed_ms", "closed_us_per_value"]
-    if do_recursive:
-        columns += ["recursive_ms", "recursive_us_per_value"]
-    columns.append("max_bits")
-    print("\t".join(columns))
-    from . import closedform, recursion
-
-    # both columns time integer rows; max_bits is taken untimed
-    int_rows = recursion._int_rows(args.g_max)
-    recursive_cumulative = 0.0
-    for g in range(1, args.g_max + 1):
-        cells = [str(g)]
-        if do_closed:
-            start = perf_counter()
-            half = tuple(closedform._t_half(g))
-            ms = (perf_counter() - start) * 1000
-            cells += [f"{ms:.3f}", f"{ms * 1000 / (3 * g):.2f}"]
-        if do_recursive:
-            start = perf_counter()
-            int_row = next(int_rows)
-            recursive_cumulative += (perf_counter() - start) * 1000
-            # a recursive genus-g row costs the whole chain below it
-            cells += [
-                f"{recursive_cumulative:.3f}",
-                f"{recursive_cumulative * 1000 / (3 * g):.2f}",
-            ]
-        cells.append(str(_row_bits(g, half if do_closed else int_row)))
-        print("\t".join(cells))
-    return EXIT_OK
-
-
-def _build_parser():
-    """The argparse form of ``_COMMANDS``, for ``--help`` and usage errors."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="tau2",
-        description="Exact two-point correlators of 2D topological gravity, "
-        "computed by genus recursion and by closed form.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, flags) in _COMMANDS.items():
-        subparser = sub.add_parser(command, help=help_line)
-        for flag, (kind, default, text) in flags.items():
-            choices = kind if isinstance(kind, tuple) else None
-            subparser.add_argument(
-                flag, type=None if choices else kind, choices=choices,
-                required=default is _REQUIRED, default=None if default is _REQUIRED else default,
-                help=text,
-            )  # fmt: skip
-        subparser.set_defaults(func=globals()[f"cmd_{command}"])
-    return parser
+    from .bench import bench
+    return bench(args)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """``argv`` as ``_build_parser().parse_args`` reads it, or None to leave it to argparse.
+    """``argv`` as ``usage._build_parser().parse_args`` reads it, or None to leave it to argparse.
 
     Only the plain form is read here: a command, then flags spelled in full,
     each followed by one value that does not start with "-".  A repeated
@@ -220,6 +156,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args is None:
+        from .usage import _build_parser
         args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()

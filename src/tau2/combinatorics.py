@@ -13,7 +13,9 @@ their rows by, is a sieve that takes each odd prime at its largest power
 and ``_weight(g, k)`` the double-factorial ratio W(k), as an integer pair,
 that turns an entry of that row into its normalized value.  Callers that
 walk a row keep their own running products.  Plain factorials and binomials
-are ``math.factorial`` and ``math.comb``.
+are ``math.factorial`` and ``math.comb``.  From the size of N(g),
+``_genus_error`` refuses a genus whose sieve and rows would not fit in
+``HOLD_LIMIT`` bytes, before any of them is built.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
@@ -101,6 +103,28 @@ def odd_lcm(n: int) -> int:
 def _denominator(g: int) -> int:
     """N(g) = 24^g g! odd_lcm(2g+1), the denominator of a genus g integer row S(g, .)."""
     return 24**g * math.factorial(g) * odd_lcm(2 * g + 1)
+
+
+# bytes that one command may hold in its odd_lcm sieve and its largest row: 256 MiB
+HOLD_LIMIT = 1 << 28
+
+
+def _genus_error(name: str, g: int, entries: int) -> str | None:
+    """The usage error for ``--name g`` in a command that holds ``entries`` row entries, or None.
+
+    g must be >= 1, and what the command holds must fit in ``HOLD_LIMIT``.
+    That is bounded from the arguments alone, before anything is allocated:
+    the sieve of ``odd_lcm(2g+1)`` is 2g+2 bytes, and no entry of a genus g
+    row is larger than N(g) = 24^g g! L(g), of at most g log2(24g) + 3g + 3
+    bits, as log2 L(g) < 1.039 (2g+1) / ln 2 (Rosser and Schoenfeld's
+    psi(x) < 1.03883 x).
+    """
+    if g < 1:
+        return f"{name} must be >= 1, got {g}"
+    bits = g * ((24 * g).bit_length() + 3) + 3
+    if 2 * g + 2 + entries * bits // 8 > HOLD_LIMIT:
+        return f"{name} {g} is too large: it would hold more than {HOLD_LIMIT >> 20} MiB"
+    return None
 
 
 def _weight(g: int, k: int) -> tuple[int, int]:

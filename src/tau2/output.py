@@ -18,7 +18,7 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _denominator, _ratio_str, _weight, odd_lcm
+from .combinatorics import _denominator, _genus_error, _ratio_str, _weight, odd_lcm
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -34,8 +34,9 @@ def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    if g < 1:
-        _diag(f"g must be >= 1, got {g}")
+    # the closed path holds a few numbers; the recursion rows of up to 3g entries
+    if error := _genus_error("g", g, 4 if args.method == "closed" else 3 * g):
+        _diag(error)
         return EXIT_USAGE
     if not 0 <= k <= 3 * g - 1:
         _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
@@ -105,8 +106,8 @@ def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
 def table(args: SimpleNamespace) -> int:
     """``tau2 table``: one genus row on the chosen paths, one line per entry."""
     g = args.g
-    if g < 1:
-        _diag(f"g must be >= 1, got {g}")
+    if error := _genus_error("g", g, 3 * g):
+        _diag(error)
         return EXIT_USAGE
 
     start = perf_counter()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import tau2.cli as cli
 import tau2.closedform as closedform
 import tau2.recursion as recursion
+import tau2.usage as usage
 import tau2.verification as verification
 from tau2.closedform import normalize
 from tau2.combinatorics import rational_str
@@ -658,6 +659,33 @@ class TestExitCodeContract:
         else:
             assert out.getvalue()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, flag, str(g), *extra, "--method", method]
+            for g in (10**9, 10**18, 10**30)
+            for method in METHODS
+            for command, flag, extra in [
+                ("value", "--g", ["--k", "0"]),
+                ("value", "--g", ["--k", str(3 * g - 1)]),
+                ("table", "--g", []),
+                ("bench", "--g-max", []),
+            ]
+        ]
+        + [["verify", "--g-max", str(g)] for g in (10**9, 10**18, 10**30)],
+        ids=" ".join,
+    )
+    def test_a_genus_too_large_to_hold_exits_2_at_once(self, argv):
+        # refused before anything is allocated: g = 10^9 alone would ask for a 2 GB sieve
+        out, err = StringIO(), StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"{argv[1][2:]} {argv[2]} is too large: it would hold more than 256 MiB\n"
+
 
 # flags as given, abbreviated, unknown or for help, and values of every kind argparse reads
 SPELLINGS = ["--g", "--k", "--g-max", "--method", "--format", "--checks",
@@ -713,7 +741,7 @@ class TestParse:
     def test_accepted_argv_parses_as_argparse_does(self, argv):
         fast = cli._parse(argv)
         if fast is not None:
-            assert _fields(fast) == _fields(cli._build_parser().parse_args(argv))
+            assert _fields(fast) == _fields(usage._build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -785,7 +813,7 @@ class TestReadme:
         readme = README.read_text(encoding="utf-8")
         flags_line = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
         documented = set(re.findall(r"--[a-z][a-z-]*", flags_line))
-        parser = cli._build_parser()
+        parser = usage._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         offered = {
             flag

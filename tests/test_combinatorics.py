@@ -2,13 +2,20 @@
 
 import re
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, log2
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tau2.combinatorics import double_factorial_odd, odd_lcm, rational_str
+from tau2.combinatorics import (
+    HOLD_LIMIT,
+    _denominator,
+    _genus_error,
+    double_factorial_odd,
+    odd_lcm,
+    rational_str,
+)
 
 
 class TestDoubleFactorialOdd:
@@ -56,6 +63,32 @@ class TestOddLcm:
     def test_below_one_rejected(self, n):
         with pytest.raises(ValueError):
             odd_lcm(n)
+
+
+class TestGenusError:
+    """A genus below 1, or one whose sieve and rows would not fit in ``HOLD_LIMIT``, is refused."""
+
+    def test_entry_bits_are_within_the_bound(self):
+        for g in [*range(1, 40), *range(40, 2000, 37)]:
+            assert _denominator(g).bit_length() <= g * log2(24 * g) + 3 * g + 3, g
+
+    @pytest.mark.parametrize(
+        "g,entries", [(1, 3), (300, 900), (1000, 3000), (1200, 4), (5000, 15000)]
+    )
+    def test_what_fits_passes(self, g, entries):
+        assert _genus_error("g", g, entries) is None
+
+    @pytest.mark.parametrize("g", [6000, 10**9, 10**18, 10**30])
+    def test_a_row_too_large_is_refused(self, g):
+        assert _genus_error("g", g, 3 * g) == f"g {g} is too large: it would hold more than 256 MiB"
+
+    def test_the_sieve_alone_counts(self):
+        assert _genus_error("g", HOLD_LIMIT // 2 - 1, 0) is None
+        assert _genus_error("g", HOLD_LIMIT // 2, 0) is not None
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_below_one_is_refused(self, g):
+        assert _genus_error("g-max", g, 3) == f"g-max must be >= 1, got {g}"
 
 
 class TestExactnessProof:

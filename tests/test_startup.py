@@ -133,15 +133,37 @@ def test_help_and_usage_errors_load_argparse(loaded, argv):
     assert "argparse" in loaded[tuple(argv)]
 
 
+def test_bench_loads_its_module(loaded):
+    assert "tau2.bench" in loaded[tuple(BENCH)]
+
+
+@pytest.mark.parametrize("argv", [HELP, USAGE_ERROR], ids=" ".join)
+def test_help_and_usage_errors_load_the_usage_module(loaded, argv):
+    assert "tau2.usage" in loaded[tuple(argv)]
+    assert "tau2.bench" not in loaded[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in WELL_FORMED if argv != BENCH], ids=" ".join)
+def test_other_commands_load_neither_bench_nor_usage(loaded, argv):
+    assert not loaded[tuple(argv)] & {"tau2.bench", "tau2.usage"}
+
+
+def test_no_module_imports_bench_or_usage_when_it_loads():
+    _python(
+        "import sys, tau2.cli, tau2.output, tau2.verification\n"
+        "assert not {'tau2.bench', 'tau2.usage'} & set(sys.modules)\n"
+    )
+
+
 def test_fast_path_calls_the_command_bound_now(monkeypatch):
     # the benchmark's tracer rebinds cli.cmd_* after import; main must call that binding
-    from tau2 import cli
+    from tau2 import cli, usage
 
     def no_argparse():
         raise AssertionError("a well-formed argv reached argparse")
 
     calls = []
-    monkeypatch.setattr(cli, "_build_parser", no_argparse)
+    monkeypatch.setattr(usage, "_build_parser", no_argparse)
     monkeypatch.setattr(cli, "cmd_value", lambda args: calls.append(args) or 0)
     assert cli.main(["value", "--g", "3", "--k", "1"]) == 0
     assert [vars(args) for args in calls] == [
