@@ -15,9 +15,9 @@ from .cli import EXIT_OK, EXIT_USAGE, _diag
 from .combinatorics import _denominator, _genus_error
 
 
-def _row_bits(g: int, row: tuple[int, ...]) -> int:
+def _row_bits(g: int, lam: int, row: tuple[int, ...]) -> int:
     """Largest numerator plus denominator bit length of the reduced values S(g, k) / N(g)."""
-    n = _denominator(g)
+    n = _denominator(g, lam)
     return max((s // (d := gcd(s, n))).bit_length() + (n // d).bit_length() for s in row)
 
 
@@ -26,36 +26,27 @@ def bench(args: SimpleNamespace) -> int:
     if error := _genus_error("g-max", args.g_max, 3 * args.g_max):
         _diag(error)
         return EXIT_USAGE
-    do_closed = args.method in ("closed", "both")
-    do_recursive = args.method in ("recursive", "both")
+    # each chosen path's source, yielding (L(g), integer row) for g = 1, 2, ...
+    paths = {
+        "closed": (closedform._row(g) for g in range(1, args.g_max + 1)),
+        "recursive": recursion._int_rows(args.g_max),
+    }
+    paths = {name: rows for name, rows in paths.items() if args.method in (name, "both")}
+    columns = [f"{name}_{unit}" for name in paths for unit in ("ms", "us_per_value")]
+    print("\t".join(["g", *columns, "max_bits"]))
 
-    columns = ["g"]
-    if do_closed:
-        columns += ["closed_ms", "closed_us_per_value"]
-    if do_recursive:
-        columns += ["recursive_ms", "recursive_us_per_value"]
-    columns.append("max_bits")
-    print("\t".join(columns))
-
-    # both columns time integer rows; max_bits is taken untimed
-    int_rows = recursion._int_rows(args.g_max)
-    recursive_cumulative = 0.0
+    chain = 0.0
     for g in range(1, args.g_max + 1):
-        cells = [str(g)]
-        if do_closed:
+        cells, rows = [str(g)], []
+        for name, source in paths.items():
             start = perf_counter()
-            half = tuple(closedform._t_half(g))
+            rows.append(next(source))
             ms = (perf_counter() - start) * 1000
+            if name == "recursive":
+                # a recursive genus-g row costs the whole chain below it
+                ms = chain = chain + ms
             cells += [f"{ms:.3f}", f"{ms * 1000 / (3 * g):.2f}"]
-        if do_recursive:
-            start = perf_counter()
-            int_row = next(int_rows)
-            recursive_cumulative += (perf_counter() - start) * 1000
-            # a recursive genus-g row costs the whole chain below it
-            cells += [
-                f"{recursive_cumulative:.3f}",
-                f"{recursive_cumulative * 1000 / (3 * g):.2f}",
-            ]
-        cells.append(str(_row_bits(g, half if do_closed else int_row)))
+        # max_bits is taken untimed, on the first chosen path's row
+        cells.append(str(_row_bits(g, *rows[0])))
         print("\t".join(cells))
     return EXIT_OK

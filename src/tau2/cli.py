@@ -88,7 +88,7 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     from .combinatorics import _genus_error
-    if error := _genus_error("g-max", args.g_max, 3 * args.g_max):
+    if error := _genus_error("g-max", args.g_max, 36 * args.g_max, 6 * args.g_max):
         _diag(error)
         return EXIT_USAGE
     names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]

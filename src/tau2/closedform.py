@@ -37,11 +37,10 @@ proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
 but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-The public point lookups ``two_point_closed`` and ``a_closed`` read a
-per-genus cache of the half row (and of N(g)).  Callers that read a row once
-(``verification``, the CLI's ``table`` and ``bench``) take it straight from
-``_t_half``, and the CLI's ``value`` reads one entry from ``_t_streamed``;
-no command fills the cache.
+Every command reads rows from one source, ``_row``, which hands out L(g)
+with the full row or with one entry; no command fills the per-genus cache of
+L(g), N(g) and the half row that the public point lookups
+``two_point_closed`` and ``a_closed`` read.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -101,9 +100,9 @@ def b_value(g: int, k: int) -> Fraction:
     return Fraction(*_weight(g, k)) * Fraction(q, 6 * g - 1 - 2 * k)
 
 
-def _t_half(g: int) -> Iterator[int]:
-    """S(g, k) for k = 0..floor((3g-1)/2) in order, telescoped from S(g, 0) = L(g)."""
-    s = lam = odd_lcm(2 * g + 1)
+def _t_half(g: int, lam: int) -> Iterator[int]:
+    """S(g, k) for k = 0..floor((3g-1)/2) in order, telescoped from S(g, 0) = lam = L(g)."""
+    s = lam
     yield s
     for k, lq in enumerate(_scaled_q(g, lam)):
         s = _exact((6 * g - 1 - 2 * k) * s + lq, 2 * k + 3, g, k + 1)
@@ -111,13 +110,10 @@ def _t_half(g: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=32)
-def _t_half_row(g: int) -> tuple[int, ...]:
-    return tuple(_t_half(g))
-
-
-@lru_cache(maxsize=32)
-def _n(g: int) -> int:
-    return _denominator(g)
+def _cached(g: int) -> tuple[int, int, tuple[int, ...]]:
+    """L(g), N(g) and the half row S(g, 0..floor((3g-1)/2)), for the point lookups."""
+    lam = odd_lcm(2 * g + 1)
+    return lam, _denominator(g, lam), tuple(_t_half(g, lam))
 
 
 def _mirror(g: int, k: int) -> int:
@@ -134,17 +130,19 @@ def _mirrored(g: int, half: Sequence) -> tuple:
     return (*half, *half[3 * g - 1 - len(half) :: -1])
 
 
-def _t_streamed(g: int, k: int) -> int:
-    """S(g, min(k, 3g-1-k)) from a whole half-row pass that keeps only that entry.
+def _row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
+    """(L(g), the full row S(g, .)), or given k, (L(g), S(g, k)); no cache is read or filled.
 
-    It caches no row, and its time depends on g alone: stopping at k would
-    make it vary tenfold with k.
+    Given k, the whole half row is still run and only entry min(k, 3g-1-k)
+    is kept: no row is held, and the time depends on g alone, where stopping
+    at k would make it vary tenfold with k.
     """
+    lam = odd_lcm(2 * g + 1)
+    half = _t_half(g, lam)
+    if k is None:
+        return lam, _mirrored(g, tuple(half))
     m = _mirror(g, k)
-    for i, s in enumerate(_t_half(g)):
-        if i == m:
-            kept = s
-    return kept
+    return lam, [s for i, s in enumerate(half) if i == m][0]
 
 
 def a_closed(g: int, k: int) -> Fraction:
@@ -155,7 +153,8 @@ def a_closed(g: int, k: int) -> Fraction:
     """
     from fractions import Fraction
     m = _mirror(g, k)
-    return Fraction(*_weight(g, m)) * Fraction(_t_half_row(g)[m], odd_lcm(2 * g + 1))
+    lam, _, half = _cached(g)
+    return Fraction(*_weight(g, m)) * Fraction(half[m], lam)
 
 
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:
@@ -167,10 +166,10 @@ def normalize(g: int, k: int, corr: Fraction) -> Fraction:
 def two_point_closed(g: int, k: int) -> Fraction:
     """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached half row and N(g)."""
     from fractions import Fraction
-    return Fraction(_t_half_row(g)[_mirror(g, k)], _n(g))
+    _, n, half = _cached(g)
+    return Fraction(half[_mirror(g, k)], n)
 
 
 def clear_caches() -> None:
-    """Drop the per-genus caches of integer half rows S and of N(g) (for honest benchmarking)."""
-    _t_half_row.cache_clear()
-    _n.cache_clear()
+    """Drop the per-genus cache of L(g), N(g) and the integer half row (for honest benchmarking)."""
+    _cached.cache_clear()

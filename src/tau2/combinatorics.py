@@ -7,11 +7,12 @@ reduced q is 1.  :func:`rational_str` applies it to a ``fractions.Fraction``
 (or an ``int``) through its numerator and denominator.
 
 Nothing is memoized: ``double_factorial_odd`` is a plain product, and
-``odd_lcm(n) = lcm(1, 3, ..., n)``, the unit both computation paths scale
-their rows by, is a sieve that takes each odd prime at its largest power
-<= n; ``_denominator(g)`` is the one common denominator of a genus g row,
-and ``_weight(g, k)`` the double-factorial ratio W(k), as an integer pair,
-that turns an entry of that row into its normalized value.  Callers that
+``odd_lcm(n) = lcm(1, 3, ..., n)`` is a sieve that takes each odd prime at
+its largest power <= n.  Each path's row source sieves the unit L(g) =
+odd_lcm(2g+1) once per genus and hands it out with its rows; from it,
+``_denominator(g, L(g))`` is the one common denominator N(g) of a genus g
+row, and ``_weight(g, k)`` the double-factorial ratio W(k), as an integer
+pair, turns an entry of that row into its normalized value.  Callers that
 walk a row keep their own running products.  Plain factorials and binomials
 are ``math.factorial`` and ``math.comb``.  From the size of N(g),
 ``_genus_error`` refuses a genus whose sieve and rows would not fit in
@@ -100,16 +101,16 @@ def odd_lcm(n: int) -> int:
     return result * prod(p for p in range(root + 1 | 1, n + 1, 2) if not composite[p])
 
 
-def _denominator(g: int) -> int:
-    """N(g) = 24^g g! odd_lcm(2g+1), the denominator of a genus g integer row S(g, .)."""
-    return 24**g * math.factorial(g) * odd_lcm(2 * g + 1)
+def _denominator(g: int, lam: int) -> int:
+    """N(g) = 24^g g! L(g), the denominator of a genus g integer row S(g, .), from lam = L(g)."""
+    return 24**g * math.factorial(g) * lam
 
 
 # bytes that one command may hold in its odd_lcm sieve and its largest row: 256 MiB
 HOLD_LIMIT = 1 << 28
 
 
-def _genus_error(name: str, g: int, entries: int) -> str | None:
+def _genus_error(name: str, g: int, entries: int, base: int | None = None) -> str | None:
     """The usage error for ``--name g`` in a command that holds ``entries`` row entries, or None.
 
     g must be >= 1, and what the command holds must fit in ``HOLD_LIMIT``.
@@ -117,11 +118,17 @@ def _genus_error(name: str, g: int, entries: int) -> str | None:
     the sieve of ``odd_lcm(2g+1)`` is 2g+2 bytes, and no entry of a genus g
     row is larger than N(g) = 24^g g! L(g), of at most g log2(24g) + 3g + 3
     bits, as log2 L(g) < 1.039 (2g+1) / ln 2 (Rosser and Schoenfeld's
-    psi(x) < 1.03883 x).
+    psi(x) < 1.03883 x).  Given ``base``, each entry is below base^(base/2)
+    instead, and counts 40 bytes more for its int header and list slot.
+    ``verify`` holds 36g entries, its rows rec, s, p, one, a and b at genera
+    g-1 and g, each below (6g-1)!! 2^g < (6g)^(3g), so it passes base 6g.
     """
     if g < 1:
         return f"{name} must be >= 1, got {g}"
-    bits = g * ((24 * g).bit_length() + 3) + 3
+    if base is None:
+        bits = g * ((24 * g).bit_length() + 3) + 3
+    else:
+        bits = base // 2 * base.bit_length() + 320
     if 2 * g + 2 + entries * bits // 8 > HOLD_LIMIT:
         return f"{name} {g} is too large: it would hold more than {HOLD_LIMIT >> 20} MiB"
     return None

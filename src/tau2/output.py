@@ -3,11 +3,13 @@
 Only these two commands import this module (``cli.cmd_value`` and
 ``cli.cmd_table`` load it on first call), so ``--help``, ``verify`` and
 ``bench`` neither compile nor load it.  An entry stays an integer until it
-becomes text: the correlator is S / N(g) and the normalized value
-W(k) S / L(g), each reduced to lowest terms by ``combinatorics._ratio_str``;
-no ``fractions.Fraction`` is built.  With W(k) / L(g) = wn / wd in lowest
-terms, S wn / wd cancels crosswise, as ``Fraction.__mul__`` does: one gcd of
-S and wd, and none with wn, which ``_ratio_str`` takes as its factor c.
+becomes text, over the L(g) that its path's source (``closedform._row`` or
+``recursion._last_row``) hands out with it: the correlator is S / N(g) and
+the normalized value W(k) S / L(g), each reduced to lowest terms by
+``combinatorics._ratio_str``; no ``fractions.Fraction`` is built.  With
+W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels crosswise, as
+``Fraction.__mul__`` does: one gcd of S and wd, and none with wn, which
+``_ratio_str`` takes as its factor c.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _denominator, _genus_error, _ratio_str, _weight, odd_lcm
+from .combinatorics import _denominator, _genus_error, _ratio_str, _weight
 
 CSV_HEADER = "g,k,correlator,normalized"
 
 
-def _mismatch(g: int, k: int, closed: int, recursive: int) -> int:
-    """Report entry (g, k), where the paths' integers S(g, k) differ; the exit code."""
-    n = _denominator(g)
-    c, r = (_ratio_str(s, n) for s in (closed, recursive))
+def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int]) -> int:
+    """Report entry (g, k), where the paths' (L(g), S(g, k)) differ in S; the exit code."""
+    c, r = (_ratio_str(s, _denominator(g, lam)) for lam, s in (closed, recursive))
     _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
     return EXIT_MISMATCH
 
@@ -44,18 +45,18 @@ def value(args: SimpleNamespace) -> int:
 
     if args.method != "recursive":
         from . import closedform
-        s = closedform._t_streamed(g, k)
+        lam, s = closedform._row(g, k)
     if args.method != "closed":
         from .recursion import _last_row
-        recursive = _last_row(g, k)[k]
-        if args.method == "both" and s != recursive:
-            return _mismatch(g, k, s, recursive)
-        s = recursive
+        unit, row = _last_row(g, k)
+        if args.method == "both" and s != row[k]:
+            return _mismatch(g, k, (lam, s), (unit, row[k]))
+        lam, s = unit, row[k]
 
     wn, wd = _weight(g, k)
-    wd *= odd_lcm(2 * g + 1)
+    wd *= lam
     d = gcd(wn, wd)
-    corr, norm = _ratio_str(s, _denominator(g)), _ratio_str(s, wd // d, wn // d)
+    corr, norm = _ratio_str(s, _denominator(g, lam)), _ratio_str(s, wd // d, wn // d)
     if args.format == "csv":
         print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
     elif args.format == "json":
@@ -66,16 +67,16 @@ def value(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _write_table(g: int, row: tuple[int, ...], fmt: str) -> None:
-    """Write one integer genus row S(g, .) to stdout, each line as soon as it is made.
+def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
+    """Write one integer genus row S(g, .) over lam = L(g) to stdout, a line as soon as it is made.
 
     w = W(k) / L(g) runs along the row in lowest terms, as wn / wd, by
     W(k+1) = W(k) (2k+3)/(6g-1-2k).  As W(k) = W(3g-1-k), an entry equal to its
     mirror reuses the texts kept for the first half.  json goes in pieces that
     join to json.dumps({"g": g, "rows": [...]}).
     """
-    n = _denominator(g)
-    wn, wd = 1, odd_lcm(2 * g + 1)
+    n = _denominator(g, lam)
+    wn, wd = 1, lam
     write = sys.stdout.write
     if fmt == "json":
         import json
@@ -113,10 +114,10 @@ def table(args: SimpleNamespace) -> int:
     start = perf_counter()
     if args.method == "closed":
         from . import closedform
-        row = closedform._mirrored(g, tuple(closedform._t_half(g)))
+        lam, row = closedform._row(g)
     else:
         from .recursion import _last_row
-        row = _last_row(g)
+        lam, row = _last_row(g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
@@ -124,12 +125,12 @@ def table(args: SimpleNamespace) -> int:
         # rows are written only after both paths agree entry by entry
         from . import closedform
         start = perf_counter()
-        closed = closedform._mirrored(g, tuple(closedform._t_half(g)))
+        unit, closed = closedform._row(g)
         if closed != row:
             k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
-            return _mismatch(g, k, closed[k], row[k])
+            return _mismatch(g, k, (unit, closed[k]), (lam, row[k]))
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
 
-    _write_table(g, row, args.format)
+    _write_table(g, lam, row, args.format)
     return EXIT_OK

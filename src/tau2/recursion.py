@@ -28,9 +28,10 @@ by a checked division.  Every division by 2k+1 is exact on this unit at
 every genus: it is exact when every S(g, .) is an integer, which the
 ``combinatorics`` docstring proves.  A nonzero remainder, which would be a
 program fault, raises ``ArithmeticError`` instead of truncating.  Inside the
-package rows stay integers (``_int_rows``, which holds the one genus 1 seed);
-only the public ``genus_row`` and ``recursive_row`` hand out ``Fraction``
-values S(g, k) / N(g).
+package rows stay integers: the one source ``_int_rows``, which holds the
+genus 1 seed, yields each with the L(g) it was computed over, the row's own
+``top`` in ``_int_row``, never its entry 0.  Only the public ``genus_row``
+and ``recursive_row`` hand out ``Fraction`` values S(g, k) / N(g).
 ``one_point`` (the values 1/(24^g g!)) and ``genus0_npoint`` (the genus-0
 multinomial formula) stand beside the rows: building a row calls neither.
 
@@ -76,9 +77,9 @@ def genus0_npoint(ds: Sequence[int]) -> Fraction:
     return Fraction(factorial(n - 3) // prod(map(factorial, ds)))
 
 
-def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
-    """The integers N(g) * v for a genus g row; ValueError if one is not integral."""
-    n = _denominator(g)
+def _scaled(g: int, lam: int, row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The integers N(g) * v of a genus g row over lam = L(g); ValueError unless integral."""
+    n = _denominator(g, lam)
     out = []
     for k, v in enumerate(row):
         q, r = divmod(n, v.denominator)
@@ -90,20 +91,20 @@ def _scaled(g: int, row: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fractions(g: int, row: Sequence[int]) -> tuple[Fraction, ...]:
-    """The correlators S(g, k) / N(g) of an integer genus g row."""
+def _fractions(g: int, lam: int, row: Sequence[int]) -> tuple[Fraction, ...]:
+    """The correlators S(g, k) / N(g) of an integer genus g row over lam = L(g)."""
     from fractions import Fraction
-    n = _denominator(g)
+    n = _denominator(g, lam)
     return tuple(Fraction(t, n) for t in row)
 
 
-def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, ...]:
-    """Integer entries S(g, 0..last) for g >= 2 from the integer entries S(g-1, .).
+def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
+    """L(g) and the integer entries S(g, 0..last) for g >= 2 from the integer entries S(g-1, .).
 
-    ``unit`` is the genus g-1 unit L(g-1); the row's own unit L(g) is its
-    entry 0.  See the module docstring for the recursion.  The genus g-1
-    entries are padded with zeros so that B(k-4)..B(k-1) are always the four
-    entries padded[k..k+3]; they need to reach entry min(last-1, 3g-4) only.
+    ``unit`` is the genus g-1 unit L(g-1).  See the module docstring for the
+    recursion.  The genus g-1 entries are padded with zeros so that
+    B(k-4)..B(k-1) are always the four entries padded[k..k+3]; they need to
+    reach entry min(last-1, 3g-4) only.
     """
     top = odd_lcm(2 * g + 1)
     c = 4 * g * _exact(top, unit, g, 0)
@@ -119,11 +120,11 @@ def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, .
             rhs += top * comb(g, k // 3)
         prev = _exact(rhs, 2 * k + 1, g, k)
         row.append(prev)
-    return tuple(row)
+    return top, tuple(row)
 
 
-def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Integer rows S(1, .), ..., S(g_max, .) in order, or the cone of entry (g_max, k).
+def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(L(g), S(g, .)) for g = 1..g_max in order, the rows full or the cone of entry (g_max, k).
 
     Entry (g, k) reads (g, k-1) and (g-1, k-4..k-1), so entry (g_max, k)
     depends on entries 0..min(3h-1, h + k - g_max) of each row h and on no
@@ -140,24 +141,23 @@ def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
     """
     shift = 2 * g_max - 1 if k is None else k - g_max  # row h ends at min(3h-1, h + shift)
     row = (3, 3, 3)[: max(0, shift + 2)]
-    if row:
-        yield row
     start = max(2, -shift)
-    unit = odd_lcm(2 * start - 1)  # L(start - 1); after that, each row's entry 0
+    unit = odd_lcm(2 * start - 1)  # L(start - 1), so L(1) when the seed is yielded
+    if row:
+        yield unit, row
     for g in range(start, g_max + 1):
-        row = _int_row(g, row, min(3 * g - 1, g + shift), unit)
-        unit = row[0]
-        yield row
+        unit, row = _int_row(g, row, min(3 * g - 1, g + shift), unit)
+        yield unit, row
 
 
-def _last_row(g: int, k: int | None = None) -> tuple[int, ...]:
-    """Integer row S(g, .) at the end of ``_int_rows(g, k)``, keeping no row below it.
+def _last_row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """(L(g), S(g, .)) at the end of ``_int_rows(g, k)``, keeping no row below it.
 
     Given k, that is the prefix S(g, 0..k), computed over the cone of (g, k).
     """
-    for row in _int_rows(g, k):
+    for last in _int_rows(g, k):
         pass
-    return row
+    return last
 
 
 def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Fraction, ...]:
@@ -174,7 +174,8 @@ def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Frac
         return recursive_row(1)
     if row_below is None or len(row_below) != 3 * (g - 1):
         raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
-    return _fractions(g, _int_row(g, _scaled(g - 1, row_below), 3 * g - 1, odd_lcm(2 * g - 1)))
+    unit = odd_lcm(2 * g - 1)
+    return _fractions(g, *_int_row(g, _scaled(g - 1, unit, row_below), 3 * g - 1, unit))
 
 
 def recursive_row(g: int) -> tuple[Fraction, ...]:
@@ -184,4 +185,4 @@ def recursive_row(g: int) -> tuple[Fraction, ...]:
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    return _fractions(g, _last_row(g))
+    return _fractions(g, *_last_row(g))

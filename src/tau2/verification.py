@@ -42,7 +42,8 @@ and ``bounds`` checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
 
 The checks share one walk over g = 1..g_max.  At each genus it builds the
 rows the selected checks read once (recursive S, closed S, P, A, B), hands
-them to each check, and keeps only genera g-1 and g.
+them to each check, and keeps only genera g-1 and g.  Each S row comes with
+its path's L(g), read by the checks of its rows (by ``cross``, the recursive).
 
 Checks never abort mid-scan.  They return a :class:`CheckReport` whose
 failure list pinpoints every offending (g, k) locus in (g, k) order; an empty
@@ -58,7 +59,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
-from .combinatorics import _denominator, _exact, double_factorial_odd, odd_lcm, rational_str
+from .combinatorics import _denominator, _exact, double_factorial_odd, rational_str
 from .recursion import _int_rows
 
 __all__ = _LAYERS["verification"].split()
@@ -131,16 +132,16 @@ def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
 
 
 def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
-    """Genus g's L(g) "lam", N(g) "n" and rows in ``need``: "rec" (next of ``recursive``),
-    "s" (closed S), "a", and "b" (from k = -1); "a" or "b" also builds "p" and its "one" terms.
+    """Genus g's rows in ``need``: "rec" (next of ``recursive``) with its L(g) "rec_lam",
+    "s" (closed S) with "lam", "a" (and "s"), and "b" (from k = -1); "a" or "b" also builds
+    "p" and its "one" terms.
     """
-    rows = {"lam": odd_lcm(2 * g + 1), "n": _denominator(g)}
+    rows = {}
     if "rec" in need:
-        rows["rec"] = next(recursive)
+        rows["rec_lam"], rows["rec"] = next(recursive)
     if need & {"s", "a"}:
-        half = tuple(closedform._t_half(g))
-    if "s" in need:
-        rows["s"] = _mirrored(g, half)
+        lam, s = closedform._row(g)
+        rows.update(lam=lam, s=s)
     if need & {"a", "b"}:
         p = [double_factorial_odd(6 * g - 1)]
         for k in range((3 * g - 1) // 2):
@@ -148,7 +149,7 @@ def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
         rows["p"] = p = _mirrored(g, p)
         rows["one"] = _one_points(g, p)
     if "a" in need:
-        rows["a"] = _mirrored(g, [_exact(p[k] * s, rows["lam"], g, k) for k, s in enumerate(half)])
+        rows["a"] = _mirrored(g, [_exact(p[k] * s[k], lam, g, k) for k in range((3 * g + 1) // 2)])
     if "b" in need:
         q = closedform._scaled_q(g, 1)
         first = [_exact(p[k], 6 * g - 1 - 2 * k, g, k) * qk for k, qk in enumerate(q)]
@@ -177,7 +178,7 @@ def _tau_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
         (2 * k + 3) * x[k + 4] - (2 * g - 3 - 2 * k) * x[k + 3]
         - c * (b[k] + 3 * b[k + 1] + 3 * b[k + 2] + b[k + 3]) - one[k]
         for k in range(3 * g - 1)
-    ], rows["n"])
+    ], _denominator(g, lam))
 
 
 def _normalized(g: int, u: int, x: tuple, b: tuple, steps: int) -> list:
@@ -210,13 +211,13 @@ def _b_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
 
 def _cross(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
     pairs = enumerate(zip(rows["rec"], rows["s"]))
-    return 3 * g, rows["n"], [(k, r, c) for k, (r, c) in pairs if r != c]
+    return 3 * g, _denominator(g, rows["rec_lam"]), [(k, r, c) for k, (r, c) in pairs if r != c]
 
 
 def _symmetry(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
     row, half = rows["rec"], range((3 * g - 1) // 2 + 1)
     pairs = [(k, row[-1 - k], row[k]) for k in half]
-    return len(half), rows["n"], [(k, e, a) for k, e, a in pairs if e != a]
+    return len(half), _denominator(g, rows["rec_lam"]), [(k, e, a) for k, e, a in pairs if e != a]
 
 
 def _bounds(g: int, rows: dict, below: dict) -> tuple[int, int, list]:

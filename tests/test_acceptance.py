@@ -75,8 +75,8 @@ def test_criterion_1_exact_value_anchors(gate):
 
 def test_criterion_2_base_normalized_values(gate):
     with gate(2, "a(g,0) and a(g,1) to genus 100, both paths", 5.0):
-        for g, row in enumerate(_int_rows(100), start=1):
-            s0, s1 = (Fraction(s, _denominator(g)) for s in row[:2])
+        for g, (lam, row) in enumerate(_int_rows(100), start=1):
+            s0, s1 = (Fraction(s, _denominator(g, lam)) for s in row[:2])
             assert a_closed(g, 0) == 1
             assert a_closed(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
             assert normalize(g, 0, s0) == 1
@@ -110,7 +110,7 @@ def test_criterion_6_symmetry_and_positivity(gate):
         report = check_symmetry(30)
         assert report.passed, report.failures[:3]
         # every S(g, k) = N(g) <tau_k tau_{3g-1-k}> has the sign of its correlator
-        for row in _int_rows(30):
+        for _, row in _int_rows(30):
             assert all(s > 0 for s in row)
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import tau2.cli as cli
 import tau2.closedform as closedform
+import tau2.combinatorics as combinatorics
 import tau2.recursion as recursion
 import tau2.usage as usage
 import tau2.verification as verification
@@ -136,8 +138,13 @@ class TestValue:
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
-        real = closedform._t_streamed
-        monkeypatch.setattr(closedform, "_t_streamed", lambda g, k: real(g, k) + 1)
+        real = closedform._row
+
+        def shifted(g, k):
+            lam, s = real(g, k)
+            return lam, s + 1
+
+        monkeypatch.setattr(closedform, "_row", shifted)
         code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "2")
         assert code == 3
         assert out == ""
@@ -149,8 +156,8 @@ class TestValue:
         real = recursion._int_rows
 
         def shifted(g_max, *cone):
-            for g, row in enumerate(real(g_max, *cone), start=1):
-                yield tuple(s + (g == 3 and k == 7) for k, s in enumerate(row))
+            for g, (lam, row) in enumerate(real(g_max, *cone), start=1):
+                yield lam, tuple(s + (g == 3 and k == 7) for k, s in enumerate(row))
 
         monkeypatch.setattr(recursion, "_int_rows", shifted)
         code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "7")
@@ -165,10 +172,10 @@ class TestValue:
         real = recursion._int_row
 
         def faulty(g, below, last, *unit):
-            row = real(g, below, last, *unit)
+            top, row = real(g, below, last, *unit)
             if g == 3 and len(row) > 7:
                 row = (*row[:7], row[7] + 17 * 19 * 21 * 23, *row[8:])
-            return row
+            return top, row
 
         monkeypatch.setattr(recursion, "_int_row", faulty)
 
@@ -260,7 +267,7 @@ class TestTable:
         monkeypatch.setattr(
             closedform,
             "_t_half",
-            lambda g: (s + 1 if k == 2 else s for k, s in enumerate(real(g))),
+            lambda g, lam: (s + 1 if k == 2 else s for k, s in enumerate(real(g, lam))),
         )
         code, out, err = run_cli(capsys, "table", "--g", "2", "--method", "both")
         assert code == 3
@@ -270,7 +277,7 @@ class TestTable:
     def test_fills_no_closed_cache(self, capsys):
         closedform.clear_caches()
         assert run_cli(capsys, "table", "--g", "5", "--method", "both")[0] == 0
-        assert closedform._t_half_row.cache_info().currsize == 0
+        assert closedform._cached.cache_info().currsize == 0
 
     @pytest.mark.parametrize("method", ["closed", "both"])
     def test_stderr_timings_fit_in_the_run(self, capsys, method):
@@ -293,11 +300,11 @@ class TestTable:
         real = recursion._int_rows
 
         def shifted(g_max, *cone):
-            for g, row in enumerate(real(g_max, *cone), start=1):
-                yield tuple(s + (g == 3 and k in (6, 7)) for k, s in enumerate(row))
+            for g, (lam, row) in enumerate(real(g_max, *cone), start=1):
+                yield lam, tuple(s + (g == 3 and k in (6, 7)) for k, s in enumerate(row))
 
         monkeypatch.setattr(recursion, "_int_rows", shifted)
-        *_, row = shifted(3)
+        *_, (_, row) = shifted(3)
         n = 24**3 * 6 * 105  # N(3) = 24^3 3! lcm(1, 3, 5, 7)
         code, out, _ = run_cli(capsys, "table", "--g", "3", "--method", "recursive")
         assert code == 0
@@ -431,8 +438,8 @@ class TestVerify:
     @staticmethod
     def _corrupt(monkeypatch):
         # S(2, 1) = 45 of the recursive row (15, 45, 87, 87, 45, 15) becomes 46
-        rows = [list(row) for row in recursion._int_rows(2)]
-        rows[1][1] += 1
+        rows = [(lam, list(row)) for lam, row in recursion._int_rows(2)]
+        rows[1][1][1] += 1
         monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
@@ -505,13 +512,67 @@ class TestBench:
     def test_touches_no_closed_cache(self, capsys):
         closedform.clear_caches()
         assert run_cli(capsys, "bench", "--g-max", "3", "--method", "closed")[0] == 0
-        info = closedform._t_half_row.cache_info()
+        info = closedform._cached.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_g_max_zero_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--g-max", "0")
         assert code == 2
         assert "g-max must be >= 1" in err
+
+
+class TestOneSievePerGenusPerPath:
+    """A command sieves odd_lcm(2g+1) at most once per genus on each path it runs.
+
+    Each path's source hands out the L(g) it computed its rows over, and no
+    reader sieves again.  ``combinatorics.odd_lcm`` is wrapped under every name
+    a loaded tau2 module holds it by, as ``perfbench/trace_job.py`` wraps names.
+    """
+
+    @staticmethod
+    def _count(monkeypatch) -> list[int]:
+        importlib.import_module("tau2.bench")
+        importlib.import_module("tau2.output")
+        real, calls = combinatorics.odd_lcm, []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "tau2":
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv,paths,most",
+        [
+            (("value", "--g", "100", "--k", "30"), 2, 33),
+            (("value", "--g", "100", "--k", "30", "--method", "closed"), 1, 1),
+            (("table", "--g", "100"), 1, 1),
+            (("table", "--g", "100", "--method", "both"), 2, 101),
+            (("verify", "--g-max", "40"), 2, 80),
+            (("bench", "--g-max", "20"), 2, 40),
+        ],
+    )
+    def test_each_genus_is_sieved_once_per_path(self, capsys, monkeypatch, argv, paths, most):
+        calls = self._count(monkeypatch)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls
+        assert max(Counter(calls).values()) <= paths
+        assert len(calls) <= most
+
+    def test_only_the_paths_hold_the_sieve(self):
+        importlib.import_module("tau2.bench")
+        importlib.import_module("tau2.output")
+        holders = [
+            name
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("tau2.") and combinatorics.odd_lcm in vars(module).values()
+        ]
+        assert holders == ["tau2.closedform", "tau2.combinatorics", "tau2.recursion"]
 
 
 class TestEntryPoints:

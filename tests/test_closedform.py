@@ -1,6 +1,7 @@
 """Closed-form path: difference values, normalized values, correlators."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -18,7 +19,7 @@ from tau2.closedform import (
     normalize,
     two_point_closed,
 )
-from tau2.combinatorics import _denominator, double_factorial_odd
+from tau2.combinatorics import _denominator, double_factorial_odd, odd_lcm
 from tau2.recursion import _int_rows, one_point, recursive_row
 
 
@@ -183,9 +184,9 @@ class TestCaches:
     def test_denominator_is_built_once_per_genus(self, monkeypatch):
         calls = []
 
-        def counted(g):
+        def counted(g, lam):
             calls.append(g)
-            return _denominator(g)
+            return _denominator(g, lam)
 
         clear_caches()
         monkeypatch.setattr(closedform, "_denominator", counted)
@@ -199,21 +200,22 @@ class TestCaches:
 
 class TestIntegerHalfRow:
     def test_half_row_is_the_recursions_integer_row(self):
-        for g, row in enumerate(_int_rows(80), start=1):
-            half = closedform._t_half_row(g)
+        for g, (lam, row) in enumerate(_int_rows(80), start=1):
+            cached_lam, _, half = closedform._cached(g)
             assert len(half) == (3 * g - 1) // 2 + 1
             assert half == row[: len(half)], g
+            assert cached_lam == lam, g
 
     def test_streamed_value_equals_cached_value(self):
         for g in range(1, 41):
-            n = _denominator(g)
             for k in range(3 * g):
-                assert Fraction(closedform._t_streamed(g, k), n) == two_point_closed(g, k), (g, k)
+                lam, s = closedform._row(g, k)
+                assert Fraction(s, _denominator(g, lam)) == two_point_closed(g, k), (g, k)
 
     @pytest.mark.parametrize("g,k", [(2, 6), (2, -1), (0, 0)])
     def test_streamed_out_of_range_rejected(self, g, k):
         with pytest.raises(ValueError, match="must be"):
-            closedform._t_streamed(g, k)
+            closedform._row(g, k)
 
     def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
         # a fault of 13 s in s q(g, k) at every k keeps every division at g = 5
@@ -223,8 +225,8 @@ class TestIntegerHalfRow:
         monkeypatch.setattr(
             closedform, "_scaled_q", lambda g, s: (sq + 13 * s for sq in real(g, s))
         )
-        *_, row = _int_rows(5)
-        half = tuple(closedform._t_half(5))
+        *_, (_, row) = _int_rows(5)
+        half = tuple(closedform._t_half(5, odd_lcm(11)))
         assert half != row[: len(half)]
         assert cli.main(["value", "--g", "5", "--k", "7"]) == 3
         captured = capsys.readouterr()
@@ -240,7 +242,7 @@ class TestIntegerHalfRow:
 
     def test_core_fault_of_s_is_an_inexact_division(self, core_shifted_by_s):
         with pytest.raises(ArithmeticError, match=r"inexact division at \(5,6\)"):
-            tuple(closedform._t_half(5))
+            closedform._row(5)
 
     def test_core_fault_of_s_exits_4(self, core_shifted_by_s, capsys):
         code = cli.main(["value", "--g", "5", "--k", "7", "--method", "closed"])
@@ -265,7 +267,7 @@ class TestIntegerHalfRow:
     def test_inexact_division_raises(self, monkeypatch):
         self._break_unit(monkeypatch, 5)
         with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\): remainder 6"):
-            closedform._t_streamed(5, 7)
+            closedform._row(5, 7)
 
     def test_inexact_division_exits_4(self, monkeypatch, capsys):
         self._break_unit(monkeypatch, 5)
@@ -316,3 +318,19 @@ class TestBinomialOracle:
             for k in range((3 * g - 1) // 2):
                 numerator = oracle_core(g, k) * oracle_odd(6 * g - 3 - 2 * k)
                 assert b_value(g, k) == Fraction(numerator, oracle_odd(6 * g - 1)), (g, k)
+
+
+class TestSourceHoldsNoRow:
+    """Given k, the closed source runs the whole half row and keeps one entry of it."""
+
+    @pytest.mark.parametrize("g,k", [(1000, 1500), (1200, 1799)])
+    def test_one_entry_peaks_far_below_a_row(self, g, k):
+        # the half row at g = 1000 alone takes about 1 MB
+        closedform._row(2, 1)
+        tracemalloc.start()
+        try:
+            closedform._row(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

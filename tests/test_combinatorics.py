@@ -70,7 +70,21 @@ class TestGenusError:
 
     def test_entry_bits_are_within_the_bound(self):
         for g in [*range(1, 40), *range(40, 2000, 37)]:
-            assert _denominator(g).bit_length() <= g * log2(24 * g) + 3 * g + 3, g
+            n = _denominator(g, odd_lcm(2 * g + 1))
+            assert n.bit_length() <= g * log2(24 * g) + 3 * g + 3, g
+
+    def test_verify_entries_are_below_the_base_bound(self):
+        # verify's largest entries are (6g-1)!! times at most 2^g; base 6g bounds them
+        for g in [*range(1, 40), *range(40, 2000, 37)]:
+            assert double_factorial_odd(6 * g - 1) << g < (6 * g) ** (3 * g), g
+            assert ((6 * g) ** (3 * g)).bit_length() <= 3 * g * (6 * g).bit_length(), g
+
+    def test_verify_limit(self):
+        # six rows of 3g entries at two genera, each of up to 3g bit_length(6g) bits and 40 bytes
+        assert _genus_error("g-max", 1232, 36 * 1232, 6 * 1232) is None
+        assert _genus_error("g-max", 1233, 36 * 1233, 6 * 1233) == (
+            "g-max 1233 is too large: it would hold more than 256 MiB"
+        )
 
     @pytest.mark.parametrize(
         "g,entries", [(1, 3), (300, 900), (1000, 3000), (1200, 4), (5000, 15000)]

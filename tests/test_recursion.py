@@ -190,8 +190,9 @@ class TestGenus1Seed:
 
     def test_integer_seed_is_the_scaled_seed_row(self):
         # N(1) = 24 * 1! * lcm(1, 3) = 72 times the oracle's genus 1 row
-        (seed,) = _int_rows(1)
-        assert seed == _scaled(1, [oracle(1, (k, 2 - k)) for k in range(3)]) == (3, 3, 3)
+        ((lam, seed),) = _int_rows(1)
+        assert lam == 3
+        assert seed == _scaled(1, lam, [oracle(1, (k, 2 - k)) for k in range(3)]) == (3, 3, 3)
 
 
 class TestGenusRow:
@@ -228,8 +229,8 @@ class TestGenusRow:
 def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
     """Rows 1..g_max of the recursion as correlators, from its integer rows."""
     return [
-        tuple(Fraction(t, _denominator(g)) for t in row)
-        for g, row in enumerate(_int_rows(g_max), start=1)
+        tuple(Fraction(t, _denominator(g, lam)) for t in row)
+        for g, (lam, row) in enumerate(_int_rows(g_max), start=1)
     ]
 
 
@@ -258,15 +259,15 @@ class TestCone:
 
     @pytest.mark.parametrize("g", range(1, 41))
     def test_every_entry_equals_the_full_row(self, g):
-        full = _last_row(g)
+        lam, full = _last_row(g)
         for k in range(3 * g):
-            assert _last_row(g, k) == full[: k + 1], (g, k)
+            assert _last_row(g, k) == (lam, full[: k + 1]), (g, k)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=150), st.data())
     def test_entry_equals_the_full_row_to_genus_150(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        assert _last_row(g, k)[k] == _last_row(g)[k]
+        assert _last_row(g, k)[1][k] == _last_row(g)[1][k]
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_rows_are_the_prefixes_of_the_cone(self, g):
@@ -275,8 +276,9 @@ class TestCone:
             first = max(1, g - k)
             cone = list(_int_rows(g, k))
             assert len(cone) == g - first + 1, (g, k)
-            for h, row in enumerate(cone, start=first):
-                assert row == full[h - 1][: min(3 * h, h + k - g + 1)], (g, k, h)
+            for h, (lam, row) in enumerate(cone, start=first):
+                assert lam == full[h - 1][0], (g, k, h)
+                assert row == full[h - 1][1][: min(3 * h, h + k - g + 1)], (g, k, h)
 
 
 class TestTwoPointRecursive:
@@ -383,9 +385,9 @@ class TestTwoPointTable:
 
     @staticmethod
     def _corrupt(monkeypatch, g, entries):
-        rows = [list(row) for row in _int_rows(g)]
+        rows = [(lam, list(row)) for lam, row in _int_rows(g)]
         for k, value in entries.items():
-            rows[g - 1][k] = value(rows[g - 1][k])
+            rows[g - 1][1][k] = value(rows[g - 1][1][k])
         monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
 
     def test_validate_rejects_broken_symmetry(self, monkeypatch):

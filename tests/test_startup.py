@@ -271,10 +271,15 @@ def test_traced_functions_stay_public_functions(layer, name):
     assert isinstance(getattr(module, name), types.FunctionType)
 
 
-def test_traced_jobs_report_every_per_layer_metric(monkeypatch):
+def test_traced_jobs_report_every_per_layer_metric(monkeypatch, request):
     # a traced name that leaves its layer's __all__ is not wrapped, and the
     # benchmark's per-layer metrics that read it are then absent from its report
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    if hasattr(sys, "get_int_max_str_digits"):
+        # importing perfbench's checker lifts the int -> str digit limit for the whole
+        # process; put it back, so that later tests still see the default
+        saved = sys.get_int_max_str_digits()
+        request.addfinalizer(lambda: sys.set_int_max_str_digits(saved))
     import run as bench
     from checker import Checker
     from workloads import Job

@@ -48,19 +48,22 @@ def s_row(g, t_row):
 
 
 def test_both_paths_are_t_rescaled_to_genus_150():
-    for g, (t, row) in enumerate(zip(t_rows(150), _int_rows(150)), start=1):
+    for g, (t, (lam, row)) in enumerate(zip(t_rows(150), _int_rows(150)), start=1):
         expected = s_row(g, t)
         assert row == expected, g
-        half = closedform._t_half_row(g)
+        assert lam == lcm(*range(1, 2 * g + 2, 2)), g
+        cached_lam, _, half = closedform._cached(g)
         assert half == expected[: len(half)], g
+        assert cached_lam == lam, g
 
 
 def test_closed_loop_is_exact_to_genus_300():
     for g in range(1, 301):
-        assert len(tuple(closedform._t_half(g))) == (3 * g - 1) // 2 + 1
+        half = tuple(closedform._t_half(g, lcm(*range(1, 2 * g + 2, 2))))
+        assert len(half) == (3 * g - 1) // 2 + 1
 
 
 def test_closed_loop_is_exact_at_large_genera():
     for g in (1000, 1200, 2000):
-        *_, last = closedform._t_half(g)
+        *_, last = closedform._t_half(g, lcm(*range(1, 2 * g + 2, 2)))
         assert last > 0

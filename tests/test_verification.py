@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import tau2.cli as cli
-from tau2 import closedform, verification
+from tau2 import closedform, combinatorics, verification
+from tau2.combinatorics import _denominator
 from tau2.recursion import _int_rows
 from tau2.verification import (
     CheckFailure,
@@ -21,10 +23,10 @@ from tau2.verification import (
 )
 
 
-def corrupted_rows(g_max: int, g: int, k: int) -> list[list[int]]:
-    """The recursion's integer rows 1..g_max with S(g, k) shifted by 1."""
-    rows = [list(row) for row in _int_rows(g_max)]
-    rows[g - 1][k] += 1
+def corrupted_rows(g_max: int, g: int, k: int) -> list[tuple[int, list[int]]]:
+    """The recursion's (L(g), integer row) for rows 1..g_max with S(g, k) shifted by 1."""
+    rows = [(lam, list(row)) for lam, row in _int_rows(g_max)]
+    rows[g - 1][1][k] += 1
     return rows
 
 
@@ -39,9 +41,10 @@ class TestResidualTau:
         recursive, below = _int_rows(6), None
         for g in range(1, 7):
             rows = verification._rows(g, {"rec"}, recursive)
-            rows["s"] = rows["rec"]
+            rows["s"], rows["lam"] = rows["rec"], rows["rec_lam"]
             if below is not None:
-                assert verification._tau_residuals(g, rows, below) == (3 * g - 1, rows["n"], [])
+                n = _denominator(g, rows["lam"])
+                assert verification._tau_residuals(g, rows, below) == (3 * g - 1, n, [])
             below = rows
 
 
@@ -202,11 +205,11 @@ def fault(request, monkeypatch):
         monkeypatch.setattr(
             closedform,
             "_t_half",
-            lambda g: (s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g))),
+            lambda g, lam: (s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g, lam))),
         )
     elif request.param == "recursive":
         rows = corrupted_rows(8, 3, 4)
-        rows[5][10] -= 7
+        rows[5][1][10] -= 7
         use_rows(monkeypatch, rows)
     elif request.param == "core":
         monkeypatch.setattr(
@@ -231,7 +234,9 @@ class TestWalk:
     def test_each_row_is_built_once(self, monkeypatch):
         closed, recursive = [], []
         real_half, real_rows = closedform._t_half, verification._int_rows
-        monkeypatch.setattr(closedform, "_t_half", lambda g: closed.append(g) or real_half(g))
+        monkeypatch.setattr(
+            closedform, "_t_half", lambda g, lam: closed.append(g) or real_half(g, lam)
+        )
         monkeypatch.setattr(
             verification, "_int_rows", lambda g_max: recursive.append(g_max) or real_rows(g_max)
         )
@@ -242,7 +247,7 @@ class TestWalk:
     def test_symmetry_builds_no_closed_row(self, monkeypatch):
         calls = []
         real = closedform._t_half
-        monkeypatch.setattr(closedform, "_t_half", lambda g: calls.append(g) or real(g))
+        monkeypatch.setattr(closedform, "_t_half", lambda g, lam: calls.append(g) or real(g, lam))
         assert verification._run(["symmetry"], 6)[0].passed
         assert calls == []
         assert verification._run(["cross"], 6)[0].passed
@@ -252,8 +257,8 @@ class TestWalk:
         # the walk keeps genera g-1 and g only; the cache is for point lookups
         closedform.clear_caches()
         assert all(r.passed for r in verification._run(CHECKS, 40))
-        assert closedform._t_half_row.cache_info().currsize == 0
-        assert closedform._n.cache_info().currsize == 0
+        # one cache holds L(g), N(g) and the half row
+        assert closedform._cached.cache_info().currsize == 0
 
     def test_times_cover_each_check_and_the_rows(self):
         times = {}
@@ -423,13 +428,15 @@ class TestShiftedCore:
 class TestInexactDivision:
     @pytest.fixture(autouse=True)
     def broken_unit(self, monkeypatch):
-        # 10007 divides no P(4, k) S(4, k), so A(4, 0) = 23!! L(4) / (L(4) 10007) is inexact
-        real = verification.odd_lcm
-        monkeypatch.setattr(
-            verification,
-            "odd_lcm",
-            lambda n: real(n) * 10007 if n == 9 else real(n),
-        )
+        # the closed source hands out 10007 L(4) as the unit of its genus 4 row; 10007
+        # divides no P(4, k) S(4, k), so A(4, 0) = 23!! L(4) / (L(4) 10007) is inexact
+        real = closedform._row
+
+        def row(g, *k):
+            lam, s = real(g, *k)
+            return lam * 10007 if g == 4 else lam, s
+
+        monkeypatch.setattr(closedform, "_row", row)
 
     @pytest.mark.parametrize("check", [check_bounds, check_residual_a])
     def test_raises(self, check):
@@ -484,3 +491,23 @@ class TestPassingOutput:
             f"{name},true,{count},0" for name, count in closed_counts(g_max).items()
         ]
         assert out.splitlines() == expected
+
+
+class TestHoldBound:
+    """``verify``'s size refusal bounds what ``_run`` holds with every check selected."""
+
+    @pytest.mark.parametrize("g_max", [10, 40, 100])
+    def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, g_max):
+        verification._run(CHECKS, 2)
+        tracemalloc.start()
+        try:
+            verification._run(CHECKS, g_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a limit one byte below that peak refuses the run: the bound is at least the peak
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
+        code, out, err = run_verify(capsys, "--g-max", str(g_max))
+        assert (code, out) == (2, "")
+        mib = (peak - 1) >> 20
+        assert err == f"g-max {g_max} is too large: it would hold more than {mib} MiB\n"
