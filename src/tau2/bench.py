@@ -23,7 +23,8 @@ def _row_bits(g: int, lam: int, row: tuple[int, ...]) -> int:
 
 def bench(args: SimpleNamespace) -> int:
     """``tau2 bench``: one line per genus 1..g-max, with the chosen paths' times and max_bits."""
-    if error := _genus_error("g-max", args.g_max, 3 * args.g_max):
+    # three rows of the top genus: the closed row, and the recursion's row and the row below
+    if error := _genus_error("g-max", args.g_max, 3 * 3 * args.g_max, 6 * args.g_max):
         _diag(error)
         return EXIT_USAGE
     # each chosen path's source, yielding (L(g), integer row) for g = 1, 2, ...

@@ -37,10 +37,9 @@ proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
 but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-Every command reads rows from one source, ``_row``, which hands out L(g)
-with the full row or with one entry; no command fills the per-genus cache of
-L(g), N(g) and the half row that the public point lookups
-``two_point_closed`` and ``a_closed`` read.
+One source, ``_row``, hands out L(g) with the full row or with one entry,
+and builds the per-genus cache of L(g), N(g) and the row that the public
+point lookups ``two_point_closed`` and ``a_closed`` read; no command fills it.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -109,13 +108,6 @@ def _t_half(g: int, lam: int) -> Iterator[int]:
         yield s
 
 
-@lru_cache(maxsize=32)
-def _cached(g: int) -> tuple[int, int, tuple[int, ...]]:
-    """L(g), N(g) and the half row S(g, 0..floor((3g-1)/2)), for the point lookups."""
-    lam = odd_lcm(2 * g + 1)
-    return lam, _denominator(g, lam), tuple(_t_half(g, lam))
-
-
 def _mirror(g: int, k: int) -> int:
     """min(k, 3g-1-k), the index in the half row; ValueError unless g >= 1 and 0 <= k <= 3g-1."""
     if g < 1:
@@ -145,16 +137,23 @@ def _row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
     return lam, [s for i, s in enumerate(half) if i == m][0]
 
 
+@lru_cache(maxsize=32)
+def _cached(g: int) -> tuple[int, int, tuple[int, ...]]:
+    """L(g), N(g) and the full row S(g, .) from ``_row``, for the point lookups."""
+    lam, row = _row(g)
+    return lam, _denominator(g, lam), row
+
+
 def a_closed(g: int, k: int) -> Fraction:
     """Normalized two-point value a(g, k) = W(m) S(g, m) / L(g), for 0 <= k <= 3g-1.
 
     m = min(k, 3g-1-k), by the symmetry a(g, k) = a(g, 3g-1-k); S(g, m) is
-    read from the cached integer half row.
+    read from the cached integer row.
     """
     from fractions import Fraction
     m = _mirror(g, k)
-    lam, _, half = _cached(g)
-    return Fraction(*_weight(g, m)) * Fraction(half[m], lam)
+    lam, _, row = _cached(g)
+    return Fraction(*_weight(g, m)) * Fraction(row[m], lam)
 
 
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:
@@ -164,12 +163,12 @@ def normalize(g: int, k: int, corr: Fraction) -> Fraction:
 
 
 def two_point_closed(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached half row and N(g)."""
+    """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached row and N(g)."""
     from fractions import Fraction
-    _, n, half = _cached(g)
-    return Fraction(half[_mirror(g, k)], n)
+    _, n, row = _cached(g)
+    return Fraction(row[_mirror(g, k)], n)
 
 
 def clear_caches() -> None:
-    """Drop the per-genus cache of L(g), N(g) and the integer half row (for honest benchmarking)."""
+    """Drop the per-genus cache of L(g), N(g) and the integer row (for honest benchmarking)."""
     _cached.cache_clear()

@@ -8,15 +8,15 @@ reduced q is 1.  :func:`rational_str` applies it to a ``fractions.Fraction``
 
 Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 ``odd_lcm(n) = lcm(1, 3, ..., n)`` is a sieve that takes each odd prime at
-its largest power <= n.  Each path's row source sieves the unit L(g) =
-odd_lcm(2g+1) once per genus and hands it out with its rows; from it,
-``_denominator(g, L(g))`` is the one common denominator N(g) of a genus g
-row, and ``_weight(g, k)`` the double-factorial ratio W(k), as an integer
-pair, turns an entry of that row into its normalized value.  Callers that
-walk a row keep their own running products.  Plain factorials and binomials
-are ``math.factorial`` and ``math.comb``.  From the size of N(g),
-``_genus_error`` refuses a genus whose sieve and rows would not fit in
-``HOLD_LIMIT`` bytes, before any of them is built.
+its largest power <= n.  The closed path sieves the unit L(g) =
+odd_lcm(2g+1) once per genus and the recursion once per run, and each hands
+it out with its rows; from it, ``_denominator(g, L(g))`` is the one common
+denominator N(g) of a genus g row, and ``_weight(g, k)`` the
+double-factorial ratio W(k), as an integer pair, turns an entry of that row
+into its normalized value.  Callers that walk a row keep their own running
+products.  Plain factorials and binomials are ``math.factorial`` and
+``math.comb``.  ``_genus_error`` refuses a genus whose sieve, rows and texts
+would not fit in ``HOLD_LIMIT`` bytes, before any of them is built.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
@@ -106,22 +106,25 @@ def _denominator(g: int, lam: int) -> int:
     return 24**g * math.factorial(g) * lam
 
 
-# bytes that one command may hold in its odd_lcm sieve and its largest row: 256 MiB
+# bytes that one command may hold in its odd_lcm sieve, rows and texts: 256 MiB
 HOLD_LIMIT = 1 << 28
 
 
 def _genus_error(name: str, g: int, entries: int, base: int | None = None) -> str | None:
-    """The usage error for ``--name g`` in a command that holds ``entries`` row entries, or None.
+    """The usage error for ``--name g`` in a command that holds ``entries`` numbers, or None.
 
-    g must be >= 1, and what the command holds must fit in ``HOLD_LIMIT``.
-    That is bounded from the arguments alone, before anything is allocated:
-    the sieve of ``odd_lcm(2g+1)`` is 2g+2 bytes, and no entry of a genus g
-    row is larger than N(g) = 24^g g! L(g), of at most g log2(24g) + 3g + 3
-    bits, as log2 L(g) < 1.039 (2g+1) / ln 2 (Rosser and Schoenfeld's
-    psi(x) < 1.03883 x).  Given ``base``, each entry is below base^(base/2)
-    instead, and counts 40 bytes more for its int header and list slot.
-    ``verify`` holds 36g entries, its rows rec, s, p, one, a and b at genera
-    g-1 and g, each below (6g-1)!! 2^g < (6g)^(3g), so it passes base 6g.
+    g must be >= 1, and what the command holds, bounded from the arguments alone
+    before anything is allocated, must fit in ``HOLD_LIMIT``: the sieve of
+    ``odd_lcm(2g+1)`` is 2g+2 bytes, and no entry of a genus g row is larger than
+    N(g) = 24^g g! L(g), of at most g log2(24g) + 3g + 3 bits, as log2 L(g) <
+    1.039 (2g+1) / ln 2 (Rosser and Schoenfeld's psi(x) < 1.03883 x).  Given
+    ``base``, each number is below base^(base/2) instead, and counts 40 bytes more
+    for its int header and list slot.  Base 6g bounds each number that ``verify``,
+    ``table``, ``bench`` and ``value --method closed`` hold or print: N(g) and the
+    row entries below it, ``verify``'s 36g (six rows at genera g-1 and g), below
+    (6g-1)!! 2^g, and the terms of a reduced normalized value A(g, k)/D(g) in
+    (0, 1], at most (6g-1)!!, are all below (6g)^(3g).  A number's decimal text
+    takes 2.41 times its binary size, so a p/q text counts as 5 numbers.
     """
     if g < 1:
         return f"{name} must be >= 1, got {g}"

@@ -35,8 +35,9 @@ def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    # the closed path holds a few numbers; the recursion rows of up to 3g entries
-    if error := _genus_error("g", g, 4 if args.method == "closed" else 3 * g):
+    # the closed path holds a dozen numbers and two texts; the recursion rows of up to 3g entries
+    held = (12 + 2 * 5, 6 * g) if args.method == "closed" else (3 * g,)
+    if error := _genus_error("g", g, *held):
         _diag(error)
         return EXIT_USAGE
     if not 0 <= k <= 3 * g - 1:
@@ -107,7 +108,8 @@ def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
 def table(args: SimpleNamespace) -> int:
     """``tau2 table``: one genus row on the chosen paths, one line per entry."""
     g = args.g
-    if error := _genus_error("g", g, 3 * g):
+    # two rows (two paths, or a row and the row below) and two texts per entry of the first half
+    if error := _genus_error("g", g, 2 * 3 * g + 2 * 5 * ((3 * g + 1) // 2), 6 * g):
         _diag(error)
         return EXIT_USAGE
 

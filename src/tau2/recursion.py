@@ -22,18 +22,21 @@ correlator recursion
         + 1/6 (bracket of genus g-1 correlators) + <tau_{k-2}> <tau_{3g-2-k}>
 
 multiplied through by N(g): N(g)/N(g-1) = 24g L(g)/L(g-1) absorbs the 1/6,
-and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The ratio
-L(g)/L(g-1) is p when 2g+1 = p^e for a prime p and 1 otherwise; it is taken
-by a checked division.  Every division by 2k+1 is exact on this unit at
-every genus: it is exact when every S(g, .) is an integer, which the
-``combinatorics`` docstring proves.  A nonzero remainder, which would be a
-program fault, raises ``ArithmeticError`` instead of truncating.  Inside the
-package rows stay integers: the one source ``_int_rows``, which holds the
-genus 1 seed, yields each with the L(g) it was computed over, the row's own
-``top`` in ``_int_row``, never its entry 0.  Only the public ``genus_row``
-and ``recursive_row`` hand out ``Fraction`` values S(g, k) / N(g).
-``one_point`` (the values 1/(24^g g!)) and ``genus0_npoint`` (the genus-0
-multinomial formula) stand beside the rows: building a row calls neither.
+and the one-point product 1/(24^g j! (g-j)!) becomes L(g) C(g, j).  The
+terms that do not read row g come from ``_step_terms``, which
+``verification``'s residual-tau runs too.  A run sieves only its first row's
+unit: L(g) = lcm(L(g-1), 2g+1), and L(g)/L(g-1), p when 2g+1 = p^e for a
+prime p and 1 otherwise, is taken by a checked division.  Every division by
+2k+1 is exact on this unit at every genus: it is exact when every S(g, .) is
+an integer, which the ``combinatorics`` docstring proves.  A nonzero
+remainder, which would be a program fault, raises ``ArithmeticError``
+instead of truncating.  Inside the package rows stay integers: the one
+source ``_int_rows``, which holds the genus 1 seed, yields each with the
+L(g) it was computed over, the row's own ``top`` in ``_int_row``, never its
+entry 0.  Only the public ``genus_row`` and ``recursive_row`` hand out
+``Fraction`` values S(g, k) / N(g).  ``one_point`` (the values 1/(24^g g!))
+and ``genus0_npoint`` (the genus-0 multinomial formula) stand beside the
+rows: building a row calls neither.
 
 ``table``, ``verify`` and the public functions compute each row over the
 full range k = 0..3g-1; ``value`` computes only the prefix of each row that
@@ -45,7 +48,7 @@ still sees an asymmetric recursion in the upper half of a row.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator, Sequence
 
 from . import _LAYERS
@@ -98,28 +101,28 @@ def _fractions(g: int, lam: int, row: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(t, n) for t in row)
 
 
-def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
-    """L(g) and the integer entries S(g, 0..last) for g >= 2 from the integer entries S(g-1, .).
+def _step_terms(g: int, below: Sequence[int], last: int, unit: int, top: int) -> Iterator[int]:
+    """The terms of each step k = 1..last to S(g, k) that do not read row g (module docstring).
 
-    ``unit`` is the genus g-1 unit L(g-1).  See the module docstring for the
-    recursion.  The genus g-1 entries are padded with zeros so that
-    B(k-4)..B(k-1) are always the four entries padded[k..k+3]; they need to
-    reach entry min(last-1, 3g-4) only.
+    From ``below`` = S(g-1, .), which need reach entry min(last-1, 3g-4) only,
+    ``unit`` = L(g-1) and ``top`` = L(g).
     """
-    top = odd_lcm(2 * g + 1)
     c = 4 * g * _exact(top, unit, g, 0)
-    padded = (0, 0, 0, 0, *below, 0, 0)
-    row = [top]
-    prev = top
+    padded = (0, 0, 0, 0, *below, 0, 0)  # B(k-4)..B(k-1) are padded[k..k+3]
     for k in range(1, last + 1):
-        rhs = (2 * g - 1 - 2 * k) * prev + c * (
-            padded[k] + 3 * (padded[k + 1] + padded[k + 2]) + padded[k + 3]
-        )
+        term = c * (padded[k] + 3 * (padded[k + 1] + padded[k + 2]) + padded[k + 3])
         if k % 3 == 0:
             # k = 3j with 1 <= j <= g-1 holds for every multiple of 3 in 1..3g-1
-            rhs += top * comb(g, k // 3)
-        prev = _exact(rhs, 2 * k + 1, g, k)
-        row.append(prev)
+            term += top * comb(g, k // 3)
+        yield term
+
+
+def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
+    """L(g) and the integer entries S(g, 0..last), g >= 2, from S(g-1, .) and ``unit`` = L(g-1)."""
+    top = lcm(unit, 2 * g + 1)
+    row = [top]
+    for k, term in enumerate(_step_terms(g, below, last, unit, top), start=1):
+        row.append(_exact((2 * g - 1 - 2 * k) * row[-1] + term, 2 * k + 1, g, k))
     return top, tuple(row)
 
 

@@ -17,18 +17,17 @@ remainder raises ``ArithmeticError``.  B is read from
 the middle of the row B(g, k) = -B(g, 3g-2-k).
 
 The residuals test the closed form against three recursions it was not built
-from (the recursion route satisfies its own by construction), each multiplied
-through by a scale that makes every term an integer.  With s = 2k+1, the
-bracket over a genus g-1 row X is
+from, each multiplied through by a scale that makes every term an integer.
+With s = 2k+1, the bracket over a genus g-1 row X is
 
     H(X, u) = s(s-2)(s-4) X(g-1,k-3) + 3s(s-2)u X(g-1,k-2)
             + 3su(u-2) X(g-1,k-1) + u(u-2)(u-4) X(g-1,k)
 
 and [k = 3j-1] C(g, j) is C(g, j) at k = 3j-1 and 0 otherwise:
 
-- residual-tau, scale N(g), 0 <= k <= 3g-2:
-    (2k+3) S(g,k+1) - (2g-3-2k) S(g,k) - [k = 3j-1] L(g) C(g,j)
-    - 4g L(g)/L(g-1) (S(g-1,k-3) + 3S(g-1,k-2) + 3S(g-1,k-1) + S(g-1,k))
+- residual-tau, scale N(g), 0 <= k <= 3g-2: (2k+3) S(g,k+1) - (2g-3-2k) S(g,k)
+    minus the other terms of the recursion's step to k+1 (``recursion._step_terms``):
+    a fault in that step reaches both this check and the recursive rows
 - residual-a, scale D(g), 0 <= k <= 3g-2, u = 6g-1-2k:
     u A(g,k+1) - (2g-3-2k) A(g,k) - 4g H(A, u) - [k = 3j-1] C(g,j) P(g,k)
 - residual-b, scale D(g), 0 <= k < b_domain_max(g), u = 6g-3-2k:
@@ -60,7 +59,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
 from .combinatorics import _denominator, _exact, double_factorial_odd, rational_str
-from .recursion import _int_rows
+from .recursion import _int_rows, _step_terms
 
 __all__ = _LAYERS["verification"].split()
 
@@ -147,7 +146,8 @@ def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
         for k in range((3 * g - 1) // 2):
             p.append(_exact(p[k] * (2 * k + 3), 6 * g - 1 - 2 * k, g, k + 1))
         rows["p"] = p = _mirrored(g, p)
-        rows["one"] = _one_points(g, p)
+        # P(g, k) C(g, j) at k = 3j-1, else 0
+        rows["one"] = [p[k] * comb(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
     if "a" in need:
         rows["a"] = _mirrored(g, [_exact(p[k] * s[k], lam, g, k) for k in range((3 * g + 1) // 2)])
     if "b" in need:
@@ -158,26 +158,18 @@ def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
     return rows
 
 
-def _one_points(g: int, unit: Sequence[int]) -> list:  # unit[k] C(g, j) at k = 3j-1, else 0
-    return [unit[k] * comb(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
-
-
 def _nonzero(r: list, scale: int) -> tuple[int, int, list]:
     """A check at one genus: (checked, scale, [(k, expected, actual) of each failure])."""
     return len(r), scale, [(k, 0, x) for k, x in enumerate(r) if x]
 
 
 def _tau_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
-    """residual-tau at k = 0..3g-2 over N(g), on the S rows of genus g and g-1."""
-    lam = rows["lam"]
-    c = 4 * g * _exact(lam, below["lam"], g, 0)
-    one = _one_points(g, [lam] * (3 * g))
-    # padded, x[k + 3] is the entry at k: the genus g-1 terms of step k are b[k..k+3]
-    x, b = (0, 0, 0, *rows["s"], 0, 0), (0, 0, 0, *below["s"], 0, 0)
+    """residual-tau at k = 0..3g-2 over N(g): the recursion's step to k+1 on the S rows."""
+    s, lam = rows["s"], rows["lam"]
+    terms = _step_terms(g, below["s"], 3 * g - 1, below["lam"], lam)
     return _nonzero([
-        (2 * k + 3) * x[k + 4] - (2 * g - 3 - 2 * k) * x[k + 3]
-        - c * (b[k] + 3 * b[k + 1] + 3 * b[k + 2] + b[k + 3]) - one[k]
-        for k in range(3 * g - 1)
+        (2 * k + 3) * s[k + 1] - (2 * g - 3 - 2 * k) * s[k] - term
+        for k, term in enumerate(terms)
     ], _denominator(g, lam))
 
 

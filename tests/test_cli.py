@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -521,12 +522,49 @@ class TestBench:
         assert "g-max must be >= 1" in err
 
 
+class TestHoldBound:
+    """The size refusal of ``table``, ``bench`` and ``value --method closed`` bounds what they hold.
+
+    Each command runs once untraced and once under ``tracemalloc``, with stdout
+    going nowhere; a ``HOLD_LIMIT`` one byte below the traced peak must refuse it.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--g", str(g), "--method", method]
+            for g in (40, 100, 300)
+            for method in ("closed", "recursive", "both")
+        ]
+        + [
+            ["value", "--g", "1000", "--k", "1500", "--method", "closed"],
+            ["bench", "--g-max", "100"],
+        ],
+        ids=" ".join,
+    )
+    def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, argv):
+        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
+            assert cli.main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
+        mib = (peak - 1) >> 20
+        error = f"{argv[1][2:]} {argv[2]} is too large: it would hold more than {mib} MiB\n"
+        assert run_cli(capsys, *argv) == (2, "", error)
+
+
 class TestOneSievePerGenusPerPath:
     """A command sieves odd_lcm(2g+1) at most once per genus on each path it runs.
 
     Each path's source hands out the L(g) it computed its rows over, and no
-    reader sieves again.  ``combinatorics.odd_lcm`` is wrapped under every name
-    a loaded tau2 module holds it by, as ``perfbench/trace_job.py`` wraps names.
+    reader sieves again.  The recursion sieves only its first row's unit and
+    steps L(g) = lcm(L(g-1), 2g+1) from it, so it sieves once per run.
+    ``combinatorics.odd_lcm`` is wrapped under every name a loaded tau2 module
+    holds it by, as ``perfbench/trace_job.py`` wraps names.
     """
 
     @staticmethod
@@ -549,12 +587,14 @@ class TestOneSievePerGenusPerPath:
     @pytest.mark.parametrize(
         "argv,paths,most",
         [
-            (("value", "--g", "100", "--k", "30"), 2, 33),
+            (("value", "--g", "100", "--k", "30"), 2, 2),
             (("value", "--g", "100", "--k", "30", "--method", "closed"), 1, 1),
+            (("value", "--g", "100", "--k", "299", "--method", "recursive"), 1, 1),
             (("table", "--g", "100"), 1, 1),
-            (("table", "--g", "100", "--method", "both"), 2, 101),
-            (("verify", "--g-max", "40"), 2, 80),
-            (("bench", "--g-max", "20"), 2, 40),
+            (("table", "--g", "100", "--method", "recursive"), 1, 1),
+            (("table", "--g", "100", "--method", "both"), 2, 2),
+            (("verify", "--g-max", "40"), 2, 41),
+            (("bench", "--g-max", "20"), 2, 21),
         ],
     )
     def test_each_genus_is_sieved_once_per_path(self, capsys, monkeypatch, argv, paths, most):

@@ -201,9 +201,12 @@ class TestCaches:
 class TestIntegerHalfRow:
     def test_half_row_is_the_recursions_integer_row(self):
         for g, (lam, row) in enumerate(_int_rows(80), start=1):
-            cached_lam, _, half = closedform._cached(g)
-            assert len(half) == (3 * g - 1) // 2 + 1
+            # the cache holds the full row that _row hands out
+            cached_lam, _, cached = closedform._cached(g)
+            assert len(cached) == 3 * g
+            half = cached[: (3 * g - 1) // 2 + 1]
             assert half == row[: len(half)], g
+            assert cached == row, g
             assert cached_lam == lam, g
 
     def test_streamed_value_equals_cached_value(self):

@@ -74,9 +74,11 @@ class TestGenusError:
             assert n.bit_length() <= g * log2(24 * g) + 3 * g + 3, g
 
     def test_verify_entries_are_below_the_base_bound(self):
-        # verify's largest entries are (6g-1)!! times at most 2^g; base 6g bounds them
+        # verify's largest entries are (6g-1)!! times at most 2^g; base 6g bounds them, and
+        # N(g), which bounds the rows and correlator texts of table, bench and value
         for g in [*range(1, 40), *range(40, 2000, 37)]:
             assert double_factorial_odd(6 * g - 1) << g < (6 * g) ** (3 * g), g
+            assert _denominator(g, odd_lcm(2 * g + 1)) < (6 * g) ** (3 * g), g
             assert ((6 * g) ** (3 * g)).bit_length() <= 3 * g * (6 * g).bit_length(), g
 
     def test_verify_limit(self):

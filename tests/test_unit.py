@@ -8,6 +8,8 @@ tau2, and rescaled by L(g) / D(g) with L(g) = lcm(1, 3, ..., 2g+1).
 
 from math import comb, lcm, prod
 
+import pytest
+
 from tau2 import closedform
 from tau2.recursion import _int_rows
 
@@ -51,10 +53,19 @@ def test_both_paths_are_t_rescaled_to_genus_150():
     for g, (t, (lam, row)) in enumerate(zip(t_rows(150), _int_rows(150)), start=1):
         expected = s_row(g, t)
         assert row == expected, g
-        assert lam == lcm(*range(1, 2 * g + 2, 2)), g
-        cached_lam, _, half = closedform._cached(g)
-        assert half == expected[: len(half)], g
+        cached_lam, _, cached = closedform._cached(g)
+        assert cached == expected[: len(cached)], g
         assert cached_lam == lam, g
+
+
+@pytest.mark.parametrize("g_max,k", [(150, None), (122, 1), (171, 2), (300, 0), (1000, 40)])
+def test_each_unit_is_the_odd_lcm(g_max, k):
+    # the full rows to 150, and cones that start high: the recursion sieves its first
+    # row's unit and steps L(h) = lcm(L(h-1), 2h+1), and 2h+1 = 243 at h = 121 and 343
+    # at h = 171, where L(h) gains a prime power
+    rows = list(_int_rows(g_max, k))
+    for h, (lam, _) in enumerate(rows, start=g_max + 1 - len(rows)):
+        assert lam == lcm(*range(1, 2 * h + 2, 2)), h
 
 
 def test_closed_loop_is_exact_to_genus_300():

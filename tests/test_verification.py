@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import tau2.cli as cli
-from tau2 import closedform, combinatorics, verification
+from tau2 import closedform, combinatorics, recursion, verification
 from tau2.combinatorics import _denominator
 from tau2.recursion import _int_rows
 from tau2.verification import (
@@ -46,6 +48,42 @@ class TestResidualTau:
                 n = _denominator(g, rows["lam"])
                 assert verification._tau_residuals(g, rows, below) == (3 * g - 1, n, [])
             below = rows
+
+
+class TestSharedStep:
+    """residual-tau and the recursion run one step, ``recursion._step_terms``.
+
+    The step is patched under every name a tau2 module holds it by, so a check
+    that computed its own bracket or one-point term would not see the fault.
+    """
+
+    @pytest.fixture
+    def faulty_step(self, monkeypatch):
+        # 2k+1 more at (g, k) = (4, 5): S(4, 5) one more, the step's own division exact
+        real = recursion._step_terms
+
+        def faulty(g, below, last, unit, top):
+            for k, term in enumerate(real(g, below, last, unit, top), start=1):
+                yield term + (2 * k + 1) * ((g, k) == (4, 5))
+
+        holders = []
+        for name, module in sorted(sys.modules.items()):
+            if name.startswith("tau2.") and vars(module).get("_step_terms") is real:
+                monkeypatch.setattr(module, "_step_terms", faulty)
+                holders.append(name)
+        assert holders == ["tau2.recursion", "tau2.verification"]
+
+    def test_residual_tau_fails_at_the_faulty_step(self, capsys, faulty_step):
+        code, out, _ = run_verify(capsys, "--g-max", "6", "--checks", "residual-tau")
+        assert code == 1
+        failures = re.findall(r"^  \((\d+),(\d+)\): expected (\S+), got (\S+)$", out, re.MULTILINE)
+        assert failures == [("4", "4", "0", "-11/2508226560")]
+
+    def test_recursive_table_divides_inexactly_past_the_faulty_step(self, capsys, faulty_step):
+        assert cli.main(["table", "--g", "4", "--method", "recursive"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inexact division at (4,6)" in captured.err
 
 
 class TestCrossValidate:

@@ -16,7 +16,8 @@ The commands cover every format and method wherever a command takes them:
   the row, at g-1 and g, where the recursion's cone starts to skip rows,
   and at the middle;
 - ``table`` at g = 0..40, 120 and 300, and ``--method closed`` at g = 1000;
-- ``verify --g-max 0..40``; ``bench --g-max 12`` and ``60`` on each method;
+- ``verify --g-max 0..40`` with every check, and ``--g-max 40`` with each
+  check alone; ``bench --g-max 12`` and ``60`` on each method;
 - ``--help`` and each subcommand's ``--help``;
 - argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
   ``--flag=value``, an abbreviation, a negative number, a flag of another
@@ -73,6 +74,9 @@ def commands() -> Iterator[list[str]]:
     for g_max in range(41):
         for fmt in FORMATS:
             yield ["verify", "--g-max", str(g_max), "--format", fmt]
+    for name in cli._CHECKS:
+        for fmt in FORMATS:
+            yield ["verify", "--g-max", "40", "--checks", name, "--format", fmt]
     for g_max in (12, 60):
         for method in METHODS:
             yield ["bench", "--g-max", str(g_max), "--method", method]
