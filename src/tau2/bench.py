@@ -11,8 +11,8 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from . import closedform, recursion
-from .cli import EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _denominator, _genus_error
+from .cli import EXIT_OK
+from .combinatorics import _denominator
 
 
 def _row_bits(g: int, lam: int, row: tuple[int, ...]) -> int:
@@ -23,10 +23,6 @@ def _row_bits(g: int, lam: int, row: tuple[int, ...]) -> int:
 
 def bench(args: SimpleNamespace) -> int:
     """``tau2 bench``: one line per genus 1..g-max, with the chosen paths' times and max_bits."""
-    # three rows of the top genus: the closed row, and the recursion's row and the row below
-    if error := _genus_error("g-max", args.g_max, 3 * 3 * args.g_max, 6 * args.g_max):
-        _diag(error)
-        return EXIT_USAGE
     # each chosen path's source, yielding (L(g), integer row) for g = 1, 2, ...
     paths = {
         "closed": (closedform._row(g) for g in range(1, args.g_max + 1)),

@@ -15,7 +15,8 @@ report in ``tau2.verification``, and the argparse form in ``tau2.usage``.
 other argv (``--help``, ``--flag=value``, abbreviations, usage errors) goes
 to the parser that ``tau2.usage`` builds from ``_COMMANDS``, which prints
 the help and the errors and exits as argparse does.  Both hand the command
-the same attributes.
+the same attributes, and ``main`` alone refuses a genus too large to hold,
+by the counts of ``_HOLDS``, before any command runs.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -71,6 +72,18 @@ _COMMANDS = {
     }),
 }  # fmt: skip
 
+# what a command holds at genus g, by --method, in the counts of combinatorics._genus_error:
+# value a dozen numbers, a text pair, and on the recursion a row and the row below (3g each);
+# table two rows (two paths, or a row and the row below) and the first half's text pairs;
+# bench at the top genus the closed row, and the recursion's row and the row below;
+# verify S on both paths, then P, the one-point terms, A and B (wide), at genera g-1 and g
+_HOLDS = {
+    "value": lambda g, method: (12 + 6 * g * (method != "closed"), 1, 0),
+    "table": lambda g, method: (6 * g, (3 * g + 1) // 2, 0),
+    "bench": lambda g, method: (3 * g * {"closed": 1, "recursive": 2, "both": 3}[method], 0, 0),
+    "verify": lambda g, method: (12 * g, 0, 24 * g),
+}
+
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
@@ -87,10 +100,6 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    from .combinatorics import _genus_error
-    if error := _genus_error("g-max", args.g_max, 36 * args.g_max, 6 * args.g_max):
-        _diag(error)
-        return EXIT_USAGE
     names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
     unknown = [c for c in names if c not in _CHECKS]
     if unknown:
@@ -158,6 +167,12 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         from .usage import _build_parser
         args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+    name = next(iter(_COMMANDS[args.command][1]))[2:]  # the genus flag, g or g-max
+    g = getattr(args, name.replace("-", "_"))
+    from .combinatorics import _genus_error
+    if error := _genus_error(name, g, *_HOLDS[args.command](g, getattr(args, "method", None))):
+        _diag(error)
+        return EXIT_USAGE
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:

@@ -15,8 +15,8 @@ denominator N(g) of a genus g row, and ``_weight(g, k)`` the
 double-factorial ratio W(k), as an integer pair, turns an entry of that row
 into its normalized value.  Callers that walk a row keep their own running
 products.  Plain factorials and binomials are ``math.factorial`` and
-``math.comb``.  ``_genus_error`` refuses a genus whose sieve, rows and texts
-would not fit in ``HOLD_LIMIT`` bytes, before any of them is built.
+``math.comb``.  ``_genus_error`` sizes what a command holds, for the one
+refusal of a genus too large to hold, in ``cli.main``.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
@@ -49,6 +49,11 @@ every genus:
 rows it is D(g) plus the integers B(g, j) for j < k, and by symmetry past the
 middle.  An ``ArithmeticError`` from ``_exact`` is therefore a program fault,
 never a genus out of range.
+
+Normalized values.  A reduced a(g, k) = p/q has 0 < p <= q (0 < a <= 1), and q
+divides M(g) = odd_lcm(6g-1): a(g, k) = 1 + b(g, 0) + ... + b(g, k-1), b(g, j) =
+q(g, j) C(3g, j+1) / C(6g, 2j+2), and each prime power in C(6g, m) is at most 6g
+(Kummer), and a(g, k) = a(g, 3g-1-k); q is odd, as D(g) a(g, k) is an integer.
 """
 
 from __future__ import annotations
@@ -106,33 +111,26 @@ def _denominator(g: int, lam: int) -> int:
     return 24**g * math.factorial(g) * lam
 
 
-# bytes that one command may hold in its odd_lcm sieve, rows and texts: 256 MiB
+# bytes that one command may hold in its odd_lcm sieve, numbers and texts: 256 MiB
 HOLD_LIMIT = 1 << 28
 
 
-def _genus_error(name: str, g: int, entries: int, base: int | None = None) -> str | None:
-    """The usage error for ``--name g`` in a command that holds ``entries`` numbers, or None.
+def _genus_error(name: str, g: int, numbers: int, texts: int = 0, wide: int = 0) -> str | None:
+    """The usage error for ``--name g`` in a command that holds what its counts say, or None.
 
-    g must be >= 1, and what the command holds, bounded from the arguments alone
-    before anything is allocated, must fit in ``HOLD_LIMIT``: the sieve of
-    ``odd_lcm(2g+1)`` is 2g+2 bytes, and no entry of a genus g row is larger than
-    N(g) = 24^g g! L(g), of at most g log2(24g) + 3g + 3 bits, as log2 L(g) <
-    1.039 (2g+1) / ln 2 (Rosser and Schoenfeld's psi(x) < 1.03883 x).  Given
-    ``base``, each number is below base^(base/2) instead, and counts 40 bytes more
-    for its int header and list slot.  Base 6g bounds each number that ``verify``,
-    ``table``, ``bench`` and ``value --method closed`` hold or print: N(g) and the
-    row entries below it, ``verify``'s 36g (six rows at genera g-1 and g), below
-    (6g-1)!! 2^g, and the terms of a reduced normalized value A(g, k)/D(g) in
-    (0, 1], at most (6g-1)!!, are all below (6g)^(3g).  A number's decimal text
-    takes 2.41 times its binary size, so a p/q text counts as 5 numbers.
+    g must be >= 1, and these must fit in ``HOLD_LIMIT``: the ``odd_lcm(2g+1)``
+    sieve of 2g+2 bytes, ``numbers`` numbers of N(g)'s size, ``texts`` pairs of a
+    correlator text (terms up to N(g)) and its normalized text (up to M(g)), and
+    ``wide`` numbers below (6g)^(3g).  N(g) has at most g log2(24g) + 3g + 3 bits
+    and M(g) at most 9g (Rosser and Schoenfeld's psi(x) < 1.03883 x).  An int
+    takes 4 bytes per 30 bits plus 40 for its header and list slot, and a text a
+    byte per digit, at most one per 3 bits of each term, plus 50.
     """
     if g < 1:
         return f"{name} must be >= 1, got {g}"
-    if base is None:
-        bits = g * ((24 * g).bit_length() + 3) + 3
-    else:
-        bits = base // 2 * base.bit_length() + 320
-    if 2 * g + 2 + entries * bits // 8 > HOLD_LIMIT:
+    n, m = g * ((24 * g).bit_length() + 3) + 3, 9 * g  # bits of N(g) and of M(g)
+    held = numbers * (n // 30 * 4 + 40) + texts * (2 * (n // 3 + m // 3) + 104)
+    if 2 * g + 2 + held + wide * (3 * g * (6 * g).bit_length() // 30 * 4 + 40) > HOLD_LIMIT:
         return f"{name} {g} is too large: it would hold more than {HOLD_LIMIT >> 20} MiB"
     return None
 

@@ -20,7 +20,7 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _denominator, _genus_error, _ratio_str, _weight
+from .combinatorics import _denominator, _ratio_str, _weight
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -35,11 +35,6 @@ def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    # the closed path holds a dozen numbers and two texts; the recursion rows of up to 3g entries
-    held = (12 + 2 * 5, 6 * g) if args.method == "closed" else (3 * g,)
-    if error := _genus_error("g", g, *held):
-        _diag(error)
-        return EXIT_USAGE
     if not 0 <= k <= 3 * g - 1:
         _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
         return EXIT_USAGE
@@ -108,11 +103,6 @@ def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
 def table(args: SimpleNamespace) -> int:
     """``tau2 table``: one genus row on the chosen paths, one line per entry."""
     g = args.g
-    # two rows (two paths, or a row and the row below) and two texts per entry of the first half
-    if error := _genus_error("g", g, 2 * 3 * g + 2 * 5 * ((3 * g + 1) // 2), 6 * g):
-        _diag(error)
-        return EXIT_USAGE
-
     start = perf_counter()
     if args.method == "closed":
         from . import closedform

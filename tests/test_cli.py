@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, diagnostics, documented flags."""
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -39,6 +40,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def admitted(monkeypatch, argv) -> bool:
+    """Whether ``cli.main`` lets ``argv`` past its size refusal, with the command stubbed out."""
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: cli.EXIT_OK)
+    with redirect_stderr(StringIO()):
+        return cli.main(argv) == cli.EXIT_OK
 
 
 class TestValue:
@@ -522,39 +530,50 @@ class TestBench:
         assert "g-max must be >= 1" in err
 
 
+HOLD_ARGV = [
+    ["table", "--g", str(g), "--method", method]
+    for g in (40, 100, 300)
+    for method in ("closed", "recursive", "both")
+] + [
+    ["value", "--g", "1000", "--k", "1500", "--method", "closed"],
+    ["bench", "--g-max", "100"],
+]
+
+
+@functools.lru_cache(maxsize=None)
+def traced_peak(argv: tuple[str, ...]) -> int:
+    """The ``tracemalloc`` peak of ``argv``'s second run, with stdout going nowhere."""
+    with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
+        assert cli.main(list(argv)) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestHoldBound:
     """The size refusal of ``table``, ``bench`` and ``value --method closed`` bounds what they hold.
 
     Each command runs once untraced and once under ``tracemalloc``, with stdout
-    going nowhere; a ``HOLD_LIMIT`` one byte below the traced peak must refuse it.
+    going nowhere; a ``HOLD_LIMIT`` one byte below the traced peak must refuse it,
+    and one of 4 times the peak must not: the bound is at least the peak, and close.
     """
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["table", "--g", str(g), "--method", method]
-            for g in (40, 100, 300)
-            for method in ("closed", "recursive", "both")
-        ]
-        + [
-            ["value", "--g", "1000", "--k", "1500", "--method", "closed"],
-            ["bench", "--g-max", "100"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", HOLD_ARGV, ids=" ".join)
     def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, argv):
-        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
-            assert cli.main(argv) == 0
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peak = traced_peak(tuple(argv))
         monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
         mib = (peak - 1) >> 20
         error = f"{argv[1][2:]} {argv[2]} is too large: it would hold more than {mib} MiB\n"
         assert run_cli(capsys, *argv) == (2, "", error)
+
+    @pytest.mark.parametrize("argv", HOLD_ARGV, ids=" ".join)
+    def test_bound_is_within_four_times_the_traced_peak(self, monkeypatch, argv):
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * traced_peak(tuple(argv)))
+        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
+            assert cli.main(argv) == 0
 
 
 class TestOneSievePerGenusPerPath:
@@ -787,6 +806,46 @@ class TestExitCodeContract:
         assert out.getvalue() == ""
         assert err.getvalue() == f"{argv[1][2:]} {argv[2]} is too large: it would hold more than 256 MiB\n"
 
+    # one past each limit of the README's table, on each method whose count differs
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--g", "2489"],
+            ["bench", "--g-max", "5646", "--method", "closed"],
+            ["bench", "--g-max", "4089", "--method", "recursive"],
+            ["bench", "--g-max", "3338", "--method", "both"],
+            ["value", "--g", "3532038", "--k", "0", "--method", "closed"],
+            ["value", "--g", "4088", "--k", "0", "--method", "recursive"],
+            ["value", "--g", "4088", "--k", "0", "--method", "both"],
+            ["verify", "--g-max", "1318"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_past_each_limit_exits_2_at_once(self, monkeypatch, argv):
+        self.test_a_genus_too_large_to_hold_exits_2_at_once(argv)
+        # refused before the command runs: a stubbed command is refused too
+        assert not admitted(monkeypatch, argv)
+
+    def test_the_argparse_form_is_refused_too(self, capsys):
+        error = "g 2489 is too large: it would hold more than 256 MiB\n"
+        assert run_cli(capsys, "table", "--g=2489") == (2, "", error)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["table", "--g", g, "--method", m] for g in ("1556", "2000") for m in METHODS),
+            *(["bench", "--g-max", "2379", "--method", m] for m in METHODS),
+            ["value", "--g", "1398101", "--k", "0", "--method", "closed"],
+            ["verify", "--g-max", "1232"],
+            # the recursion holds a row and the row below: 2 x 3g entries of N(g)'s size, which
+            # at g = 5838, the limit when one row was counted, come to 2.1 times the 256 MiB
+            *(["value", "--g", "4087", "--k", "0", "--method", m] for m in METHODS[1:]),
+        ],
+        ids=" ".join,
+    )
+    def test_what_fit_before_is_admitted(self, monkeypatch, argv):
+        assert admitted(monkeypatch, argv)
+
 
 # flags as given, abbreviated, unknown or for help, and values of every kind argparse reads
 SPELLINGS = ["--g", "--k", "--g-max", "--method", "--format", "--checks",
@@ -909,6 +968,32 @@ class TestReadme:
         assert resolve("tau2.closedform.two_point_closed") is closedform.two_point_closed
         with pytest.raises(ImportError):
             resolve("tau2.one_point_at")
+
+    def test_size_limits_match_the_refusal(self, monkeypatch):
+        # each row of the README's table: a command, with --method where the count differs
+        readme = README.read_text(encoding="utf-8")
+        lines = readme.split("| command | holds", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        documented = {}
+        for line in lines:
+            command, *method = line.split("`")[1].split()[::2]
+            flags = cli._COMMANDS[command][1]
+            for m in method or (METHODS if "--method" in flags else [None]):
+                documented[command, m] = int(line.rsplit("|", 2)[1])
+        expected = {(c, m) for c, (_, flags) in cli._COMMANDS.items()
+                    for m in (METHODS if "--method" in flags else [None])}  # fmt: skip
+        assert set(documented) == expected
+
+        for (command, method), figure in documented.items():
+            flag = next(iter(cli._COMMANDS[command][1]))  # the genus flag
+            rest = (["--k", "0"] if command == "value" else []) + (["--method", method] if method else [])
+            fits = lambda g: admitted(monkeypatch, [command, flag, str(g), *rest])
+            low, high = 1, 2
+            while fits(high):
+                low, high = high, 2 * high
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (mid, high) if fits(mid) else (low, mid)
+            assert low == figure, (command, method)
 
     def test_flags_line_matches_the_parser(self):
         readme = README.read_text(encoding="utf-8")

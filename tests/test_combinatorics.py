@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tau2 import closedform
+from tau2.closedform import a_closed
 from tau2.combinatorics import (
     HOLD_LIMIT,
     _denominator,
@@ -74,18 +76,22 @@ class TestGenusError:
             assert n.bit_length() <= g * log2(24 * g) + 3 * g + 3, g
 
     def test_verify_entries_are_below_the_base_bound(self):
-        # verify's largest entries are (6g-1)!! times at most 2^g; base 6g bounds them, and
-        # N(g), which bounds the rows and correlator texts of table, bench and value
+        # verify's wide numbers are (6g-1)!! times at most 2^g, below (6g)^(3g), as is N(g)
         for g in [*range(1, 40), *range(40, 2000, 37)]:
             assert double_factorial_odd(6 * g - 1) << g < (6 * g) ** (3 * g), g
             assert _denominator(g, odd_lcm(2 * g + 1)) < (6 * g) ** (3 * g), g
             assert ((6 * g) ** (3 * g)).bit_length() <= 3 * g * (6 * g).bit_length(), g
 
+    def test_normalized_terms_are_within_the_bound(self):
+        # M(g) = odd_lcm(6g-1) bounds both terms of a reduced normalized value
+        for g in [*range(1, 40), *range(40, 2000, 37)]:
+            assert odd_lcm(6 * g - 1).bit_length() <= 9 * g, g
+
     def test_verify_limit(self):
-        # six rows of 3g entries at two genera, each of up to 3g bit_length(6g) bits and 40 bytes
-        assert _genus_error("g-max", 1232, 36 * 1232, 6 * 1232) is None
-        assert _genus_error("g-max", 1233, 36 * 1233, 6 * 1233) == (
-            "g-max 1233 is too large: it would hold more than 256 MiB"
+        # S on both paths, then P, the one-point terms, A and B (wide), at genera g-1 and g
+        assert _genus_error("g-max", 1317, 12 * 1317, 0, 24 * 1317) is None
+        assert _genus_error("g-max", 1318, 12 * 1318, 0, 24 * 1318) == (
+            "g-max 1318 is too large: it would hold more than 256 MiB"
         )
 
     @pytest.mark.parametrize(
@@ -105,6 +111,27 @@ class TestGenusError:
     @pytest.mark.parametrize("g", [0, -1])
     def test_below_one_is_refused(self, g):
         assert _genus_error("g-max", g, 3) == f"g-max must be >= 1, got {g}"
+
+
+class TestNormalizedTerms:
+    """Both terms of a reduced a(g, k) = p/q are at most M(g) = odd_lcm(6g-1), over the whole row.
+
+    The proof is in the ``combinatorics`` docstring; ``_genus_error`` sizes a
+    normalized text by it, and a correlator text by N(g), which bounds every entry.
+    """
+
+    @pytest.mark.parametrize("g", [*range(1, 61), 300])
+    def test_denominator_divides_m_and_numerator_is_at_most_it(self, g):
+        m = odd_lcm(6 * g - 1)
+        for k in range(3 * g):
+            a = a_closed(g, k)
+            assert m % a.denominator == 0, (g, k)
+            assert 0 < a.numerator <= a.denominator, (g, k)
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 40, 300])
+    def test_row_entries_are_below_n(self, g):
+        lam, row = closedform._row(g)
+        assert 0 < min(row) and max(row) < _denominator(g, lam)
 
 
 class TestExactnessProof:

@@ -1,5 +1,6 @@
 """Cross-checks: residual identities, cross-path equality, symmetry, bounds."""
 
+import functools
 import hashlib
 import json
 import re
@@ -531,21 +532,32 @@ class TestPassingOutput:
         assert out.splitlines() == expected
 
 
+@functools.lru_cache(maxsize=None)
+def traced_peak(g_max: int) -> int:
+    """The ``tracemalloc`` peak of ``_run`` with every check selected, after a warm-up run."""
+    verification._run(CHECKS, 2)
+    tracemalloc.start()
+    try:
+        verification._run(CHECKS, g_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHoldBound:
-    """``verify``'s size refusal bounds what ``_run`` holds with every check selected."""
+    """``verify``'s size refusal bounds what ``_run`` holds with every check selected, closely."""
 
     @pytest.mark.parametrize("g_max", [10, 40, 100])
     def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, g_max):
-        verification._run(CHECKS, 2)
-        tracemalloc.start()
-        try:
-            verification._run(CHECKS, g_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(g_max)
         # a limit one byte below that peak refuses the run: the bound is at least the peak
         monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
         code, out, err = run_verify(capsys, "--g-max", str(g_max))
         assert (code, out) == (2, "")
         mib = (peak - 1) >> 20
         assert err == f"g-max {g_max} is too large: it would hold more than {mib} MiB\n"
+
+    @pytest.mark.parametrize("g_max", [10, 40, 100])
+    def test_bound_is_within_four_times_the_traced_peak(self, capsys, monkeypatch, g_max):
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * traced_peak(g_max))
+        assert run_verify(capsys, "--g-max", str(g_max))[0] == 0

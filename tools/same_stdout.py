@@ -18,6 +18,10 @@ The commands cover every format and method wherever a command takes them:
 - ``table`` at g = 0..40, 120 and 300, and ``--method closed`` at g = 1000;
 - ``verify --g-max 0..40`` with every check, and ``--g-max 40`` with each
   check alone; ``bench --g-max 12`` and ``60`` on each method;
+- one genus past each size limit (``LIMITS``), on each method whose count
+  differs, each refused at once with one line on stderr, which is hashed
+  too.  ``value --g 4088 --k 0`` on the recursion ran, and exited 0, while
+  the size refusal counted one row and not the row below it as well;
 - ``--help`` and each subcommand's ``--help``;
 - argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
   ``--flag=value``, an abbreviation, a negative number, a flag of another
@@ -44,6 +48,17 @@ FALLBACK = (
     ["value", "--g", "2"], ["value", "--g=2", "--k=1"], ["table", "--form", "csv", "--g", "3"],
     ["value", "--g", "3", "--k", "-1"], ["table", "--g", "3", "--k", "1"], ["verify", "-h"],
     [], ["frob"],
+)  # fmt: skip
+
+
+LIMITS = (
+    ["table", "--g", "2489"], ["verify", "--g-max", "1318"],
+    ["bench", "--g-max", "5646", "--method", "closed"],
+    ["bench", "--g-max", "4089", "--method", "recursive"],
+    ["bench", "--g-max", "3338", "--method", "both"],
+    ["value", "--g", "3532038", "--k", "0", "--method", "closed"],
+    ["value", "--g", "4088", "--k", "0", "--method", "recursive"],
+    ["value", "--g", "4088", "--k", "0", "--method", "both"],
 )  # fmt: skip
 
 
@@ -80,6 +95,7 @@ def commands() -> Iterator[list[str]]:
     for g_max in (12, 60):
         for method in METHODS:
             yield ["bench", "--g-max", str(g_max), "--method", method]
+    yield from LIMITS
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
@@ -91,7 +107,7 @@ def digest(argv: list[str]) -> tuple[str, int]:
         except SystemExit as exc:  # argparse, for --help and usage errors
             code = exc.code
     text = out.getvalue()
-    if argv in FALLBACK:
+    if argv in FALLBACK or argv in LIMITS:
         text += "\0" + re.sub(r"\d+\.\d+ ms", "<n> ms", err.getvalue())
     elif argv[0] == "value":
         text += "\0" + err.getvalue()
