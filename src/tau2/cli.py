@@ -72,16 +72,18 @@ _COMMANDS = {
     }),
 }  # fmt: skip
 
-# what a command holds at genus g, by --method, in the counts of combinatorics._genus_error:
-# value a dozen numbers, a text pair, and on the recursion a row and the row below (3g each);
-# table two rows (two paths, or a row and the row below) and the first half's text pairs;
+# what a command holds, from its parsed args, in the counts of combinatorics._genus_error:
+# value a dozen numbers, a text pair, and on the recursion the cone of (g, k), 2k+2 entries
+# (two rows of 3g for a k out of range); table two rows and the first half's text pairs;
 # bench at the top genus the closed row, and the recursion's row and the row below;
 # verify S on both paths, then P, the one-point terms, A and B (wide), at genera g-1 and g
 _HOLDS = {
-    "value": lambda g, method: (12 + 6 * g * (method != "closed"), 1, 0),
-    "table": lambda g, method: (6 * g, (3 * g + 1) // 2, 0),
-    "bench": lambda g, method: (3 * g * {"closed": 1, "recursive": 2, "both": 3}[method], 0, 0),
-    "verify": lambda g, method: (12 * g, 0, 24 * g),
+    "value": lambda a: (
+        12 + (a.method != "closed") * 2 * (a.k + 1 if 0 <= a.k < 3 * a.g else 3 * a.g), 1, 0
+    ),
+    "table": lambda a: (6 * a.g, (3 * a.g + 1) // 2, 0),
+    "bench": lambda a: (3 * a.g_max * {"closed": 1, "recursive": 2, "both": 3}[a.method], 0, 0),
+    "verify": lambda a: (12 * a.g_max, 0, 24 * a.g_max),
 }
 
 
@@ -170,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     name = next(iter(_COMMANDS[args.command][1]))[2:]  # the genus flag, g or g-max
     g = getattr(args, name.replace("-", "_"))
     from .combinatorics import _genus_error
-    if error := _genus_error(name, g, *_HOLDS[args.command](g, getattr(args, "method", None))):
+    if error := _genus_error(name, g, *_HOLDS[args.command](args)):
         _diag(error)
         return EXIT_USAGE
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)

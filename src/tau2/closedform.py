@@ -37,9 +37,9 @@ proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
 but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-One source, ``_row``, hands out L(g) with the full row or with one entry,
-and builds the per-genus cache of L(g), N(g) and the row that the public
-point lookups ``two_point_closed`` and ``a_closed`` read; no command fills it.
+``_row`` hands out L(g) with the full row or one entry, and fills the cache of
+L(g), N(g) and the row that the point lookups read (no command does); ``_rows``
+walks the genera, stepping L(g) = lcm(L(g-1), 2g+1) as the recursion does.
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -49,7 +49,7 @@ there is a single source of truth.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 from . import _LAYERS
@@ -135,6 +135,14 @@ def _row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
         return lam, _mirrored(g, tuple(half))
     m = _mirror(g, k)
     return lam, [s for i, s in enumerate(half) if i == m][0]
+
+
+def _rows(g_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(L(g), the full row S(g, .)) for g = 1..g_max in order; L(g) is stepped, not sieved."""
+    lam = 1
+    for g in range(1, g_max + 1):
+        lam = lcm(lam, 2 * g + 1)
+        yield lam, _mirrored(g, tuple(_t_half(g, lam)))
 
 
 @lru_cache(maxsize=32)

@@ -130,17 +130,16 @@ def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
     return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
 
 
-def _rows(g: int, need: set, recursive: Iterator | None = None) -> dict:
+def _rows(g: int, need: set, recursive: Iterator | None, closed: Iterator | None) -> dict:
     """Genus g's rows in ``need``: "rec" (next of ``recursive``) with its L(g) "rec_lam",
-    "s" (closed S) with "lam", "a" (and "s"), and "b" (from k = -1); "a" or "b" also builds
-    "p" and its "one" terms.
+    "s" (closed S, next of ``closed``) with "lam", "a" (and "s"), and "b" (from k = -1);
+    "a" or "b" also builds "p" and its "one" terms.
     """
     rows = {}
     if "rec" in need:
         rows["rec_lam"], rows["rec"] = next(recursive)
     if need & {"s", "a"}:
-        lam, s = closedform._row(g)
-        rows.update(lam=lam, s=s)
+        rows["lam"], rows["s"] = lam, s = next(closed)
     if need & {"a", "b"}:
         p = [double_factorial_odd(6 * g - 1)]
         for k in range((3 * g - 1) // 2):
@@ -244,13 +243,14 @@ def _run(names: Sequence[str], g_max: int, times: dict | None = None) -> list[Ch
     checks = {name: _CHECKS[name] for name in names}
     need = set().union(*(reads for _, reads, _ in checks.values()))
     recursive = _int_rows(g_max) if "rec" in need else None
+    closed = closedform._rows(g_max) if need & {"s", "a"} else None
     seconds = {} if times is None else times
     seconds.update(dict.fromkeys(["rows", *names], 0.0))
     found = {name: [0, []] for name in names}  # checked, failures
     below = None
     for g in range(1, g_max + 1):
         start = perf_counter()
-        rows = _rows(g, need, recursive)
+        rows = _rows(g, need, recursive, closed)
         seconds["rows"] += perf_counter() - start
         for name, (first, _, check) in checks.items():
             if g >= first:

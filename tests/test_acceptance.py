@@ -15,9 +15,10 @@ from time import perf_counter
 
 import pytest
 
+import faults
 from tau2.closedform import a_closed, clear_caches, normalize, two_point_closed
 from tau2.combinatorics import _denominator
-from tau2.recursion import _int_rows, genus0_npoint, genus_row, one_point, recursive_row
+from tau2.recursion import genus0_npoint, genus_row, one_point, recursive_row
 from tau2.verification import (
     check_bounds,
     check_residual_a,
@@ -75,7 +76,7 @@ def test_criterion_1_exact_value_anchors(gate):
 
 def test_criterion_2_base_normalized_values(gate):
     with gate(2, "a(g,0) and a(g,1) to genus 100, both paths", 5.0):
-        for g, (lam, row) in enumerate(_int_rows(100), start=1):
+        for g, (lam, row) in enumerate(faults.walk("recursive", 100), start=1):
             s0, s1 = (Fraction(s, _denominator(g, lam)) for s in row[:2])
             assert a_closed(g, 0) == 1
             assert a_closed(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
@@ -110,7 +111,7 @@ def test_criterion_6_symmetry_and_positivity(gate):
         report = check_symmetry(30)
         assert report.passed, report.failures[:3]
         # every S(g, k) = N(g) <tau_k tau_{3g-1-k}> has the sign of its correlator
-        for _, row in _int_rows(30):
+        for _, row in faults.walk("recursive", 30):
             assert all(s > 0 for s in row)
 
 

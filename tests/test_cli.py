@@ -1,7 +1,6 @@
 """Command-line behavior: formats, exit codes, diagnostics, documented flags."""
 
 import argparse
-import functools
 import hashlib
 import importlib
 import json
@@ -10,7 +9,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -21,12 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 import tau2.cli as cli
 import tau2.closedform as closedform
 import tau2.combinatorics as combinatorics
-import tau2.recursion as recursion
 import tau2.usage as usage
-import tau2.verification as verification
 from tau2.closedform import normalize
 from tau2.combinatorics import rational_str
 
@@ -147,13 +144,7 @@ class TestValue:
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
     def test_path_mismatch_exits_3(self, capsys, monkeypatch):
-        real = closedform._row
-
-        def shifted(g, k):
-            lam, s = real(g, k)
-            return lam, s + 1
-
-        monkeypatch.setattr(closedform, "_row", shifted)
+        faults.plant(monkeypatch, "closed", 2, 2, 1)
         code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "2")
         assert code == 3
         assert out == ""
@@ -162,13 +153,7 @@ class TestValue:
 
     def test_mismatch_in_the_upper_half_exits_3(self, capsys, monkeypatch):
         # S(3, 7) shifted by 1: k = 7 > (3g-1)/2, so the closed side reads its mirror S(3, 1)
-        real = recursion._int_rows
-
-        def shifted(g_max, *cone):
-            for g, (lam, row) in enumerate(real(g_max, *cone), start=1):
-                yield lam, tuple(s + (g == 3 and k == 7) for k, s in enumerate(row))
-
-        monkeypatch.setattr(recursion, "_int_rows", shifted)
+        faults.plant(monkeypatch, "recursive", 3, 7, 1)
         code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "7")
         assert code == 3
         assert out == ""
@@ -176,17 +161,10 @@ class TestValue:
 
     @staticmethod
     def _fault_genus3_entry7(monkeypatch):
-        # S(3, 7) shifted wherever row 3 reaches it; the shift is a multiple of each
-        # 2k+1 = 17..23 that row 4 divides by past (4, 7), so the row stays integral
-        real = recursion._int_row
-
-        def faulty(g, below, last, *unit):
-            top, row = real(g, below, last, *unit)
-            if g == 3 and len(row) > 7:
-                row = (*row[:7], row[7] + 17 * 19 * 21 * 23, *row[8:])
-            return top, row
-
-        monkeypatch.setattr(recursion, "_int_row", faulty)
+        # S(3, 7) shifted wherever row 3 reaches it, as row 3 is built, so row 4 reads it; the
+        # shift is a multiple of each 2k+1 = 17..23 that row 4 divides by past (4, 7), so the
+        # row stays integral
+        faults.plant_built(monkeypatch, 3, 7, 17 * 19 * 21 * 23)
 
     def test_fault_outside_the_cone_leaves_the_value(self, capsys, monkeypatch):
         # (4, 6) reads entries 0..5 of row 3; table reads all of it
@@ -272,12 +250,7 @@ class TestTable:
 
     def test_method_both_mismatch_exits_3(self, capsys, monkeypatch):
         # entry 2 of the genus 2 half row is mirrored to k = 3, so k = 2 differs first
-        real = closedform._t_half
-        monkeypatch.setattr(
-            closedform,
-            "_t_half",
-            lambda g, lam: (s + 1 if k == 2 else s for k, s in enumerate(real(g, lam))),
-        )
+        faults.plant(monkeypatch, "closed", 2, 2, 1)
         code, out, err = run_cli(capsys, "table", "--g", "2", "--method", "both")
         assert code == 3
         assert out == ""
@@ -306,14 +279,9 @@ class TestTable:
 
     def test_asymmetric_recursive_row_prints_as_it_is(self, capsys, monkeypatch):
         # S(3, 6) and S(3, 7) shifted by 1: past the middle, unequal to their mirrors
-        real = recursion._int_rows
-
-        def shifted(g_max, *cone):
-            for g, (lam, row) in enumerate(real(g_max, *cone), start=1):
-                yield lam, tuple(s + (g == 3 and k in (6, 7)) for k, s in enumerate(row))
-
-        monkeypatch.setattr(recursion, "_int_rows", shifted)
-        *_, (_, row) = shifted(3)
+        faults.plant(monkeypatch, "recursive", 3, 6, 1)
+        faults.plant(monkeypatch, "recursive", 3, 7, 1)
+        _, row = faults.rows("recursive", 3)
         n = 24**3 * 6 * 105  # N(3) = 24^3 3! lcm(1, 3, 5, 7)
         code, out, _ = run_cli(capsys, "table", "--g", "3", "--method", "recursive")
         assert code == 0
@@ -447,9 +415,7 @@ class TestVerify:
     @staticmethod
     def _corrupt(monkeypatch):
         # S(2, 1) = 45 of the recursive row (15, 45, 87, 87, 45, 15) becomes 46
-        rows = [(lam, list(row)) for lam, row in recursion._int_rows(2)]
-        rows[1][1][1] += 1
-        monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
+        faults.plant(monkeypatch, "recursive", 2, 1, 1)
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         self._corrupt(monkeypatch)
@@ -536,34 +502,28 @@ HOLD_ARGV = [
     for method in ("closed", "recursive", "both")
 ] + [
     ["value", "--g", "1000", "--k", "1500", "--method", "closed"],
+    # the recursion's cone at its largest: the whole row and the row below (at g = 100, as
+    # tracing the recursion to g = 300 takes 4 s, and the bound is 2.9 times the peak there)
+    ["value", "--g", "100", "--k", "299", "--method", "recursive"],
     ["bench", "--g-max", "100"],
 ]
-
-
-@functools.lru_cache(maxsize=None)
-def traced_peak(argv: tuple[str, ...]) -> int:
-    """The ``tracemalloc`` peak of ``argv``'s second run, with stdout going nowhere."""
-    with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
-        assert cli.main(list(argv)) == 0
-        tracemalloc.start()
-        try:
-            assert cli.main(list(argv)) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+# the cone at its smallest, one entry, on the lower side only: at k = 0 the dozen numbers
+# that value counts are mostly far below N(g), and its bound is 4.3 times the traced peak
+# (3.9 times with --method closed, which holds no cone)
+LOWER_ONLY = [["value", "--g", "300", "--k", "0", "--method", "recursive"]]
 
 
 class TestHoldBound:
-    """The size refusal of ``table``, ``bench`` and ``value --method closed`` bounds what they hold.
+    """The size refusal of ``table``, ``bench`` and ``value`` bounds what they hold.
 
     Each command runs once untraced and once under ``tracemalloc``, with stdout
     going nowhere; a ``HOLD_LIMIT`` one byte below the traced peak must refuse it,
     and one of 4 times the peak must not: the bound is at least the peak, and close.
     """
 
-    @pytest.mark.parametrize("argv", HOLD_ARGV, ids=" ".join)
+    @pytest.mark.parametrize("argv", HOLD_ARGV + LOWER_ONLY, ids=" ".join)
     def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, argv):
-        peak = traced_peak(tuple(argv))
+        peak = faults.traced_peak(tuple(argv))
         monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
         mib = (peak - 1) >> 20
         error = f"{argv[1][2:]} {argv[2]} is too large: it would hold more than {mib} MiB\n"
@@ -571,7 +531,7 @@ class TestHoldBound:
 
     @pytest.mark.parametrize("argv", HOLD_ARGV, ids=" ".join)
     def test_bound_is_within_four_times_the_traced_peak(self, monkeypatch, argv):
-        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * traced_peak(tuple(argv)))
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * faults.traced_peak(tuple(argv)))
         with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(StringIO()):
             assert cli.main(argv) == 0
 
@@ -581,27 +541,11 @@ class TestOneSievePerGenusPerPath:
 
     Each path's source hands out the L(g) it computed its rows over, and no
     reader sieves again.  The recursion sieves only its first row's unit and
-    steps L(g) = lcm(L(g-1), 2g+1) from it, so it sieves once per run.
+    steps L(g) = lcm(L(g-1), 2g+1) from it, so it sieves once per run; the
+    closed walk of ``verify`` and ``bench`` steps it from L(0) = 1 and never sieves.
     ``combinatorics.odd_lcm`` is wrapped under every name a loaded tau2 module
     holds it by, as ``perfbench/trace_job.py`` wraps names.
     """
-
-    @staticmethod
-    def _count(monkeypatch) -> list[int]:
-        importlib.import_module("tau2.bench")
-        importlib.import_module("tau2.output")
-        real, calls = combinatorics.odd_lcm, []
-
-        def counted(n):
-            calls.append(n)
-            return real(n)
-
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "tau2":
-                for key, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, key, counted)
-        return calls
 
     @pytest.mark.parametrize(
         "argv,paths,most",
@@ -612,12 +556,12 @@ class TestOneSievePerGenusPerPath:
             (("table", "--g", "100"), 1, 1),
             (("table", "--g", "100", "--method", "recursive"), 1, 1),
             (("table", "--g", "100", "--method", "both"), 2, 2),
-            (("verify", "--g-max", "40"), 2, 41),
-            (("bench", "--g-max", "20"), 2, 21),
+            (("verify", "--g-max", "40"), 2, 2),
+            (("bench", "--g-max", "20"), 2, 2),
         ],
     )
     def test_each_genus_is_sieved_once_per_path(self, capsys, monkeypatch, argv, paths, most):
-        calls = self._count(monkeypatch)
+        calls = faults.count_sieves(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
         assert calls
         assert max(Counter(calls).values()) <= paths
@@ -647,10 +591,10 @@ class TestEntryPoints:
         assert exc.value.code == 0
 
     def test_internal_error_exits_4(self, capsys, monkeypatch):
-        def broken(g, *cone):
+        def broken(*_):
             raise RuntimeError("row store\nunavailable")
 
-        monkeypatch.setattr(recursion, "_int_rows", broken)
+        faults.replace_walk(monkeypatch, broken)
         code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
         assert code == 4
         assert out == ""
@@ -815,8 +759,8 @@ class TestExitCodeContract:
             ["bench", "--g-max", "4089", "--method", "recursive"],
             ["bench", "--g-max", "3338", "--method", "both"],
             ["value", "--g", "3532038", "--k", "0", "--method", "closed"],
-            ["value", "--g", "4088", "--k", "0", "--method", "recursive"],
-            ["value", "--g", "4088", "--k", "0", "--method", "both"],
+            ["value", "--g", "4088", "--k", "12263", "--method", "recursive"],
+            ["value", "--g", "4088", "--k", "12263", "--method", "both"],
             ["verify", "--g-max", "1318"],
         ],
         ids=" ".join,
@@ -840,6 +784,8 @@ class TestExitCodeContract:
             # the recursion holds a row and the row below: 2 x 3g entries of N(g)'s size, which
             # at g = 5838, the limit when one row was counted, come to 2.1 times the 256 MiB
             *(["value", "--g", "4087", "--k", "0", "--method", m] for m in METHODS[1:]),
+            # the cone of (g, 0) is one entry, so at k = 0 that limit no longer holds
+            *(["value", "--g", "4088", "--k", "0", "--method", m] for m in METHODS[1:]),
         ],
         ids=" ".join,
     )
@@ -977,23 +923,30 @@ class TestReadme:
         for line in lines:
             command, *method = line.split("`")[1].split()[::2]
             flags = cli._COMMANDS[command][1]
+            # one figure, or one per k: "<g> at k = 0, <g> at k = 3g-1"
+            cell = line.rsplit("|", 2)[1]
+            figures = re.findall(r"(\d+) at k = (0|3g-1)", cell) or [(cell, "0")]
             for m in method or (METHODS if "--method" in flags else [None]):
-                documented[command, m] = int(line.rsplit("|", 2)[1])
+                for figure, k in figures:
+                    documented[command, m, k] = int(figure)
         expected = {(c, m) for c, (_, flags) in cli._COMMANDS.items()
                     for m in (METHODS if "--method" in flags else [None])}  # fmt: skip
-        assert set(documented) == expected
+        assert {(c, m) for c, m, _ in documented} == expected
+        assert documented["value", "recursive", "3g-1"] == 4087
 
-        for (command, method), figure in documented.items():
+        for (command, method, k), figure in documented.items():
             flag = next(iter(cli._COMMANDS[command][1]))  # the genus flag
-            rest = (["--k", "0"] if command == "value" else []) + (["--method", method] if method else [])
-            fits = lambda g: admitted(monkeypatch, [command, flag, str(g), *rest])
+            method_flag = ["--method", method] if method else []
+            def fits(g):
+                rest = ["--k", str(3 * g - 1 if k == "3g-1" else 0)] if command == "value" else []
+                return admitted(monkeypatch, [command, flag, str(g), *rest, *method_flag])
             low, high = 1, 2
             while fits(high):
                 low, high = high, 2 * high
             while high - low > 1:
                 mid = (low + high) // 2
                 low, high = (mid, high) if fits(mid) else (low, mid)
-            assert low == figure, (command, method)
+            assert low == figure, (command, method, k)
 
     def test_flags_line_matches_the_parser(self):
         readme = README.read_text(encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 import tau2.cli as cli
 import tau2.closedform as closedform
 from tau2.closedform import (
@@ -19,8 +20,8 @@ from tau2.closedform import (
     normalize,
     two_point_closed,
 )
-from tau2.combinatorics import _denominator, double_factorial_odd, odd_lcm
-from tau2.recursion import _int_rows, one_point, recursive_row
+from tau2.combinatorics import _denominator, double_factorial_odd
+from tau2.recursion import one_point, recursive_row
 
 
 class TestBDomain:
@@ -200,8 +201,8 @@ class TestCaches:
 
 class TestIntegerHalfRow:
     def test_half_row_is_the_recursions_integer_row(self):
-        for g, (lam, row) in enumerate(_int_rows(80), start=1):
-            # the cache holds the full row that _row hands out
+        for g, (lam, row) in enumerate(faults.walk("recursive", 80), start=1):
+            # the cache holds the full row that the closed source hands out
             cached_lam, _, cached = closedform._cached(g)
             assert len(cached) == 3 * g
             half = cached[: (3 * g - 1) // 2 + 1]
@@ -209,27 +210,29 @@ class TestIntegerHalfRow:
             assert cached == row, g
             assert cached_lam == lam, g
 
+    def test_walk_is_each_row_to_genus_120(self):
+        # the walk steps L(g) = lcm(L(g-1), 2g+1) where a lone row sieves it
+        walked = list(faults.walk("closed", 120))
+        assert walked == [faults.rows("closed", g) for g in range(1, 121)]
+
     def test_streamed_value_equals_cached_value(self):
         for g in range(1, 41):
             for k in range(3 * g):
-                lam, s = closedform._row(g, k)
+                lam, s = faults.rows("closed", g, k)
                 assert Fraction(s, _denominator(g, lam)) == two_point_closed(g, k), (g, k)
 
     @pytest.mark.parametrize("g,k", [(2, 6), (2, -1), (0, 0)])
     def test_streamed_out_of_range_rejected(self, g, k):
         with pytest.raises(ValueError, match="must be"):
-            closedform._row(g, k)
+            faults.rows("closed", g, k)
 
     def test_core_fault_is_caught_by_the_other_path(self, monkeypatch, capsys):
         # a fault of 13 s in s q(g, k) at every k keeps every division at g = 5
         # exact (a multiple of 13 is the smallest shift that does): the
         # recursion is what exposes it
-        real = closedform._scaled_q
-        monkeypatch.setattr(
-            closedform, "_scaled_q", lambda g, s: (sq + 13 * s for sq in real(g, s))
-        )
-        *_, (_, row) = _int_rows(5)
-        half = tuple(closedform._t_half(5, odd_lcm(11)))
+        faults.plant_core(monkeypatch, 5, None, 13)
+        _, row = faults.rows("recursive", 5)
+        half = faults.rows("closed", 5)[1][: (3 * 5 - 1) // 2 + 1]
         assert half != row[: len(half)]
         assert cli.main(["value", "--g", "5", "--k", "7"]) == 3
         captured = capsys.readouterr()
@@ -240,12 +243,11 @@ class TestIntegerHalfRow:
     def core_shifted_by_s(self, monkeypatch):
         # + s at every k is exact over (6g-1)!!, a multiple of 13, but not
         # over L(5) = lcm(1, 3, ..., 11), which lacks the 13
-        real = closedform._scaled_q
-        monkeypatch.setattr(closedform, "_scaled_q", lambda g, s: (sq + s for sq in real(g, s)))
+        faults.plant_core(monkeypatch, 5, None, 1)
 
     def test_core_fault_of_s_is_an_inexact_division(self, core_shifted_by_s):
         with pytest.raises(ArithmeticError, match=r"inexact division at \(5,6\)"):
-            closedform._row(5)
+            faults.rows("closed", 5)
 
     def test_core_fault_of_s_exits_4(self, core_shifted_by_s, capsys):
         code = cli.main(["value", "--g", "5", "--k", "7", "--method", "closed"])
@@ -260,17 +262,12 @@ class TestIntegerHalfRow:
     def _break_unit(monkeypatch, g):
         # the loop is linear in L(g): at g = 5, S(5, 3) = L(5) * 1228/7 with
         # L(5) = lcm(1, 3, ..., 11), and L(5) + 2 is not a multiple of 7
-        real = closedform.odd_lcm
-        monkeypatch.setattr(
-            closedform,
-            "odd_lcm",
-            lambda n: real(n) + 2 if n == 2 * g + 1 else real(n),
-        )
+        faults.break_unit(monkeypatch, g, 2)
 
     def test_inexact_division_raises(self, monkeypatch):
         self._break_unit(monkeypatch, 5)
         with pytest.raises(ArithmeticError, match=r"inexact division at \(5,3\): remainder 6"):
-            closedform._row(5, 7)
+            faults.rows("closed", 5, 7)
 
     def test_inexact_division_exits_4(self, monkeypatch, capsys):
         self._break_unit(monkeypatch, 5)
@@ -329,10 +326,10 @@ class TestSourceHoldsNoRow:
     @pytest.mark.parametrize("g,k", [(1000, 1500), (1200, 1799)])
     def test_one_entry_peaks_far_below_a_row(self, g, k):
         # the half row at g = 1000 alone takes about 1 MB
-        closedform._row(2, 1)
+        faults.rows("closed", 2, 1)
         tracemalloc.start()
         try:
-            closedform._row(g, k)
+            faults.rows("closed", g, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tau2 import closedform
+import faults
 from tau2.closedform import a_closed
 from tau2.combinatorics import (
     HOLD_LIMIT,
@@ -130,7 +130,7 @@ class TestNormalizedTerms:
 
     @pytest.mark.parametrize("g", [1, 2, 7, 40, 300])
     def test_row_entries_are_below_n(self, g):
-        lam, row = closedform._row(g)
+        lam, row = faults.rows("closed", g)
         assert 0 < min(row) and max(row) < _denominator(g, lam)
 
 

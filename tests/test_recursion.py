@@ -15,12 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau2 import verification
+import faults
 from tau2.closedform import two_point_closed
 from tau2.combinatorics import _denominator
 from tau2.recursion import (
-    _int_rows,
-    _last_row,
     _scaled,
     genus0_npoint,
     genus_row,
@@ -190,7 +188,7 @@ class TestGenus1Seed:
 
     def test_integer_seed_is_the_scaled_seed_row(self):
         # N(1) = 24 * 1! * lcm(1, 3) = 72 times the oracle's genus 1 row
-        ((lam, seed),) = _int_rows(1)
+        ((lam, seed),) = faults.walk("recursive", 1)
         assert lam == 3
         assert seed == _scaled(1, lam, [oracle(1, (k, 2 - k)) for k in range(3)]) == (3, 3, 3)
 
@@ -230,7 +228,7 @@ def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
     """Rows 1..g_max of the recursion as correlators, from its integer rows."""
     return [
         tuple(Fraction(t, _denominator(g, lam)) for t in row)
-        for g, (lam, row) in enumerate(_int_rows(g_max), start=1)
+        for g, (lam, row) in enumerate(faults.walk("recursive", g_max), start=1)
     ]
 
 
@@ -255,26 +253,27 @@ class TestRecursiveRow:
 
 
 class TestCone:
-    """``_int_rows(g, k)`` computes only the entries that entry (g, k) reads."""
+    """The recursion's walk to entry (g, k) computes only the entries that entry reads."""
 
     @pytest.mark.parametrize("g", range(1, 41))
     def test_every_entry_equals_the_full_row(self, g):
-        lam, full = _last_row(g)
+        lam, full = faults.rows("recursive", g)
         for k in range(3 * g):
-            assert _last_row(g, k) == (lam, full[: k + 1]), (g, k)
+            *_, last = faults.walk("recursive", g, k)
+            assert last == (lam, full[: k + 1]), (g, k)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=150), st.data())
     def test_entry_equals_the_full_row_to_genus_150(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        assert _last_row(g, k)[1][k] == _last_row(g)[1][k]
+        assert faults.rows("recursive", g, k)[1] == faults.rows("recursive", g)[1][k]
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_rows_are_the_prefixes_of_the_cone(self, g):
-        full = list(_int_rows(g))
+        full = list(faults.walk("recursive", g))
         for k in range(3 * g):
             first = max(1, g - k)
-            cone = list(_int_rows(g, k))
+            cone = list(faults.walk("recursive", g, k))
             assert len(cone) == g - first + 1, (g, k)
             for h, (lam, row) in enumerate(cone, start=first):
                 assert lam == full[h - 1][0], (g, k, h)
@@ -357,7 +356,7 @@ class TestBuildTable:
                 recursive_row(g)
 
     def test_deterministic_serialization(self):
-        assert list(_int_rows(5)) == list(_int_rows(5))
+        assert list(faults.walk("recursive", 5)) == list(faults.walk("recursive", 5))
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_validate_passes(self, g):
@@ -385,10 +384,9 @@ class TestTwoPointTable:
 
     @staticmethod
     def _corrupt(monkeypatch, g, entries):
-        rows = [(lam, list(row)) for lam, row in _int_rows(g)]
+        _, row = faults.rows("recursive", g)
         for k, value in entries.items():
-            rows[g - 1][1][k] = value(rows[g - 1][1][k])
-        monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
+            faults.plant(monkeypatch, "recursive", g, k, value(row[k]) - row[k])
 
     def test_validate_rejects_broken_symmetry(self, monkeypatch):
         self._corrupt(monkeypatch, 1, {2: lambda s: s + 1})

@@ -10,8 +10,8 @@ from math import comb, lcm, prod
 
 import pytest
 
+import faults
 from tau2 import closedform
-from tau2.recursion import _int_rows
 
 
 def odd_df(m):
@@ -50,7 +50,7 @@ def s_row(g, t_row):
 
 
 def test_both_paths_are_t_rescaled_to_genus_150():
-    for g, (t, (lam, row)) in enumerate(zip(t_rows(150), _int_rows(150)), start=1):
+    for g, (t, (lam, row)) in enumerate(zip(t_rows(150), faults.walk("recursive", 150)), start=1):
         expected = s_row(g, t)
         assert row == expected, g
         cached_lam, _, cached = closedform._cached(g)
@@ -63,7 +63,7 @@ def test_each_unit_is_the_odd_lcm(g_max, k):
     # the full rows to 150, and cones that start high: the recursion sieves its first
     # row's unit and steps L(h) = lcm(L(h-1), 2h+1), and 2h+1 = 243 at h = 121 and 343
     # at h = 171, where L(h) gains a prime power
-    rows = list(_int_rows(g_max, k))
+    rows = list(faults.walk("recursive", g_max, k))
     for h, (lam, _) in enumerate(rows, start=g_max + 1 - len(rows)):
         assert lam == lcm(*range(1, 2 * h + 2, 2)), h
 

@@ -1,19 +1,16 @@
 """Cross-checks: residual identities, cross-path equality, symmetry, bounds."""
 
-import functools
 import hashlib
 import json
 import re
-import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import faults
 import tau2.cli as cli
-from tau2 import closedform, combinatorics, recursion, verification
+from tau2 import closedform, combinatorics, verification
 from tau2.combinatorics import _denominator
-from tau2.recursion import _int_rows
 from tau2.verification import (
     CheckFailure,
     CheckReport,
@@ -26,25 +23,12 @@ from tau2.verification import (
 )
 
 
-def corrupted_rows(g_max: int, g: int, k: int) -> list[tuple[int, list[int]]]:
-    """The recursion's (L(g), integer row) for rows 1..g_max with S(g, k) shifted by 1."""
-    rows = [(lam, list(row)) for lam, row in _int_rows(g_max)]
-    rows[g - 1][1][k] += 1
-    return rows
-
-
-def use_rows(monkeypatch, rows) -> None:
-    """Make the checks read ``rows`` in place of the recursion's integer rows."""
-    monkeypatch.setattr(verification, "_int_rows", lambda g_max: iter(rows[:g_max]))
-
-
 class TestResidualTau:
     def test_vanishes_on_recursive_rows(self):
         # residual-tau is the recursion's own step, so it holds on the recursive rows too
-        recursive, below = _int_rows(6), None
-        for g in range(1, 7):
-            rows = verification._rows(g, {"rec"}, recursive)
-            rows["s"], rows["lam"] = rows["rec"], rows["rec_lam"]
+        below = None
+        for g, (lam, row) in enumerate(faults.walk("recursive", 6), start=1):
+            rows = {"s": row, "lam": lam}
             if below is not None:
                 n = _denominator(g, rows["lam"])
                 assert verification._tau_residuals(g, rows, below) == (3 * g - 1, n, [])
@@ -52,7 +36,7 @@ class TestResidualTau:
 
 
 class TestSharedStep:
-    """residual-tau and the recursion run one step, ``recursion._step_terms``.
+    """residual-tau and the recursion run one step, the recursion's own.
 
     The step is patched under every name a tau2 module holds it by, so a check
     that computed its own bracket or one-point term would not see the fault.
@@ -60,18 +44,8 @@ class TestSharedStep:
 
     @pytest.fixture
     def faulty_step(self, monkeypatch):
-        # 2k+1 more at (g, k) = (4, 5): S(4, 5) one more, the step's own division exact
-        real = recursion._step_terms
-
-        def faulty(g, below, last, unit, top):
-            for k, term in enumerate(real(g, below, last, unit, top), start=1):
-                yield term + (2 * k + 1) * ((g, k) == (4, 5))
-
-        holders = []
-        for name, module in sorted(sys.modules.items()):
-            if name.startswith("tau2.") and vars(module).get("_step_terms") is real:
-                monkeypatch.setattr(module, "_step_terms", faulty)
-                holders.append(name)
+        # 2k+1 = 11 more at (g, k) = (4, 5): S(4, 5) one more, the step's own division exact
+        holders = faults.plant_step(monkeypatch, 4, 5, 11)
         assert holders == ["tau2.recursion", "tau2.verification"]
 
     def test_residual_tau_fails_at_the_faulty_step(self, capsys, faulty_step):
@@ -96,7 +70,7 @@ class TestCrossValidate:
         assert report.failures == ()
 
     def test_detects_single_corrupt_entry(self, monkeypatch):
-        use_rows(monkeypatch, corrupted_rows(3, 3, 4))
+        faults.plant(monkeypatch, "recursive", 3, 4, 1)
         report = cross_validate(3)
         assert not report.passed
         assert [(f.g, f.k) for f in report.failures] == [(3, 4)]
@@ -117,7 +91,7 @@ class TestCheckSymmetry:
         assert report.check_name == "symmetry"
 
     def test_detects_asymmetric_corruption(self, monkeypatch):
-        use_rows(monkeypatch, corrupted_rows(2, 2, 1))
+        faults.plant(monkeypatch, "recursive", 2, 1, 1)
         report = check_symmetry(2)
         assert not report.passed
         assert (2, 1) in [(f.g, f.k) for f in report.failures]
@@ -166,14 +140,7 @@ class TestBoundsFailures:
 
     @pytest.fixture(autouse=True)
     def pushed(self, monkeypatch):
-        real = verification._rows
-
-        def rows(g, need, recursive=None):
-            out = real(g, need, recursive)
-            out["a"] = tuple(BOUNDS_FAULTS.get((g, k), a) for k, a in enumerate(out["a"]))
-            return out
-
-        monkeypatch.setattr(verification, "_rows", rows)
+        faults.plant_in_walk(monkeypatch, "a", BOUNDS_FAULTS)
 
     def test_failures_are_pinned(self):
         report = check_bounds(3)
@@ -239,23 +206,13 @@ FAULT_LOCI = {
 @pytest.fixture(params=sorted(FAULT_LOCI))
 def fault(request, monkeypatch):
     """Inject one fault and give its failing loci at g_max = 8, by check."""
-    real_half, real_q = closedform._t_half, closedform._scaled_q
     if request.param == "closed":
-        monkeypatch.setattr(
-            closedform,
-            "_t_half",
-            lambda g, lam: (s + 315 * ((g, k) == (4, 5)) for k, s in enumerate(real_half(g, lam))),
-        )
+        faults.plant(monkeypatch, "closed", 4, 5, 315)
     elif request.param == "recursive":
-        rows = corrupted_rows(8, 3, 4)
-        rows[5][1][10] -= 7
-        use_rows(monkeypatch, rows)
+        faults.plant(monkeypatch, "recursive", 3, 4, 1)
+        faults.plant(monkeypatch, "recursive", 6, 10, -7)
     elif request.param == "core":
-        monkeypatch.setattr(
-            closedform,
-            "_scaled_q",
-            lambda g, s: (sq + 3 * s * ((g, k) == (3, 1)) for k, sq in enumerate(real_q(g, s))),
-        )
+        faults.plant_core(monkeypatch, 3, 1, 3)
     yield FAULT_LOCI[request.param]
 
 
@@ -271,22 +228,13 @@ class TestWalk:
         }
 
     def test_each_row_is_built_once(self, monkeypatch):
-        closed, recursive = [], []
-        real_half, real_rows = closedform._t_half, verification._int_rows
-        monkeypatch.setattr(
-            closedform, "_t_half", lambda g, lam: closed.append(g) or real_half(g, lam)
-        )
-        monkeypatch.setattr(
-            verification, "_int_rows", lambda g_max: recursive.append(g_max) or real_rows(g_max)
-        )
+        built = faults.count_builds(monkeypatch)
         assert all(r.passed for r in verification._run(CHECKS, 6))
-        assert closed == [1, 2, 3, 4, 5, 6]
-        assert recursive == [6]
+        assert built["closed"] == [1, 2, 3, 4, 5, 6]
+        assert built["recursive"] == [6]
 
     def test_symmetry_builds_no_closed_row(self, monkeypatch):
-        calls = []
-        real = closedform._t_half
-        monkeypatch.setattr(closedform, "_t_half", lambda g, lam: calls.append(g) or real(g, lam))
+        calls = faults.count_builds(monkeypatch)["closed"]
         assert verification._run(["symmetry"], 6)[0].passed
         assert calls == []
         assert verification._run(["cross"], 6)[0].passed
@@ -355,8 +303,9 @@ class TestCorruptionSweep:
         """Each single corrupted recursive entry fails cross-validation at its (g, k)."""
         for g in range(1, 4):
             for k in range(3 * g):
-                use_rows(monkeypatch, corrupted_rows(3, g, k))
-                report = cross_validate(3)
+                with monkeypatch.context() as patched:
+                    faults.plant(patched, "recursive", g, k, 1)
+                    report = cross_validate(3)
                 assert not report.passed, (g, k)
                 assert [(f.g, f.k) for f in report.failures] == [(g, k)]
 
@@ -427,16 +376,7 @@ class TestShiftedCore:
 
     @pytest.fixture(autouse=True)
     def shifted_core(self, monkeypatch):
-        real = closedform._scaled_q
-
-        def shifted(g, s):
-            for k, sq in enumerate(real(g, s)):
-                yield sq + (3 * s if (g, k) == (3, 1) else 0)
-
-        monkeypatch.setattr(closedform, "_scaled_q", shifted)
-        closedform.clear_caches()
-        yield
-        closedform.clear_caches()
+        faults.plant_core(monkeypatch, 3, 1, 3)
 
     def test_failure_loci(self):
         def loci(report):
@@ -469,13 +409,7 @@ class TestInexactDivision:
     def broken_unit(self, monkeypatch):
         # the closed source hands out 10007 L(4) as the unit of its genus 4 row; 10007
         # divides no P(4, k) S(4, k), so A(4, 0) = 23!! L(4) / (L(4) 10007) is inexact
-        real = closedform._row
-
-        def row(g, *k):
-            lam, s = real(g, *k)
-            return lam * 10007 if g == 4 else lam, s
-
-        monkeypatch.setattr(closedform, "_row", row)
+        faults.plant_unit(monkeypatch, 4, 10007)
 
     @pytest.mark.parametrize("check", [check_bounds, check_residual_a])
     def test_raises(self, check):
@@ -532,24 +466,12 @@ class TestPassingOutput:
         assert out.splitlines() == expected
 
 
-@functools.lru_cache(maxsize=None)
-def traced_peak(g_max: int) -> int:
-    """The ``tracemalloc`` peak of ``_run`` with every check selected, after a warm-up run."""
-    verification._run(CHECKS, 2)
-    tracemalloc.start()
-    try:
-        verification._run(CHECKS, g_max)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestHoldBound:
-    """``verify``'s size refusal bounds what ``_run`` holds with every check selected, closely."""
+    """``verify``'s size refusal bounds what it holds with every check selected, closely."""
 
     @pytest.mark.parametrize("g_max", [10, 40, 100])
     def test_traced_peak_is_within_the_bound(self, capsys, monkeypatch, g_max):
-        peak = traced_peak(g_max)
+        peak = faults.traced_peak(("verify", "--g-max", str(g_max)))
         # a limit one byte below that peak refuses the run: the bound is at least the peak
         monkeypatch.setattr(combinatorics, "HOLD_LIMIT", peak - 1)
         code, out, err = run_verify(capsys, "--g-max", str(g_max))
@@ -559,5 +481,6 @@ class TestHoldBound:
 
     @pytest.mark.parametrize("g_max", [10, 40, 100])
     def test_bound_is_within_four_times_the_traced_peak(self, capsys, monkeypatch, g_max):
-        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * traced_peak(g_max))
+        peak = faults.traced_peak(("verify", "--g-max", str(g_max)))
+        monkeypatch.setattr(combinatorics, "HOLD_LIMIT", 4 * peak)
         assert run_verify(capsys, "--g-max", str(g_max))[0] == 0

@@ -20,8 +20,9 @@ The commands cover every format and method wherever a command takes them:
   check alone; ``bench --g-max 12`` and ``60`` on each method;
 - one genus past each size limit (``LIMITS``), on each method whose count
   differs, each refused at once with one line on stderr, which is hashed
-  too.  ``value --g 4088 --k 0`` on the recursion ran, and exited 0, while
-  the size refusal counted one row and not the row below it as well;
+  too.  ``value`` on the recursion is refused at k = 3g-1, where its cone
+  is the whole row and the row below; at k = 0 the cone is one entry, and
+  ``value --g 4088 --k 0`` runs;
 - ``--help`` and each subcommand's ``--help``;
 - argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
   ``--flag=value``, an abbreviation, a negative number, a flag of another
@@ -57,8 +58,8 @@ LIMITS = (
     ["bench", "--g-max", "4089", "--method", "recursive"],
     ["bench", "--g-max", "3338", "--method", "both"],
     ["value", "--g", "3532038", "--k", "0", "--method", "closed"],
-    ["value", "--g", "4088", "--k", "0", "--method", "recursive"],
-    ["value", "--g", "4088", "--k", "0", "--method", "both"],
+    ["value", "--g", "4088", "--k", "12263", "--method", "recursive"],
+    ["value", "--g", "4088", "--k", "12263", "--method", "both"],
 )  # fmt: skip
 
 
