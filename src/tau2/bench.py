@@ -1,7 +1,7 @@
 """The ``bench`` command: wall time and value bit size per genus on either path.
 
-Only ``cli.cmd_bench`` imports this module, on first call, so no other
-command compiles it.
+``bench`` is the command's body.  Only ``cli.main`` imports this module,
+to call it, so no other command compiles it.
 """
 
 from __future__ import annotations

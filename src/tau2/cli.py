@@ -4,11 +4,12 @@ Four subcommands: ``value`` (one correlator, default cross-checked on both
 computation paths), ``table`` (one full genus row, default closed form,
 written line by line), ``verify`` (the exact check suite), and ``bench``
 (wall time and value bit-size per genus for either path).  This module holds
-the command table ``_COMMANDS``, ``_parse``, ``main``, ``run``, the exit
-codes and each command's ``cmd_*`` entry point.  Every other body loads on
-first use, so a job compiles only what its command runs: ``value`` and
-``table`` in ``tau2.output``, ``bench`` in ``tau2.bench``, ``verify``'s
-report in ``tau2.verification``, and the argparse form in ``tau2.usage``.
+the command table ``_COMMANDS``, ``_parse``, ``main``, ``run`` and the exit
+codes, and no command's body.  Each body is the function named after its
+command, in the module ``_BODIES`` names: ``output.value``, ``output.table``,
+``verification.verify`` and ``bench.bench``.  ``main`` imports that module
+and calls the body, so a job compiles only what its command runs; the
+argparse form loads from ``tau2.usage`` only when it is needed.
 
 ``main`` reads argv of the plain form ``command --flag value ...`` itself
 (``_parse``), so a well-formed command never imports ``argparse``.  Any
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
-__all__ = ["main", "run", "cmd_value", "cmd_table", "cmd_verify", "cmd_bench"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,6 +73,8 @@ _COMMANDS = {
         "--method": (_METHODS, "both", None),
     }),
 }  # fmt: skip
+# the module that holds each command's body, the function named after the command
+_BODIES = {"value": "output", "table": "output", "verify": "verification", "bench": "bench"}
 
 # what a command holds, from its parsed args, in the counts of combinatorics._genus_error:
 # value a dozen numbers, a text pair, and on the recursion the cone of (g, k), 2k+2 entries
@@ -89,41 +93,6 @@ _HOLDS = {
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def cmd_value(args: SimpleNamespace) -> int:
-    from .output import value
-    return value(args)
-
-
-def cmd_table(args: SimpleNamespace) -> int:
-    from .output import table
-    return table(args)
-
-
-def cmd_verify(args: SimpleNamespace) -> int:
-    names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
-    unknown = [c for c in names if c not in _CHECKS]
-    if unknown:
-        _diag(f"unknown checks: {', '.join(map(repr, unknown))} (valid: {', '.join(_CHECKS)})")
-        return EXIT_USAGE
-    if len(set(names)) < len(names):
-        _diag(f"each check may be named once, got --checks {args.checks}")
-        return EXIT_USAGE
-    from . import verification
-
-    times = {}
-    reports = verification._run(names, args.g_max, times)
-    args.verdict = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
-    for name, seconds in times.items():
-        _diag(f"verify: {name} in {seconds * 1000:.1f} ms")
-    verification._print_reports(reports, args.format)
-    return args.verdict
-
-
-def cmd_bench(args: SimpleNamespace) -> int:
-    from .bench import bench
-    return bench(args)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
@@ -159,8 +128,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         if value is _REQUIRED:
             return None
         setattr(args, flag[2:].replace("-", "_"), value)
-    # looked up now, not when the module loaded, so a rebound cmd_* is the one called
-    args.func = globals()[f"cmd_{argv[0]}"]
     return args
 
 
@@ -180,7 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        # looked up now, not when cli loaded, so a body rebound after import is the one called
+        body = getattr(import_module(f"{__package__}.{_BODIES[args.command]}"), args.command)
+        code = body(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,7 +1,7 @@
 """The ``value`` and ``table`` commands: integer entries S(g, k) up to their printed text.
 
-Only these two commands import this module (``cli.cmd_value`` and
-``cli.cmd_table`` load it on first call), so ``--help``, ``verify`` and
+``value`` and ``table`` are the two commands' bodies.  ``cli.main`` imports
+this module only to call one of them, so ``--help``, ``verify`` and
 ``bench`` neither compile nor load it.  An entry stays an integer until it
 becomes text, over the L(g) that its path's source (``closedform._row`` or
 ``recursion._last_row``) hands out with it: the correlator is S / N(g) and

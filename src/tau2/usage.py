@@ -2,7 +2,9 @@
 
 ``cli.main`` imports this module only when ``cli._parse`` returns None, so a
 well-formed command neither compiles it nor loads ``argparse``.  The parser
-is built from ``cli._COMMANDS``, the one table of commands and flags.
+is built from ``cli._COMMANDS``, the one table of commands and flags, and
+yields the attributes ``cli._parse`` does; ``cli.main`` then calls the
+command's body as it does for a parsed argv.
 """
 
 from __future__ import annotations
@@ -29,6 +31,4 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=default is cli._REQUIRED,
                 default=None if default is cli._REQUIRED else default, help=text,
             )  # fmt: skip
-        # looked up now, not when the module loaded, so a rebound cmd_* is the one called
-        subparser.set_defaults(func=getattr(cli, f"cmd_{command}"))
     return parser

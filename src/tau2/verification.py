@@ -44,6 +44,10 @@ rows the selected checks read once (recursive S, closed S, P, A, B), hands
 them to each check, and keeps only genera g-1 and g.  Each S row comes with
 its path's L(g), read by the checks of its rows (by ``cross``, the recursive).
 
+``verify`` is the body of the ``tau2 verify`` command: ``cli.main`` calls
+it, and it imports what it needs of ``cli`` when it runs, so a library
+import of this module loads no ``cli``.
+
 Checks never abort mid-scan.  They return a :class:`CheckReport` whose
 failure list pinpoints every offending (g, k) locus in (g, k) order; an empty
 list means the check passed.  Only a failure builds a ``Fraction``: each
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 from math import comb
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Sequence
 
 from . import _LAYERS, closedform
@@ -103,26 +108,6 @@ class CheckReport(NamedTuple):
                 for f in self.failures
             ],
         }
-
-
-def _print_reports(reports: Sequence[CheckReport], fmt: str) -> None:
-    """``tau2 verify``'s report on stdout: fmt "json", "csv" or "plain"."""
-    if fmt == "json":
-        import json
-        print(json.dumps([r.to_json_obj() for r in reports]))
-    elif fmt == "csv":
-        print("check,passed,checked,failures")
-        for r in reports:
-            print(f"{r.check_name},{str(r.passed).lower()},{r.checked},{len(r.failures)}")
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.check_name}: {status} (checked {r.checked})")
-            for f in r.failures:
-                print(
-                    f"  ({f.g},{f.k}): expected {rational_str(f.expected)}, "
-                    f"got {rational_str(f.actual)}"
-                )
 
 
 def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
@@ -264,6 +249,47 @@ def _run(names: Sequence[str], g_max: int, times: dict | None = None) -> list[Ch
         CheckReport(name, (first, g_max), tuple(failures), checked)
         for (name, (first, _, _)), (checked, failures) in zip(checks.items(), found.values())
     ]
+
+
+def verify(args: SimpleNamespace) -> int:
+    """``tau2 verify``: the checks ``args.checks`` names (default all), reported on stdout.
+
+    Each check's time goes to stderr.  ``args.verdict`` is set before the
+    report is printed, so a reader that closes stdout early still gets it.
+    """
+    from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _diag
+
+    names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
+    unknown = [c for c in names if c not in _CHECKS]
+    if unknown:
+        _diag(f"unknown checks: {', '.join(map(repr, unknown))} (valid: {', '.join(_CHECKS)})")
+        return EXIT_USAGE
+    if len(set(names)) < len(names):
+        _diag(f"each check may be named once, got --checks {args.checks}")
+        return EXIT_USAGE
+
+    times = {}
+    reports = _run(names, args.g_max, times)
+    args.verdict = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    for name, seconds in times.items():
+        _diag(f"verify: {name} in {seconds * 1000:.1f} ms")
+    if args.format == "json":
+        import json
+        print(json.dumps([r.to_json_obj() for r in reports]))
+    elif args.format == "csv":
+        print("check,passed,checked,failures")
+        for r in reports:
+            print(f"{r.check_name},{str(r.passed).lower()},{r.checked},{len(r.failures)}")
+    else:
+        for r in reports:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{r.check_name}: {status} (checked {r.checked})")
+            for f in r.failures:
+                print(
+                    f"  ({f.g},{f.k}): expected {rational_str(f.expected)}, "
+                    f"got {rational_str(f.actual)}"
+                )
+    return args.verdict
 
 
 def cross_validate(g_max: int) -> CheckReport:

@@ -6,6 +6,7 @@ that ran nothing, so what the environment preloads (through ``site``) is not
 counted against tau2.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import tau2
+from tau2 import cli, usage
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -155,21 +157,58 @@ def test_no_module_imports_bench_or_usage_when_it_loads():
     )
 
 
-def test_fast_path_calls_the_command_bound_now(monkeypatch):
-    # the benchmark's tracer rebinds cli.cmd_* after import; main must call that binding
-    from tau2 import cli, usage
+def test_library_import_of_the_verify_body_loads_no_cli():
+    # verification.verify imports what it needs of cli when the command runs
+    _python("import sys, tau2.verification\nassert 'tau2.cli' not in sys.modules\n")
 
-    def no_argparse():
-        raise AssertionError("a well-formed argv reached argparse")
 
-    calls = []
-    monkeypatch.setattr(usage, "_build_parser", no_argparse)
-    monkeypatch.setattr(cli, "cmd_value", lambda args: calls.append(args) or 0)
-    assert cli.main(["value", "--g", "3", "--k", "1"]) == 0
-    assert [vars(args) for args in calls] == [
-        {"command": "value", "g": 3, "k": 1, "method": "both", "format": "plain",
-         "func": cli.cmd_value},
-    ]  # fmt: skip
+# per command, a plain argv and the attributes it parses to
+DISPATCH = {
+    "value": (["value", "--g", "3", "--k", "1"],
+              {"command": "value", "g": 3, "k": 1, "method": "both", "format": "plain"}),
+    "table": (["table", "--g", "3"],
+              {"command": "table", "g": 3, "method": "closed", "format": "plain"}),
+    "verify": (["verify", "--g-max", "3"],
+               {"command": "verify", "g_max": 3, "checks": None, "format": "plain"}),
+    "bench": (["bench", "--g-max", "3"], {"command": "bench", "g_max": 3, "method": "both"}),
+}  # fmt: skip
+BODY_MODULES = {f"tau2.{module}" for module in cli._BODIES.values()}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+class TestDispatch:
+    """``main`` calls each command's body where it lives, and loads it only to call it."""
+
+    def test_body_is_the_function_named_after_the_command(self, command):
+        module = importlib.import_module(f"tau2.{cli._BODIES[command]}")
+        body = getattr(module, command)
+        assert isinstance(body, types.FunctionType)
+        assert (body.__module__, body.__name__) == (module.__name__, command)
+
+    @pytest.mark.parametrize("form", ["plain", "argparse"])
+    def test_main_calls_the_body_bound_now(self, monkeypatch, command, form):
+        # a body rebound after import (a test's stub, a tracer's wrapper) is the one main calls
+        argv, fields = DISPATCH[command]
+        if form == "plain":
+            def no_argparse():
+                raise AssertionError("a well-formed argv reached argparse")
+
+            monkeypatch.setattr(usage, "_build_parser", no_argparse)
+        else:
+            # --g=3 is read by argparse alone
+            argv = [argv[0], *map("=".join, zip(argv[1::2], argv[2::2]))]
+            assert cli._parse(argv) is None
+        calls = []
+        module = importlib.import_module(f"tau2.{cli._BODIES[command]}")
+        monkeypatch.setattr(module, command, lambda args: calls.append(args) or 0)
+        assert cli.main(argv) == 0
+        assert [vars(args) for args in calls] == [fields]
+
+    def test_help_usage_errors_and_refusals_load_no_body(self, command):
+        genus = next(iter(cli._COMMANDS[command][1]))
+        refused = [command, genus, "10000000", *(["--k", "0"] if command == "value" else [])]
+        for argv in ([command, "--help"], [command, "--frob", "1"], refused):
+            assert not _modules(argv) & BODY_MODULES, argv
 
 
 @pytest.mark.parametrize("argv", [TABLE_CSV, VALUE_CLOSED], ids=" ".join)

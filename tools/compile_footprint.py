@@ -4,7 +4,9 @@
 
 With ``PYTHONDONTWRITEBYTECODE=1`` no ``.pyc`` is kept, so a job compiles
 every tau2 module it imports from source.  Compiling takes memory for a
-moment, and a short job's peak RSS follows the largest compile it does.
+moment, and that memory is a measured share of a short job's peak RSS; the
+rest of the peak also depends on whether the memory freed after the compiles
+goes back to the operating system, which this tool does not show.
 
 The first table is, for each module under ``src/tau2`` of this checkout, the
 peak that ``tracemalloc`` records while ``compile()`` runs on its source.
