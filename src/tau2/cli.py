@@ -4,20 +4,21 @@ Four subcommands: ``value`` (one correlator, default cross-checked on both
 computation paths), ``table`` (one full genus row, default closed form,
 written line by line), ``verify`` (the exact check suite), and ``bench``
 (wall time and value bit-size per genus for either path).  This module holds
-the command table ``_COMMANDS``, ``_parse``, ``main``, ``run`` and the exit
-codes, and no command's body.  Each body is the function named after its
+the command table ``_COMMANDS``, its two readers ``_parse`` and
+``_build_parser``, ``main``, ``run`` and the exit codes, and no command's
+body.  Each body is the function named after its
 command, in the module ``_BODIES`` names: ``output.value``, ``output.table``,
 ``verification.verify`` and ``bench.bench``.  ``main`` imports that module
-and calls the body, so a job compiles only what its command runs; the
-argparse form loads from ``tau2.usage`` only when it is needed.
+and calls the body, so a job compiles only what its command runs.
 
 ``main`` reads argv of the plain form ``command --flag value ...`` itself
 (``_parse``), so a well-formed command never imports ``argparse``.  Any
 other argv (``--help``, ``--flag=value``, abbreviations, usage errors) goes
-to the parser that ``tau2.usage`` builds from ``_COMMANDS``, which prints
-the help and the errors and exits as argparse does.  Both hand the command
-the same attributes, and ``main`` alone refuses a genus too large to hold,
-by the counts of ``_HOLDS``, before any command runs.
+to the parser that ``_build_parser`` builds from ``_COMMANDS`` (importing
+``argparse`` only then); it prints the help and the errors and exits as
+argparse does.  Both hand the command the same attributes, and ``main``
+alone refuses a genus too large to hold, by the counts of ``_HOLDS``,
+before any command runs.
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -96,7 +97,7 @@ def _diag(message: str) -> None:
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """``argv`` as ``usage._build_parser().parse_args`` reads it, or None to leave it to argparse.
+    """``argv`` as ``_build_parser().parse_args`` reads it, or None to leave it to argparse.
 
     Only the plain form is read here: a command, then flags spelled in full,
     each followed by one value that does not start with "-".  A repeated
@@ -131,10 +132,31 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
+def _build_parser():
+    """The argparse form of ``_COMMANDS``, for ``--help`` and the argv ``_parse`` leaves to it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="tau2",
+        description="Exact two-point correlators of 2D topological gravity, "
+        "computed by genus recursion and by closed form.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_line)
+        for flag, (kind, default, text) in flags.items():
+            choices = kind if isinstance(kind, tuple) else None
+            subparser.add_argument(
+                flag, type=None if choices else kind, choices=choices,
+                required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default, help=text,
+            )  # fmt: skip
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args is None:
-        from .usage import _build_parser
         args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     name = next(iter(_COMMANDS[args.command][1]))[2:]  # the genus flag, g or g-max
     g = getattr(args, name.replace("-", "_"))

@@ -85,6 +85,34 @@ def test_a_change_worse_by_more_than_the_bound_reads_worse():
     assert verdicts(1.0, 0.7)["values_per_s"] == "worse"
 
 
+def test_a_lower_floor_alone_reads_better_raw_and_within_bound_above_the_floor():
+    # the change's launcher sits 0.13 MB lower, and every job with it: tau2's own share is equal
+    floor_kb, shift = 13.5 * 1024, 0.13
+    runs = {side: [] for side in ab.SIDES}
+    for i in range(PAIRS):
+        runs["parent"].append(ab.with_floor(ab.parse_run(run_stdout(1.0, i)), floor_kb))
+        change = ab.parse_run(run_stdout(1.0, i))
+        change["metrics"]["peak_rss_mb"]["value"] -= shift
+        runs["change"].append(ab.with_floor(change, floor_kb - shift * 1024))
+    metrics = ab.compare(ab.judged(DECLARED), {"w": runs})["w"]["metrics"]
+    assert metrics["peak_rss_mb"]["verdict"] == "better"
+    assert metrics[ab.ABOVE_FLOOR]["verdict"] == "within bound"
+
+
+def test_the_share_above_the_floor_is_held_to_the_raw_allowance():
+    # a change launcher 60 KB lower: 15% of the share above the floor, under 1% of the peak
+    floor_kb = 13.5 * 1024
+    runs = {
+        side: [ab.with_floor(ab.parse_run(run_stdout(1.0, i)), floor_kb - drop) for i in range(PAIRS)]
+        for side, drop in zip(ab.SIDES, (0, 60))
+    }
+    metrics = ab.compare(ab.judged(DECLARED), {"w": runs})["w"]["metrics"]
+    above = metrics[ab.ABOVE_FLOOR]
+    assert above["change_median"] - above["parent_median"] > 0.1 * above["parent_median"]
+    assert above["allowed"] == metrics["peak_rss_mb"]["allowed"]
+    assert above["verdict"] == "within bound"
+
+
 def test_unequal_path_lengths_exit_2_before_any_run(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change-longer"
     assert ab.main([str(parent), str(change), "--pairs", "10", "--label", "x"]) == 2

@@ -23,7 +23,6 @@ import faults
 import tau2.cli as cli
 import tau2.closedform as closedform
 import tau2.combinatorics as combinatorics
-import tau2.usage as usage
 from tau2.closedform import normalize
 from tau2.combinatorics import rational_str
 
@@ -846,7 +845,7 @@ class TestParse:
     def test_accepted_argv_parses_as_argparse_does(self, argv):
         fast = cli._parse(argv)
         if fast is not None:
-            assert _fields(fast) == _fields(usage._build_parser().parse_args(argv))
+            assert _fields(fast) == _fields(cli._build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -951,7 +950,7 @@ class TestReadme:
         readme = README.read_text(encoding="utf-8")
         flags_line = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
         documented = set(re.findall(r"--[a-z][a-z-]*", flags_line))
-        parser = usage._build_parser()
+        parser = cli._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         offered = {
             flag

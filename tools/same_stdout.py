@@ -27,7 +27,7 @@ The commands cover every format and method wherever a command takes them:
   too.  ``value`` on the recursion is refused at k = 3g-1, where its cone
   is the whole row and the row below; at k = 0 the cone is one entry, and
   ``value --g 4088 --k 0`` runs;
-- ``--help`` and each subcommand's ``--help``;
+- ``--help``, and ``--help`` of each command in ``cli._COMMANDS``;
 - argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
   ``--flag=value``, an abbreviation, a negative number, a flag of another
   command, ``-h``, no command and an unknown one.
@@ -70,7 +70,7 @@ LIMITS = (
 def commands() -> Iterator[list[str]]:
     yield from FALLBACK
     yield ["--help"]
-    for command in ("value", "table", "verify", "bench"):
+    for command in cli._COMMANDS:
         yield [command, "--help"]
     for g in range(31):
         for k in range(-1, 3 * g + 1):
