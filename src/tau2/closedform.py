@@ -25,7 +25,7 @@ fills the first half of the row; S(g, k) = S(g, 3g-1-k) gives the rest.
 This is b(g, k) = a(g, k+1) - a(g, k) multiplied through by
 L(g) D / ((2k+1)!! (6g-3-2k)!!), with a(g, k) = W(k) S(g, k) / L(g) and the
 weight W(k) = (2k+1)!! (6g-1-2k)!! / D (``combinatorics._weight``), which
-``b_value``, ``a_closed``, ``normalize`` and the CLI's printed values share.
+``b_value``, ``normalize`` and the CLI's printed values share.
 L(g) q(g, k) comes from two running values, L C(g-1, j) and L C(g, j), each
 advanced by its ratio (g-1-j)/(j+1) or (g-j+1)/j, so L is only ever
 multiplied or divided by small integers.  Every division is checked; a
@@ -37,23 +37,24 @@ proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
 but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-``_row`` hands out L(g) with the full row or one entry, and fills the cache of
-L(g), N(g) and the row that the point lookups read (no command does); ``_rows``
-walks the genera, stepping L(g) = lcm(L(g-1), 2g+1) as the recursion does.
+``two_point_closed`` hands out L(g) with the full row or one entry, and
+computes it afresh on every call; ``_rows`` walks the genera, stepping
+L(g) = lcm(L(g-1), 2g+1) as the recursion does.  Neither builds a
+``Fraction``: the value of entry k is S(g, k) / N(g), and its normalized value
+W(k) S(g, k) / L(g).
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
 there is a single source of truth.
 """
 
+# annotations stay strings: Iterator is collections.abc's, left unimported so no command loads it
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator, Sequence
 
 from . import _LAYERS
-from .combinatorics import _denominator, _exact, _weight, odd_lcm
+from .combinatorics import _check_entry, _exact, _weight, odd_lcm
 
 __all__ = _LAYERS["closedform"].split()
 
@@ -88,8 +89,7 @@ def b_value(g: int, k: int) -> Fraction:
     That is W(k) q(g, k) / (6g-1-2k), valid for 0 <= k <= b_domain_max(g);
     see the module docstring for q.
     """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_entry(g)
     if not 0 <= k <= b_domain_max(g):
         raise ValueError(
             f"difference index must be in 0..{b_domain_max(g)} at genus {g}, got {k}"
@@ -108,32 +108,24 @@ def _t_half(g: int, lam: int) -> Iterator[int]:
         yield s
 
 
-def _mirror(g: int, k: int) -> int:
-    """min(k, 3g-1-k), the index in the half row; ValueError unless g >= 1 and 0 <= k <= 3g-1."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if not 0 <= k <= 3 * g - 1:
-        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
-    return min(k, 3 * g - 1 - k)
-
-
-def _mirrored(g: int, half: Sequence) -> tuple:
+def _mirrored(g: int, half: tuple | list) -> tuple:
     """Full genus g row, symmetric under k <-> 3g-1-k, from its first half."""
     return (*half, *half[3 * g - 1 - len(half) :: -1])
 
 
-def _row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
-    """(L(g), the full row S(g, .)), or given k, (L(g), S(g, k)); no cache is read or filled.
+def two_point_closed(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
+    """(L(g), the full row S(g, .)), or given k, (L(g), S(g, k)); ValueError off the row.
 
     Given k, the whole half row is still run and only entry min(k, 3g-1-k)
     is kept: no row is held, and the time depends on g alone, where stopping
     at k would make it vary tenfold with k.
     """
+    _check_entry(g, k)
     lam = odd_lcm(2 * g + 1)
     half = _t_half(g, lam)
     if k is None:
         return lam, _mirrored(g, tuple(half))
-    m = _mirror(g, k)
+    m = min(k, 3 * g - 1 - k)
     return lam, [s for i, s in enumerate(half) if i == m][0]
 
 
@@ -145,38 +137,8 @@ def _rows(g_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         yield lam, _mirrored(g, tuple(_t_half(g, lam)))
 
 
-@lru_cache(maxsize=32)
-def _cached(g: int) -> tuple[int, int, tuple[int, ...]]:
-    """L(g), N(g) and the full row S(g, .) from ``_row``, for the point lookups."""
-    lam, row = _row(g)
-    return lam, _denominator(g, lam), row
-
-
-def a_closed(g: int, k: int) -> Fraction:
-    """Normalized two-point value a(g, k) = W(m) S(g, m) / L(g), for 0 <= k <= 3g-1.
-
-    m = min(k, 3g-1-k), by the symmetry a(g, k) = a(g, 3g-1-k); S(g, m) is
-    read from the cached integer row.
-    """
-    from fractions import Fraction
-    m = _mirror(g, k)
-    lam, _, row = _cached(g)
-    return Fraction(*_weight(g, m)) * Fraction(row[m], lam)
-
-
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:
     """Rescale a two-point correlator to its normalized value a(g, k) = 24^g g! W(k) corr."""
+    _check_entry(g, k)
     from fractions import Fraction
-    return corr * (24**g * factorial(g)) * Fraction(*_weight(g, _mirror(g, k)))
-
-
-def two_point_closed(g: int, k: int) -> Fraction:
-    """<tau_k tau_{3g-1-k}> = S(g, k) / N(g) from the cached row and N(g)."""
-    from fractions import Fraction
-    _, n, row = _cached(g)
-    return Fraction(row[_mirror(g, k)], n)
-
-
-def clear_caches() -> None:
-    """Drop the per-genus cache of L(g), N(g) and the integer row (for honest benchmarking)."""
-    _cached.cache_clear()
+    return corr * (24**g * factorial(g)) * Fraction(*_weight(g, k))

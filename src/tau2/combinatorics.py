@@ -16,11 +16,12 @@ double-factorial ratio W(k), as an integer pair, turns an entry of that row
 into its normalized value.  Callers that walk a row keep their own running
 products.  Plain factorials and binomials are ``math.factorial`` and
 ``math.comb``.  ``_genus_error`` sizes what a command holds, for the one
-refusal of a genus too large to hold, in ``cli.main``.
+refusal of a genus too large to hold, in ``cli.main``; ``_check_entry`` is
+the one bounds check of an entry (g, k) that the row sources take.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
-and by 2k+1 in ``recursion._int_row`` is an entry S(g, k) = N(g) <tau_k
+and by 2k+1 in ``recursion.genus_row`` is an entry S(g, k) = N(g) <tau_k
 tau_{3g-1-k}>; every other division is exact by construction (the binomial
 steps of ``closedform._scaled_q``, and L(g)/L(g-1)).  So both loops divide
 exactly at genus g if and only if every S(g, .) is an integer, and it is, at
@@ -72,6 +73,14 @@ def _exact(n: int, d: int, g: int, k: int) -> int:
     if r:
         raise ArithmeticError(f"inexact division at ({g},{k}): remainder {r} mod {d}")
     return q
+
+
+def _check_entry(g: int, k: int | None = None) -> None:
+    """ValueError unless g >= 1 and, given k, 0 <= k <= 3g-1: entry k of a genus g row."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    if k is not None and not 0 <= k <= 3 * g - 1:
+        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
 
 
 def double_factorial_odd(m: int) -> int:

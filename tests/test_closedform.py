@@ -3,7 +3,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 import faults
 import tau2.cli as cli
 import tau2.closedform as closedform
-from tau2.closedform import (
-    a_closed,
-    b_domain_max,
-    b_value,
-    clear_caches,
-    normalize,
-    two_point_closed,
-)
-from tau2.combinatorics import _denominator, double_factorial_odd
-from tau2.recursion import one_point, recursive_row
+from tau2.closedform import b_domain_max, b_value, normalize
+from tau2.combinatorics import double_factorial_odd
+
+
+def a(g, k):
+    """a(g, k) = W(k) S(g, k) / L(g) from the closed path's integer entry."""
+    return faults.normalized("closed", g, k)
+
+
+def one_point(g):
+    """<tau_{3g-2}> = 1/(24^g g!)."""
+    return Fraction(1, 24**g * factorial(g))
 
 
 class TestBDomain:
@@ -59,7 +61,7 @@ class TestBValue:
     @given(st.integers(min_value=1, max_value=15), st.data())
     def test_telescopes_to_a_differences(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=b_domain_max(g)))
-        assert b_value(g, k) == a_closed(g, k + 1) - a_closed(g, k)
+        assert b_value(g, k) == a(g, k + 1) - a(g, k)
 
     def test_self_paired_midpoint_is_one_past_domain(self):
         # the k with a(g,k+1) = a(g,k) mirrored onto itself sits just outside
@@ -81,13 +83,15 @@ class TestBValue:
 
 
 class TestAClosed:
+    """a(g, k) on the closed path, from its integer entries."""
+
     def test_base_value(self):
         for g in range(1, 21):
-            assert a_closed(g, 0) == 1
+            assert a(g, 0) == 1
 
     def test_next_value(self):
         for g in range(1, 21):
-            assert a_closed(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
+            assert a(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
 
     @pytest.mark.parametrize(
         "g,k,expected",
@@ -100,34 +104,32 @@ class TestAClosed:
         ],
     )
     def test_frozen_anchors(self, g, k, expected):
-        assert a_closed(g, k) == expected
+        assert a(g, k) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=15), st.data())
     def test_symmetry(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        assert a_closed(g, k) == a_closed(g, 3 * g - 1 - k)
+        assert a(g, k) == a(g, 3 * g - 1 - k)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"k must be in 0\.\.5"):
-            a_closed(2, 6)
+            a(2, 6)
         with pytest.raises(ValueError):
-            a_closed(2, -1)
+            a(2, -1)
         with pytest.raises(ValueError):
-            a_closed(0, 0)
+            a(0, 0)
 
 
 class TestNormalizeAndTwoPointClosed:
     def test_normalize_unscales_to_a(self):
         for g in range(1, 9):
             for k in range(3 * g):
-                corr = two_point_closed(g, k)
-                assert normalize(g, k, corr) == a_closed(g, k)
+                corr = faults.values("closed", g, k)
+                assert normalize(g, k, corr) == a(g, k)
 
     def test_scale_shape(self):
         # a(g,k) = (2k+1)!!(6g-1-2k)!! 24^g g! / (6g-1)!! * correlator
-        from math import factorial
-
         g, k = 3, 2
         scale = Fraction(
             double_factorial_odd(2 * k + 1)
@@ -140,11 +142,11 @@ class TestNormalizeAndTwoPointClosed:
 
     def test_string_endpoint(self):
         for g in range(1, 12):
-            assert two_point_closed(g, 0) == one_point(g)
+            assert faults.values("closed", g, 0) == one_point(g)
 
     def test_dilaton_endpoint(self):
         for g in range(1, 12):
-            assert two_point_closed(g, 1) == (2 * g - 1) * one_point(g)
+            assert faults.values("closed", g, 1) == (2 * g - 1) * one_point(g)
 
     @pytest.mark.parametrize(
         "g,k,expected",
@@ -156,70 +158,45 @@ class TestNormalizeAndTwoPointClosed:
         ],
     )
     def test_frozen_anchors(self, g, k, expected):
-        assert two_point_closed(g, k) == expected
+        assert faults.values("closed", g, k) == expected
 
     def test_matches_recursive_path(self):
         for g in range(1, 11):
-            row = recursive_row(g)
+            row = faults.values("recursive", g)
             for k in range(3 * g):
-                assert two_point_closed(g, k) == row[k], (g, k)
+                assert faults.values("closed", g, k) == row[k], (g, k)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"k must be in 0\.\.5"):
-            two_point_closed(2, 7)
+            faults.rows("closed", 2, 7)
 
     def test_positive_everywhere(self):
         for g in range(1, 12):
             for k in range(3 * g):
-                assert two_point_closed(g, k) > 0
-
-
-class TestCaches:
-    def test_clear_caches_keeps_values(self):
-        before = two_point_closed(7, 5)
-        clear_caches()
-        assert two_point_closed(7, 5) == before
-        clear_caches()
-        clear_caches()
-
-    def test_denominator_is_built_once_per_genus(self, monkeypatch):
-        calls = []
-
-        def counted(g, lam):
-            calls.append(g)
-            return _denominator(g, lam)
-
-        clear_caches()
-        monkeypatch.setattr(closedform, "_denominator", counted)
-        for k in range(3 * 30):
-            two_point_closed(30, k)
-        assert calls == [30]
-        clear_caches()
-        two_point_closed(30, 0)
-        assert calls == [30, 30]
+                assert faults.values("closed", g, k) > 0
 
 
 class TestIntegerHalfRow:
     def test_half_row_is_the_recursions_integer_row(self):
         for g, (lam, row) in enumerate(faults.walk("recursive", 80), start=1):
-            # the cache holds the full row that the closed source hands out
-            cached_lam, _, cached = closedform._cached(g)
-            assert len(cached) == 3 * g
-            half = cached[: (3 * g - 1) // 2 + 1]
+            closed_lam, closed = faults.rows("closed", g)
+            assert len(closed) == 3 * g
+            half = closed[: (3 * g - 1) // 2 + 1]
             assert half == row[: len(half)], g
-            assert cached == row, g
-            assert cached_lam == lam, g
+            assert closed == row, g
+            assert closed_lam == lam, g
 
     def test_walk_is_each_row_to_genus_120(self):
         # the walk steps L(g) = lcm(L(g-1), 2g+1) where a lone row sieves it
         walked = list(faults.walk("closed", 120))
         assert walked == [faults.rows("closed", g) for g in range(1, 121)]
 
-    def test_streamed_value_equals_cached_value(self):
+    def test_one_entry_equals_the_full_row(self):
         for g in range(1, 41):
+            full_lam, full = faults.rows("closed", g)
             for k in range(3 * g):
                 lam, s = faults.rows("closed", g, k)
-                assert Fraction(s, _denominator(g, lam)) == two_point_closed(g, k), (g, k)
+                assert (lam, s) == (full_lam, full[k]), (g, k)
 
     @pytest.mark.parametrize("g,k", [(2, 6), (2, -1), (0, 0)])
     def test_streamed_out_of_range_rejected(self, g, k):

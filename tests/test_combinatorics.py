@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import faults
-from tau2.closedform import a_closed
 from tau2.combinatorics import (
     HOLD_LIMIT,
     _denominator,
     _genus_error,
+    _weight,
     double_factorial_odd,
     odd_lcm,
     rational_str,
@@ -123,8 +123,9 @@ class TestNormalizedTerms:
     @pytest.mark.parametrize("g", [*range(1, 61), 300])
     def test_denominator_divides_m_and_numerator_is_at_most_it(self, g):
         m = odd_lcm(6 * g - 1)
-        for k in range(3 * g):
-            a = a_closed(g, k)
+        lam, row = faults.rows("closed", g)
+        for k, s in enumerate(row):
+            a = Fraction(*_weight(g, k)) * Fraction(s, lam)
             assert m % a.denominator == 0, (g, k)
             assert 0 < a.numerator <= a.denominator, (g, k)
 

@@ -49,7 +49,7 @@ def test_paths_do_not_import_each_other(name, other):
         "from . import two_point_closed",
         "import tau2.closedform",
         "import tau2",
-        "from tau2 import a_closed",
+        "from tau2 import b_value",
         "from tau2.closedform import normalize",
     ],
 )

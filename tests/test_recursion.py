@@ -1,4 +1,4 @@
-"""Recursive path: one-point values, genus-0 formula, row construction.
+"""Recursive path: the string endpoint, the genus 1 seed, row construction.
 
 The oracle below is a third, self-contained evaluator of intersection
 numbers (string equation, dilaton equation, and the double-factorial
@@ -8,7 +8,6 @@ package and anchors the recursive path independently of the closed form.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -16,15 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faults
-from tau2.closedform import two_point_closed
 from tau2.combinatorics import _denominator
-from tau2.recursion import (
-    _scaled,
-    genus0_npoint,
-    genus_row,
-    one_point,
-    recursive_row,
-)
 from tau2.verification import check_symmetry, cross_validate
 
 
@@ -95,90 +86,38 @@ GENUS3_ROW = (
 )
 
 
+def one_point(g: int) -> Fraction:
+    """<tau_{3g-2}> = 1/(24^g g!), which the string equation makes <tau_0 tau_{3g-1}>."""
+    return Fraction(1, 24**g * factorial(g))
+
+
+def stepped(g: int) -> tuple[Fraction, ...]:
+    """Row g as correlators, by one recursion step from the recursion's row g-1; the seed at g = 1."""
+    if g == 1:
+        return faults.values("recursive", 1)
+    unit, below = faults.rows("recursive", g - 1)
+    lam, row = faults.step(g, below, unit)
+    return tuple(faults.value(g, lam, s) for s in row)
+
+
 class TestOnePoint:
+    """Entry 0 of each recursive row is the one-point value <tau_{3g-2}>."""
+
     @pytest.mark.parametrize(
         "g,expected",
         [(1, Fraction(1, 24)), (2, Fraction(1, 1152)), (3, Fraction(1, 82944))],
     )
     def test_anchors(self, g, expected):
-        assert one_point(g) == expected
+        assert faults.values("recursive", g, 0) == expected
 
     @pytest.mark.parametrize("g", [0, -1])
     def test_rejects_nonpositive_genus(self, g):
         with pytest.raises(ValueError):
-            one_point(g)
+            faults.rows("recursive", g)
 
     @pytest.mark.parametrize("g", range(1, 5))
     def test_matches_oracle(self, g):
-        assert one_point(g) == oracle(g, (3 * g - 2,))
-
-
-class TestGenus0Npoint:
-    @pytest.mark.parametrize(
-        "ds,expected",
-        [
-            ([0, 0, 0], 1),
-            ([1, 0, 0, 0], 1),
-            ([1, 1, 0, 0, 0], 2),
-            ([2, 0, 0, 0, 0], 1),
-            ([2, 1, 0, 0, 0, 0], 3),
-        ],
-    )
-    def test_multinomial_values(self, ds, expected):
-        assert genus0_npoint(ds) == expected
-
-    def test_negative_index_vanishes(self):
-        assert genus0_npoint([-1, 2, 2]) == 0
-
-    def test_dimension_mismatch_vanishes(self):
-        assert genus0_npoint([1, 1, 1]) == 0
-
-    def test_too_few_insertions_rejected(self):
-        with pytest.raises(ValueError):
-            genus0_npoint([0, 0])
-
-    def test_matches_oracle(self):
-        for n in range(3, 7):
-            for ds in product(range(4), repeat=n):
-                if sum(ds) == n - 3:
-                    assert genus0_npoint(list(ds)) == oracle(0, ds)
-
-    def test_string_equation(self):
-        # <tau_0 prod tau_{d_i}> = sum_j <... tau_{d_j - 1} ...>
-        for n in range(3, 8):
-            for ds in product(range(6), repeat=n):
-                if sum(ds) > 5:
-                    continue
-                lhs = genus0_npoint([0, *ds])
-                rhs = sum(
-                    genus0_npoint([*ds[:j], ds[j] - 1, *ds[j + 1 :]]) for j in range(n)
-                )
-                assert lhs == rhs, ds
-
-    def test_dilaton_equation(self):
-        # <tau_1 prod tau_{d_i}> = (n - 2) <prod tau_{d_i}> at genus 0
-        for n in range(3, 8):
-            for ds in product(range(6), repeat=n):
-                if sum(ds) > 5:
-                    continue
-                assert genus0_npoint([1, *ds]) == (n - 2) * genus0_npoint(list(ds)), ds
-
-    # genus0_npoint evaluates the multinomial (n-3)!/(d_1!...d_n!) itself; the
-    # two tests below hold it to that formula at indices past the oracle's range.
-    # Each part is >= 1, so the zeros that make sum(ds) = n - 3 number at least 3.
-    @given(st.lists(st.integers(min_value=1, max_value=8), max_size=6))
-    def test_matches_factorial_formula(self, parts):
-        ds = parts + [0] * (sum(parts) + 3 - len(parts))
-        expected = Fraction(factorial(sum(parts)), prod(map(factorial, parts)))
-        assert expected.denominator == 1
-        assert genus0_npoint(ds) == expected
-
-    @given(st.lists(st.integers(min_value=1, max_value=8), max_size=6), st.randoms())
-    def test_order_invariant(self, parts, rnd):
-        ds = parts + [0] * (sum(parts) + 3 - len(parts))
-        shuffled = list(ds)
-        rnd.shuffle(shuffled)
-        assert genus0_npoint(shuffled) == genus0_npoint(ds) != 0
+        assert faults.values("recursive", g, 0) == oracle(g, (3 * g - 2,))
 
 
 class TestGenus1Seed:
@@ -190,38 +129,24 @@ class TestGenus1Seed:
         # N(1) = 24 * 1! * lcm(1, 3) = 72 times the oracle's genus 1 row
         ((lam, seed),) = faults.walk("recursive", 1)
         assert lam == 3
-        assert seed == _scaled(1, lam, [oracle(1, (k, 2 - k)) for k in range(3)]) == (3, 3, 3)
+        n = _denominator(1, lam)
+        assert seed == tuple(n * oracle(1, (k, 2 - k)) for k in range(3)) == (3, 3, 3)
 
 
 class TestGenusRow:
+    """One recursion step, from the recursion's row below."""
+
     def test_genus1_row(self):
-        assert genus_row(1) == (Fraction(1, 24),) * 3
+        assert stepped(1) == (Fraction(1, 24),) * 3
 
     def test_genus2_row(self):
-        assert genus_row(2, genus_row(1)) == GENUS2_ROW
-
-    def test_requires_row_below(self):
-        with pytest.raises(ValueError):
-            genus_row(2)
-
-    def test_rejects_wrong_length_row(self):
-        with pytest.raises(ValueError):
-            genus_row(3, genus_row(1))
-
-    def test_rejects_genus_zero(self):
-        with pytest.raises(ValueError):
-            genus_row(0)
+        assert stepped(2) == GENUS2_ROW
 
     def test_inexact_division_is_loud(self):
-        # 1/18 = 4/N(1) is integral but wrong, so (2,3) divides 7 with remainder 5
-        forged = (Fraction(1, 24), Fraction(1, 18), Fraction(1, 24))
+        # (3, 4, 3) over L(1) = 3 is 1/18 = 4/N(1) at k = 1: integral but wrong,
+        # so (2,3) divides 7 with remainder 5
         with pytest.raises(ArithmeticError, match=r"inexact division at \(2,3\): remainder 5"):
-            genus_row(2, forged)
-
-    def test_rejects_row_below_off_the_denominator(self):
-        forged = (Fraction(1, 24), Fraction(1, 7), Fraction(1, 24))
-        with pytest.raises(ValueError, match=r"\(1,1\): 1/7 times N\(1\)"):
-            genus_row(2, forged)
+            faults.step(2, (3, 4, 3), 3)
 
 
 def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
@@ -235,21 +160,19 @@ def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
 class TestRecursiveRow:
     def test_matches_closed_row_to_genus_80(self):
         for g in range(1, 81):
-            closed = tuple(two_point_closed(g, k) for k in range(3 * g))
-            assert recursive_row(g) == closed, g
+            assert faults.values("recursive", g) == faults.values("closed", g), g
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=40), st.data())
     def test_agrees_with_table_and_single_values(self, g, data):
-        row = recursive_row(g)
+        row = faults.values("recursive", g)
         assert _rows(g)[-1] == row
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        below = recursive_row(g - 1) if g > 1 else None
-        assert genus_row(g, below)[k] == row[k]
+        assert stepped(g)[k] == row[k]
 
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError):
-            recursive_row(0)
+            faults.rows("recursive", 0)
 
 
 class TestCone:
@@ -285,7 +208,7 @@ class TestTwoPointRecursive:
 
     @pytest.mark.parametrize("k,expected", [(0, "1/24"), (1, "1/24"), (2, "1/24")])
     def test_genus1_needs_no_table(self, k, expected):
-        assert recursive_row(1)[k] == Fraction(expected)
+        assert faults.values("recursive", 1)[k] == Fraction(expected)
 
     @pytest.mark.parametrize(
         "k,expected",
@@ -297,37 +220,28 @@ class TestTwoPointRecursive:
         ],
     )
     def test_genus2_steps(self, k, expected):
-        assert genus_row(2, recursive_row(1))[k] == expected
+        assert stepped(2)[k] == expected
 
     def test_out_of_range_k(self):
-        row = recursive_row(2)
+        row = faults.values("recursive", 2)
         assert len(row) == 6
         with pytest.raises(IndexError):
             row[7]  # noqa: B018
 
-    def test_missing_table(self):
-        with pytest.raises(ValueError, match="complete genus 1 row"):
-            genus_row(2)
-
-    def test_incomplete_table(self):
-        with pytest.raises(ValueError, match="complete genus 2 row"):
-            genus_row(3, recursive_row(1))
-
     def test_uses_stored_row_when_available(self):
-        assert genus_row(3, recursive_row(2))[4] == recursive_row(3)[4]
+        assert stepped(3)[4] == faults.values("recursive", 3)[4]
 
     def test_advances_row_without_mutating(self):
-        below = recursive_row(2)
-        value = genus_row(3, below)[5]
-        assert value == GENUS3_ROW[5]
-        assert below == GENUS2_ROW
+        unit, below = faults.rows("recursive", 2)
+        lam, row = faults.step(3, below, unit)
+        assert faults.value(3, lam, row[5]) == GENUS3_ROW[5]
+        assert tuple(faults.value(2, unit, s) for s in below) == GENUS2_ROW
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_agrees_with_built_table(self, g, data):
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        below = recursive_row(g - 1) if g > 1 else None
-        assert genus_row(g, below)[k] == _rows(g)[g - 1][k]
+        assert stepped(g)[k] == _rows(g)[g - 1][k]
 
 
 class TestBuildTable:
@@ -353,7 +267,7 @@ class TestBuildTable:
     def test_rejects_g_max_below_one(self):
         for g in (0, -1):
             with pytest.raises(ValueError):
-                recursive_row(g)
+                faults.rows("recursive", g)
 
     def test_deterministic_serialization(self):
         assert list(faults.walk("recursive", 5)) == list(faults.walk("recursive", 5))

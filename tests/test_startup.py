@@ -67,22 +67,25 @@ LAYERS = ("closedform", "combinatorics", "recursion", "verification")
 # Fraction table layer (TwoPointTable, build_table, two_point_recursive), the
 # Fraction single value two_point_streamed, and the names nothing ran (DELETED)
 PUBLIC = {
-    "CheckFailure", "CheckReport", "__version__", "a_closed",
+    "CheckFailure", "CheckReport", "__version__",
     "b_domain_max", "b_value", "check_bounds",
     "check_residual_a", "check_residual_b", "check_residual_tau", "check_symmetry",
-    "clear_caches", "cross_validate", "double_factorial_odd",
-    "genus0_npoint", "genus_row", "normalize",
-    "odd_lcm", "one_point", "rational_str", "recursive_row", "two_point_closed",
+    "cross_validate", "double_factorial_odd",
+    "genus_row", "normalize",
+    "odd_lcm", "rational_str", "recursive_row", "two_point_closed",
 }  # fmt: skip
 # name: the layer that exported it.  The point-form residuals (one entry per
 # call, rows rebuilt each time), the Fraction genus 1 seed and <tau_d> for any d
 # had only their own tests as callers; factorial and binomial were math's, and
-# multinomial's one caller, genus0_npoint, computes its formula itself.
+# multinomial's one caller was genus0_npoint.  The Fraction point lookups
+# (a_closed and the cache that clear_caches dropped), the one-point value and
+# the genus-0 formula had no command as a caller: the rows are integers.
 DELETED = {
     "residual_rec_tau": "verification", "residual_rec_a": "verification",
     "residual_rec_b": "verification", "genus1_seed": "recursion",
     "one_point_at": "recursion", "factorial": "combinatorics", "binomial": "combinatorics",
-    "multinomial": "combinatorics",
+    "multinomial": "combinatorics", "a_closed": "closedform", "clear_caches": "closedform",
+    "one_point": "recursion", "genus0_npoint": "recursion",
 }  # fmt: skip
 
 # functions whose calls and times the benchmark's tracer (perfbench/trace_job.py)
@@ -98,16 +101,19 @@ TRACED = {
 }  # fmt: skip
 
 
-def _python(code, *argv):
+def _python(code, *argv, site=True):
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=ENV
+        [sys.executable, *([] if site else ["-S"]), "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=ENV,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def _modules(argv):
-    proc = _python(DRIVER, *argv)
+def _modules(argv, site=True):
+    proc = _python(DRIVER, *argv, site=site)
     last = proc.stderr.splitlines()[-1]
     assert last.startswith(MARKER), proc.stderr
     return set(last[len(MARKER) :].split())
@@ -235,6 +241,12 @@ def test_table_and_value_print_without_fractions(loaded, argv):
     mods = loaded[tuple(argv)]
     assert "tau2.output" in mods
     assert not mods & {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv in OUTPUT if argv[-1] == "plain"], ids=" ".join)
+def test_value_and_table_load_no_typing(argv):
+    # without site, whose .pth files may load typing first and so hide tau2's own import
+    assert "typing" not in _modules(argv, site=False)
 
 
 @pytest.mark.parametrize("argv", [HELP, VERIFY_CSV, VERIFY_JSON, BENCH], ids=" ".join)

@@ -6,6 +6,7 @@ rebuilt below by that recursion with ``math`` only, sharing no code with
 tau2, and rescaled by L(g) / D(g) with L(g) = lcm(1, 3, ..., 2g+1).
 """
 
+import re
 from math import comb, lcm, prod
 
 import pytest
@@ -53,9 +54,9 @@ def test_both_paths_are_t_rescaled_to_genus_150():
     for g, (t, (lam, row)) in enumerate(zip(t_rows(150), faults.walk("recursive", 150)), start=1):
         expected = s_row(g, t)
         assert row == expected, g
-        cached_lam, _, cached = closedform._cached(g)
-        assert cached == expected[: len(cached)], g
-        assert cached_lam == lam, g
+        closed_lam, closed = faults.rows("closed", g)
+        assert closed == expected, g
+        assert closed_lam == lam, g
 
 
 @pytest.mark.parametrize("g_max,k", [(150, None), (122, 1), (171, 2), (300, 0), (1000, 40)])
@@ -66,6 +67,22 @@ def test_each_unit_is_the_odd_lcm(g_max, k):
     rows = list(faults.walk("recursive", g_max, k))
     for h, (lam, _) in enumerate(rows, start=g_max + 1 - len(rows)):
         assert lam == lcm(*range(1, 2 * h + 2, 2)), h
+
+
+@pytest.mark.parametrize("path", ["closed", "recursive"])
+@pytest.mark.parametrize(
+    "g,k,message",
+    [
+        (0, None, "genus must be >= 1, got 0"),
+        (-2, None, "genus must be >= 1, got -2"),
+        (0, 0, "genus must be >= 1, got 0"),
+        (3, -1, "k must be in 0..8 at genus 3, got -1"),
+        (3, 9, "k must be in 0..8 at genus 3, got 9"),
+    ],
+)
+def test_row_sources_refuse_what_is_off_the_row(path, g, k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        faults.rows(path, g, k)
 
 
 def test_closed_loop_is_exact_to_genus_300():

@@ -9,7 +9,7 @@ import pytest
 
 import faults
 import tau2.cli as cli
-from tau2 import closedform, combinatorics, verification
+from tau2 import combinatorics, verification
 from tau2.combinatorics import _denominator
 from tau2.verification import (
     CheckFailure,
@@ -239,13 +239,6 @@ class TestWalk:
         assert calls == []
         assert verification._run(["cross"], 6)[0].passed
         assert calls == [1, 2, 3, 4, 5, 6]
-
-    def test_walk_fills_no_closed_cache(self):
-        # the walk keeps genera g-1 and g only; the cache is for point lookups
-        closedform.clear_caches()
-        assert all(r.passed for r in verification._run(CHECKS, 40))
-        # one cache holds L(g), N(g) and the half row
-        assert closedform._cached.cache_info().currsize == 0
 
     def test_times_cover_each_check_and_the_rows(self):
         times = {}
