@@ -75,8 +75,13 @@ def _step_terms(g: int, below: tuple[int, ...], last: int, unit: int, top: int) 
 def genus_row(g: int, below: tuple[int, ...], last: int, unit: int) -> tuple[int, tuple[int, ...]]:
     """L(g) and the integer entries S(g, 0..last), g >= 2, from S(g-1, .) and ``unit`` = L(g-1).
 
-    ``below`` need reach entry min(last-1, 3g-4) only (``_step_terms``).
+    ``below`` need reach entry min(last-1, 3g-4) only (``_step_terms``).  ValueError unless
+    g >= 2, 0 <= last <= 3g-1, ``below`` holds those entries and no more than the 3g-3 of
+    row g-1, and 2g-1 divides ``unit``, as it divides L(g-1).
     """
+    n, m = len(below), 3 * g - 3  # row g-1 has m entries
+    if g < 2 or not 0 <= last <= m + 2 or not min(last, m) <= n <= m or unit % (2 * g - 1):
+        raise ValueError(f"no step to S({g}, 0..{last}) from {n} entries of row {g-1} over {unit}")
     top = lcm(unit, 2 * g + 1)
     row = [top]
     for k, term in enumerate(_step_terms(g, below, last, unit, top), start=1):

@@ -148,6 +148,23 @@ class TestGenusRow:
         with pytest.raises(ArithmeticError, match=r"inexact division at \(2,3\): remainder 5"):
             faults.step(2, (3, 4, 3), 3)
 
+    def test_requires_row_below(self):
+        with pytest.raises(ValueError):
+            faults.step(2, (), 3)
+
+    def test_rejects_wrong_length_row(self):
+        with pytest.raises(ValueError):
+            faults.step(2, (3, 3, 3, 3), 3)
+
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError, match=r"no step to S\(0, 0\.\.-1\)"):
+            faults.step(0, (), 1)
+
+    def test_rejects_row_below_off_the_denominator(self):
+        # 7 is no L(1) = 3: the row below would be read over N(1) = 24 * 7
+        with pytest.raises(ValueError, match=r"from 3 entries of row 1 over 7$"):
+            faults.step(2, (3, 3, 3), 7)
+
 
 def _rows(g_max: int) -> list[tuple[Fraction, ...]]:
     """Rows 1..g_max of the recursion as correlators, from its integer rows."""
@@ -227,6 +244,15 @@ class TestTwoPointRecursive:
         assert len(row) == 6
         with pytest.raises(IndexError):
             row[7]  # noqa: B018
+
+    def test_missing_table(self):
+        with pytest.raises(ValueError, match="from 0 entries of row 1 over 3"):
+            faults.step(2, (), 3)
+
+    def test_incomplete_table(self):
+        # the genus 1 row stands where the 6-entry genus 2 row belongs, over L(2) = 15
+        with pytest.raises(ValueError, match="from 3 entries of row 2 over 15"):
+            faults.step(3, (3, 3, 3), 15)
 
     def test_uses_stored_row_when_available(self):
         assert stepped(3)[4] == faults.values("recursive", 3)[4]
