@@ -10,7 +10,7 @@ have an explicit product formula on the first half of the row.  With
 D = (6g-1)!! it reads b(g, k) = (2k+1)!! (6g-3-2k)!!/D * q(g, k), where q is
 the integer selected by k mod 3, writing k as 3j-1, 3j, or 3j+1:
 
-    k = 3j-1:   C(g, j) (g-2j) / g      (the division by g is exact)
+    k = 3j-1:   C(g, j) (g-2j) / g = C(g-1, j) - C(g-1, j-1)   (Pascal's rule)
     k = 3j:    -2 C(g-1, j)
     k = 3j+1:   2 C(g-1, j)
 
@@ -26,10 +26,10 @@ This is b(g, k) = a(g, k+1) - a(g, k) multiplied through by
 L(g) D / ((2k+1)!! (6g-3-2k)!!), with a(g, k) = W(k) S(g, k) / L(g) and the
 weight W(k) = (2k+1)!! (6g-1-2k)!! / D (``combinatorics._weight``), which
 ``b_value``, ``normalize`` and the CLI's printed values share.
-L(g) q(g, k) comes from two running values, L C(g-1, j) and L C(g, j), each
-advanced by its ratio (g-1-j)/(j+1) or (g-j+1)/j, so L is only ever
-multiplied or divided by small integers.  Every division is checked; a
-nonzero remainder raises ``ArithmeticError`` instead of truncating.
+L(g) q(g, k) comes from one running value, L C(g-1, j), advanced by its
+ratio (g-1-j)/(j+1), and the value before it, so L is only ever multiplied
+or divided by small integers.  Every division is checked; a nonzero
+remainder raises ``ArithmeticError`` instead of truncating.
 
 L(g) keeps every division by 2k+3 exact at every genus: that holds exactly
 when every S(g, .) is an integer, which the ``combinatorics`` docstring
@@ -67,20 +67,19 @@ def b_domain_max(g: int) -> int:
 def _scaled_q(g: int, s: int) -> Iterator[int]:
     """s q(g, k) for k = 0..b_domain_max(g) in order (module docstring).
 
-    Keeps s C(g-1, j) and s C(g, j) and advances each by its binomial ratio,
-    so only small integers ever multiply or divide s.
+    Keeps s C(g-1, j) and the value before it, s C(g-1, j-1), and advances the
+    first by its binomial ratio, so only small integers ever multiply or divide s.
     """
-    c1 = c0 = s  # s C(g-1, j) and s C(g, j), both at j = 0
+    before, c = 0, s  # s C(g-1, j-1) and s C(g-1, j) at j = 0
     for k in range(b_domain_max(g) + 1):
         j, r = divmod(k + 1, 3)  # k = 3j-1, 3j, 3j+1 for r = 0, 1, 2
         if r == 0:
-            c0 = _exact(c0 * (g - j + 1), j, g, k)
-            yield _exact(c0 * (g - 2 * j), g, g, k)
+            yield c - before
         elif r == 1:
-            yield -2 * c1
+            yield -2 * c
         else:
-            yield 2 * c1
-            c1 = _exact(c1 * (g - 1 - j), j + 1, g, k)
+            yield 2 * c
+            before, c = c, _exact(c * (g - 1 - j), j + 1, g, k)
 
 
 def b_value(g: int, k: int) -> Fraction:

@@ -21,7 +21,7 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _denominator, _ratio_str, _weight
+from .combinatorics import _check_entry, _denominator, _ratio_str, _weight
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -36,8 +36,10 @@ def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    if not 0 <= k <= 3 * g - 1:
-        _diag(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
+    try:
+        _check_entry(g, k)
+    except ValueError as error:
+        _diag(str(error))
         return EXIT_USAGE
 
     if args.method != "recursive":

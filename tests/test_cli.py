@@ -79,11 +79,16 @@ class TestValue:
         assert code == 0
         assert out.splitlines()[0] == "607/1451520"
 
-    def test_k_out_of_range_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "7")
+    @pytest.mark.parametrize("method", ["closed", "recursive", "both"])
+    @pytest.mark.parametrize("k", [-1, 6, 7])
+    def test_k_out_of_range_exits_2(self, capsys, k, method):
+        # k = -1 is left to argparse, which reads it as a negative number; 6 is 3g
+        code, out, err = run_cli(capsys, "value", "--g", "2", "--k", str(k), "--method", method)
+        with pytest.raises(ValueError) as refused:
+            combinatorics._check_entry(2, k)
         assert code == 2
         assert out == ""
-        assert "k must be in 0..5" in err
+        assert err == f"{refused.value}\n"
 
     def test_genus_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "value", "--g", "0", "--k", "0")

@@ -3,7 +3,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +289,13 @@ class TestBinomialOracle:
         for g in range(1, 201):
             expected = [oracle_q(g, k) for k in range((3 * g - 1) // 2)]
             assert list(closedform._scaled_q(g, 1)) == expected, g
+
+    @pytest.mark.parametrize("g", [1000, 2000])
+    def test_running_binomial_is_the_three_branches_at_the_closed_scale(self, g):
+        # s = L(g), the scale _t_half runs _scaled_q at
+        unit = lcm(*range(1, 2 * g + 2, 2))
+        expected = [unit * oracle_q(g, k) for k in range((3 * g - 1) // 2)]
+        assert list(closedform._scaled_q(g, unit)) == expected
 
     def test_b_value_is_the_double_factorial_core(self):
         for g in range(1, 41):
