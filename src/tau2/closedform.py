@@ -48,7 +48,6 @@ path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
 there is a single source of truth.
 """
 
-# annotations stay strings: Iterator is collections.abc's, left unimported so no command loads it
 from __future__ import annotations
 
 from math import factorial, lcm

@@ -27,7 +27,7 @@ CSV_HEADER = "g,k,correlator,normalized"
 
 
 def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int]) -> int:
-    """Report entry (g, k), where the paths' (L(g), S(g, k)) differ in S; the exit code."""
+    """Report entry (g, k), where the paths' (L(g), S(g, k)) differ; the exit code."""
     c, r = (_ratio_str(s, _denominator(g, lam)) for lam, s in (closed, recursive))
     _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
     return EXIT_MISMATCH
@@ -48,7 +48,7 @@ def value(args: SimpleNamespace) -> int:
     if args.method != "closed":
         from . import recursion
         unit, row = recursion.recursive_row(g, k)
-        if args.method == "both" and s != row[k]:
+        if args.method == "both" and (lam, s) != (unit, row[k]):
             return _mismatch(g, k, (lam, s), (unit, row[k]))
         lam, s = unit, row[k]
 
@@ -117,12 +117,12 @@ def table(args: SimpleNamespace) -> int:
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
-        # rows are written only after both paths agree entry by entry
+        # rows are written only after both paths agree on the unit and entry by entry
         from . import closedform
         start = perf_counter()
         unit, closed = closedform.two_point_closed(g)
-        if closed != row:
-            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if c != r)
+        if (unit, closed) != (lam, row):
+            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if (unit, c) != (lam, r))
             return _mismatch(g, k, (unit, closed[k]), (lam, row[k]))
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")

@@ -45,7 +45,6 @@ result stays an independent consistency check, and ``value --method both``
 still sees an asymmetric recursion in the upper half of a row.
 """
 
-# annotations stay strings: Iterator is collections.abc's, left unimported so no command loads it
 from __future__ import annotations
 
 from math import comb, lcm

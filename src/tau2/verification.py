@@ -35,31 +35,32 @@ and [k = 3j-1] C(g, j) is C(g, j) at k = 3j-1 and 0 otherwise:
     - [k = 3j-2] C(g,j) P(g,k+1) + [k = 3j-1] C(g,j) P(g,k)
 
 Over its scale each is LHS - RHS of the rational recursion (4g A(g-1, .) is
-4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares closed
-and recursive rows S(g, .), ``symmetry`` a recursive row with its reverse,
-and ``bounds`` checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
+4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares the
+paths' pairs (L(g), S(g, k)), each side of a failure over its own N(g),
+``symmetry`` a recursive row with its reverse, and ``bounds`` checks
+(6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
 
 The checks share one walk over g = 1..g_max.  At each genus it builds the
 rows the selected checks read once (recursive S, closed S, P, A, B), hands
 them to each check, and keeps only genera g-1 and g.  Each S row comes with
-its path's L(g), read by the checks of its rows (by ``cross``, the recursive).
+its path's L(g), read by the checks of its rows (by ``cross``, both).
 
 ``verify`` is the body of the ``tau2 verify`` command: ``cli.main`` calls
 it, and it imports what it needs of ``cli`` when it runs, so a library
 import of this module loads no ``cli``.
 
-Checks never abort mid-scan.  They return a :class:`CheckReport` whose
-failure list pinpoints every offending (g, k) locus in (g, k) order; an empty
-list means the check passed.  Only a failure builds a ``Fraction``: each
-integer over its scale, exactly the value the rational comparison has.
+Checks never abort mid-scan.  Each returns a :class:`CheckReport` named tuple
+whose failures pinpoint every offending (g, k) locus in (g, k) order, none when
+it passed.  Only a failure builds a ``Fraction``: each integer over its scale,
+exactly the value the rational comparison has.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Iterator, NamedTuple, Sequence
 
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
@@ -68,26 +69,20 @@ from .recursion import _int_rows, _step_terms
 
 __all__ = _LAYERS["verification"].split()
 
-class CheckFailure(NamedTuple):
-    """One violated identity: the locus and both sides of the comparison."""
+class CheckFailure(namedtuple("CheckFailure", "g k expected actual")):
+    """One violated identity: the locus (g, k) and both sides of the comparison, as Fractions."""
 
-    g: int
-    k: int
-    expected: Fraction
-    actual: Fraction
+    __slots__ = ()
 
 
-class CheckReport(NamedTuple):
-    """Outcome of one exact check over a genus range.
+class CheckReport(namedtuple("CheckReport", "check_name g_range failures checked")):
+    """Outcome of one exact check over a genus range ``g_range`` = (first, g_max).
 
-    ``passed`` holds exactly when ``failures`` is empty; ``checked`` counts
-    the comparisons performed.
+    ``passed`` holds exactly when ``failures``, a tuple of :class:`CheckFailure`,
+    is empty; ``checked`` counts the comparisons performed.
     """
 
-    check_name: str
-    g_range: tuple[int, int]
-    failures: tuple[CheckFailure, ...]
-    checked: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -186,8 +181,12 @@ def _b_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
 
 
 def _cross(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
+    lr, lc = rows["rec_lam"], rows["lam"]
+    if (lr, rows["rec"]) == (lc, rows["s"]):
+        return 3 * g, 1, []
+    nr, nc = _denominator(g, lr), _denominator(g, lc)
     pairs = enumerate(zip(rows["rec"], rows["s"]))
-    return 3 * g, _denominator(g, rows["rec_lam"]), [(k, r, c) for k, (r, c) in pairs if r != c]
+    return 3 * g, nr * nc, [(k, r * nc, c * nr) for k, (r, c) in pairs if (lr, r) != (lc, c)]
 
 
 def _symmetry(g: int, rows: dict, below: dict) -> tuple[int, int, list]:

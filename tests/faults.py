@@ -169,6 +169,17 @@ def plant_unit(monkeypatch, g: int, factor: int) -> None:
     bind_everywhere(monkeypatch, real, walked)
 
 
+def plant_lone_unit(monkeypatch, g: int, factor: int) -> None:
+    """``two_point_closed`` hands out factor L(g) as genus g's unit, with its true row or entry."""
+    real = closedform.two_point_closed
+
+    def lone(h, k=None):
+        lam, got = real(h, k)
+        return lam * factor ** (h == g), got
+
+    bind_everywhere(monkeypatch, real, lone)
+
+
 def break_unit(monkeypatch, g: int, delta: int) -> None:
     """The closed path telescopes genus g's half row from L(g) + delta in place of L(g)."""
     real = closedform._t_half

@@ -164,6 +164,14 @@ class TestValue:
         assert out == ""
         assert err == "path mismatch at (3,7): closed 5/82944, recursive 263/4354560\n"
 
+    def test_unit_mismatch_exits_3(self, capsys, monkeypatch):
+        # the closed source hands out 2 L(3) with its true entry: only the units differ
+        faults.plant_lone_unit(monkeypatch, 3, 2)
+        code, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "path mismatch at (3,1): closed 5/165888, recursive 5/82944\n"
+
     @staticmethod
     def _fault_genus3_entry7(monkeypatch):
         # S(3, 7) shifted wherever row 3 reaches it, as row 3 is built, so row 4 reads it; the
@@ -260,6 +268,14 @@ class TestTable:
         assert code == 3
         assert out == ""
         assert "path mismatch at (2,2): closed 11/2160, recursive 29/5760" in err
+
+    def test_method_both_unit_mismatch_exits_3_at_k_0(self, capsys, monkeypatch):
+        # only the units differ, so every rational differs, the first at k = 0
+        faults.plant_lone_unit(monkeypatch, 3, 2)
+        code, out, err = run_cli(capsys, "table", "--g", "3", "--method", "both")
+        assert code == 3
+        assert out == ""
+        assert "path mismatch at (3,0): closed 1/165888, recursive 1/82944\n" in err
 
     @pytest.mark.parametrize("method", ["closed", "both"])
     def test_stderr_timings_fit_in_the_run(self, capsys, method):

@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 import dijkgraaf
 import faults
+import printed
 
 
 def test_oracle_imports_nothing_from_tau2():
-    tree = ast.parse(Path(dijkgraaf.__file__).read_text(encoding="utf-8"))
-    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
-    assert modules == ["math"]
+    # the row evaluator, and the renderer of the printed text that test_printed.py runs
+    for oracle, imported in [(dijkgraaf, ["math"]), (printed, ["json", "fractions", "math"])]:
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert modules == imported, oracle.__name__
 
 
 def test_both_full_rows_to_genus_60():

@@ -112,11 +112,14 @@ def _python(code, *argv, site=True):
     return proc
 
 
-def _modules(argv, site=True):
-    proc = _python(DRIVER, *argv, site=site)
+def _loaded(proc):
     last = proc.stderr.splitlines()[-1]
     assert last.startswith(MARKER), proc.stderr
     return set(last[len(MARKER) :].split())
+
+
+def _modules(argv, site=True):
+    return _loaded(_python(DRIVER, *argv, site=site))
 
 
 @pytest.fixture(scope="module")
@@ -243,10 +246,31 @@ def test_table_and_value_print_without_fractions(loaded, argv):
     assert not mods & {"fractions", "decimal", "numbers"}
 
 
-@pytest.mark.parametrize("argv", [argv for argv in OUTPUT if argv[-1] == "plain"], ids=" ".join)
-def test_value_and_table_load_no_typing(argv):
+# faults.py (which loads no typing) makes a closed row wrong, so that verify reports failures
+PLANT = f"""
+import sys, types
+sys.path.insert(0, {str(ROOT / "tests")!r})
+import faults
+faults.plant(types.SimpleNamespace(setattr=setattr), "closed", 2, 1, 1)
+"""
+# (argv, code run before it): value and table on each method, verify in every format
+# and on a failing run, and bench on each method
+NO_SITE = [
+    *[(argv, "") for argv in OUTPUT if argv[-1] == "plain"],
+    *[(["verify", "--g-max", "3", "--format", fmt], "") for fmt in ("plain", "csv", "json")],
+    (["verify", "--g-max", "3"], PLANT),
+    *[(["bench", "--g-max", "2", "--method", m], "") for m in ("closed", "recursive", "both")],
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv,prelude", NO_SITE, ids=[" ".join(a) + (" failing" if p else "") for a, p in NO_SITE]
+)
+def test_no_command_loads_typing(argv, prelude):
     # without site, whose .pth files may load typing first and so hide tau2's own import
-    assert "typing" not in _modules(argv, site=False)
+    proc = _python(prelude + DRIVER, *argv, site=False)
+    assert ("FAIL" in proc.stdout) == bool(prelude)
+    assert "typing" not in _loaded(proc)
 
 
 @pytest.mark.parametrize("argv", [HELP, VERIFY_CSV, VERIFY_JSON, BENCH], ids=" ".join)

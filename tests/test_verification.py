@@ -247,6 +247,28 @@ class TestWalk:
         assert all(t >= 0 for t in times.values())
 
 
+class TestCrossUnits:
+    """``cross`` compares the paths' units L(g) as well as their rows."""
+
+    @pytest.fixture(autouse=True)
+    def planted_unit(self, monkeypatch):
+        # the closed walk hands out 7 L(4) with its true row: each closed value is a seventh
+        faults.plant_unit(monkeypatch, 4, 7)
+
+    def test_fails_at_every_k_of_the_planted_genus(self):
+        report = cross_validate(5)
+        assert report.checked == sum(3 * g for g in range(1, 6))
+        assert [(f.g, f.k) for f in report.failures] == [(4, k) for k in range(12)]
+        expected = faults.values("recursive", 4)
+        assert [f.expected for f in report.failures] == list(expected)
+        assert [f.actual for f in report.failures] == [e / 7 for e in expected]
+
+    def test_verify_exits_1(self, capsys):
+        code, out, _ = run_verify(capsys, "--g-max", "5", "--checks", "cross", "--format", "csv")
+        assert code == 1
+        assert out == "check,passed,checked,failures\ncross,false,45,12\n"
+
+
 class TestCheckReport:
     def test_passed_tracks_failures(self):
         ok = CheckReport("cross", (1, 3), (), 18)
@@ -289,6 +311,13 @@ class TestCheckReport:
         report = CheckReport("cross", (1, 3), (), 18)
         with pytest.raises(AttributeError):
             setattr(report, field, 0)
+
+    def test_no_instance_dict(self):
+        failure = CheckFailure(3, 4, Fraction(1), Fraction(2))
+        for record in (failure, CheckReport("cross", (1, 3), (failure,), 18)):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.note = 0
 
 
 class TestCorruptionSweep:

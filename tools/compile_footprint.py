@@ -10,9 +10,14 @@ goes back to the operating system, which this tool does not show.
 
 The first table is, for each module under ``src/tau2`` of this checkout, the
 peak that ``tracemalloc`` records while ``compile()`` runs on its source.
-The second runs one argv per command and method in a fresh interpreter,
-through ``tau2.cli.main``, and lists the tau2 modules it loaded and the
-largest footprint among them.  1 KB is 1024 bytes.  Standard library only.
+The second runs one argv per command and method in a fresh ``python -S``,
+through ``tau2.cli.main``, and lists the tau2 modules it loaded, the
+largest footprint among them, and the standard-library modules it loaded
+beyond a bare ``python -S``: the top-level public ones by name
+(``__future__`` among them), with the count of all, private modules
+(``_collections``) and submodules included.  Without ``site``, no
+``.pth`` file loads a module first and so hides that a command loads it.
+1 KB is 1024 bytes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ ARGV = (
 )
 PROBE = """
 import sys
-from tau2 import cli
 try:
-    cli.main(sys.argv[1:])
+    if sys.argv[1:]:
+        from tau2 import cli
+        cli.main(sys.argv[1:])
 except SystemExit:
     pass
-print(*sorted(m for m in sys.modules if m.partition(".")[0] == "tau2"), file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 """
 
 
@@ -54,16 +60,15 @@ def footprint(path: Path) -> int:
         tracemalloc.stop()
 
 
-def loaded(argv: list[str]) -> list[str]:
-    """The tau2 modules that ``argv`` loads, by file name."""
+def loaded(argv: list[str]) -> set[str]:
+    """The modules in ``sys.modules`` after ``python -S`` runs ``argv`` (none: a bare one)."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-S", "-c", PROBE, *argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, check=True,
     )  # fmt: skip
-    names = proc.stderr.splitlines()[-1].split()
-    return [("__init__" if name == "tau2" else name.split(".", 1)[1]) + ".py" for name in names]
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 def main() -> int:
@@ -71,12 +76,19 @@ def main() -> int:
     print("| module | compile peak |\n|---|---|")
     for name, size in sorted(sizes.items(), key=lambda item: -item[1]):
         print(f"| `{name}` | {size / 1024:.0f} KB |")
-    print("\n| argv | tau2 modules loaded | largest compile |\n|---|---|---|")
+    print("\n| argv | tau2 modules loaded | largest compile | stdlib beyond `python -S` |")
+    print("|---|---|---|---|")
+    bare = loaded([])
     for argv in ARGV:
-        names = loaded(argv)
+        modules = loaded(argv) - bare
+        ours = sorted(m for m in modules if m.partition(".")[0] == "tau2")
+        names = [("__init__" if m == "tau2" else m.split(".", 1)[1]) + ".py" for m in ours]
         top = max(names, key=sizes.__getitem__)
         listed = ", ".join(f"`{name}`" for name in names)
-        print(f"| `{' '.join(argv)}` | {listed} | `{top}`, {sizes[top] / 1024:.0f} KB |")
+        others = sorted(modules - set(ours))
+        public = [m for m in others if "." not in m and (m[0] != "_" or m[:2] == "__")]
+        stdlib = f"{', '.join(f'`{m}`' for m in public)} ({len(others)} in all)"
+        print(f"| `{' '.join(argv)}` | {listed} | `{top}`, {sizes[top] / 1024:.0f} KB | {stdlib} |")
     return 0
 
 
