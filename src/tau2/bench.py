@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from math import gcd
 from time import perf_counter
-from types import SimpleNamespace
 
 from . import closedform, recursion
 from .cli import EXIT_OK

@@ -6,19 +6,20 @@ written line by line), ``verify`` (the exact check suite), and ``bench``
 (wall time and value bit-size per genus for either path).  This module holds
 the command table ``_COMMANDS``, its two readers ``_parse`` and
 ``_build_parser``, ``main``, ``run`` and the exit codes, and no command's
-body.  Each body is the function named after its
-command, in the module ``_BODIES`` names: ``output.value``, ``output.table``,
-``verification.verify`` and ``bench.bench``.  ``main`` imports that module
-and calls the body, so a job compiles only what its command runs.
+body.  A command's row is all this module knows of it: help line, flags,
+the module of its body (the function named after the command), what it
+holds, and its usage check.  ``main`` imports that module only to call the
+body, so a job compiles only what its command runs.
 
 ``main`` reads argv of the plain form ``command --flag value ...`` itself
 (``_parse``), so a well-formed command never imports ``argparse``.  Any
 other argv (``--help``, ``--flag=value``, abbreviations, usage errors) goes
 to the parser that ``_build_parser`` builds from ``_COMMANDS`` (importing
 ``argparse`` only then); it prints the help and the errors and exits as
-argparse does.  Both hand the command the same attributes, and ``main``
-alone refuses a genus too large to hold, by the counts of ``_HOLDS``,
-before any command runs.
+argparse does.  Both hand the command the same attributes.  Every other
+exit 2 ``main`` decides before the body's module loads: the one refusal of a
+genus too large to hold, by the counts of the row, then the row's check
+(``value``'s off-row ``--k``, ``verify``'s ``--checks``).
 
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
@@ -51,49 +52,54 @@ _METHODS = ("closed", "recursive", "both")
 _FORMATS = ("plain", "csv", "json")
 _REQUIRED = object()
 
-# command: (help line, {flag: (int, str or the choices; the default or _REQUIRED; help)})
+# command: (help line, {flag: (int, str or the choices; the default or _REQUIRED; help)},
+#   the module of its body (the function named after the command), then, of the parsed args,
+#   what it holds in the counts of combinatorics._genus_error and the usage error or None)
+# value holds a dozen numbers, a text pair, and on the recursion the cone of (g, k), 2k+2
+# entries (two rows of 3g for a k out of range); table two rows and the first half's text
+# pairs; bench at the top genus the closed row, and the recursion's row and the row below;
+# verify S on both paths, then P, the one-point terms, A and B (wide), at genera g-1 and g
 _COMMANDS = {
     "value": ("one correlator and its normalized form", {
         "--g": (int, _REQUIRED, "genus, >= 1"),
         "--k": (int, _REQUIRED, "first index, 0..3g-1"),
         "--method": (_METHODS, "both", None),
         "--format": (_FORMATS, "plain", None),
-    }),
+    }, "output", lambda a: (
+        12 + (a.method != "closed") * 2 * (a.k + 1 if 0 <= a.k < 3 * a.g else 3 * a.g), 1, 0
+    ), lambda a: import_module(f"{__package__}.combinatorics")._entry_error(a.g, a.k)),
     "table": ("full row k = 0..3g-1 at one genus", {
         "--g": (int, _REQUIRED, "genus, >= 1"),
         "--method": (_METHODS, "closed", None),
         "--format": (_FORMATS, "plain", None),
-    }),
+    }, "output", lambda a: (6 * a.g, (3 * a.g + 1) // 2, 0), None),
     "verify": ("run the exact cross-check suite", {
         "--g-max": (int, _REQUIRED, "top genus, >= 1"),
         "--checks": (str, None, f"comma list from: {', '.join(_CHECKS)}"),
         "--format": (_FORMATS, "plain", None),
-    }),
+    }, "verification", lambda a: (12 * a.g_max, 0, 24 * a.g_max),
+        lambda a: _selection(a.checks)[1]),
     "bench": ("time both computation paths per genus", {
         "--g-max": (int, _REQUIRED, "top genus, >= 1"),
         "--method": (_METHODS, "both", None),
-    }),
+    }, "bench", lambda a: (
+        3 * a.g_max * {"closed": 1, "recursive": 2, "both": 3}[a.method], 0, 0
+    ), None),
 }  # fmt: skip
-# the module that holds each command's body, the function named after the command
-_BODIES = {"value": "output", "table": "output", "verify": "verification", "bench": "bench"}
-
-# what a command holds, from its parsed args, in the counts of combinatorics._genus_error:
-# value a dozen numbers, a text pair, and on the recursion the cone of (g, k), 2k+2 entries
-# (two rows of 3g for a k out of range); table two rows and the first half's text pairs;
-# bench at the top genus the closed row, and the recursion's row and the row below;
-# verify S on both paths, then P, the one-point terms, A and B (wide), at genera g-1 and g
-_HOLDS = {
-    "value": lambda a: (
-        12 + (a.method != "closed") * 2 * (a.k + 1 if 0 <= a.k < 3 * a.g else 3 * a.g), 1, 0
-    ),
-    "table": lambda a: (6 * a.g, (3 * a.g + 1) // 2, 0),
-    "bench": lambda a: (3 * a.g_max * {"closed": 1, "recursive": 2, "both": 3}[a.method], 0, 0),
-    "verify": lambda a: (12 * a.g_max, 0, 24 * a.g_max),
-}
 
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _selection(checks: str | None) -> tuple[list[str], str | None]:
+    """The checks ``--checks`` names, in order (default all), and its usage error or None."""
+    names = list(_CHECKS) if checks is None else [c.strip() for c in checks.split(",")]
+    if unknown := ", ".join(repr(c) for c in names if c not in _CHECKS):
+        return names, f"unknown checks: {unknown} (valid: {', '.join(_CHECKS)})"
+    if len(set(names)) < len(names):
+        return names, f"each check may be named once, got --checks {checks}"
+    return names, None
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
@@ -142,7 +148,7 @@ def _build_parser():
         "computed by genus recursion and by closed form.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, flags) in _COMMANDS.items():
+    for command, (help_line, flags, *_) in _COMMANDS.items():
         subparser = sub.add_parser(command, help=help_line)
         for flag, (kind, default, text) in flags.items():
             choices = kind if isinstance(kind, tuple) else None
@@ -158,10 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args is None:
         args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-    name = next(iter(_COMMANDS[args.command][1]))[2:]  # the genus flag, g or g-max
+    _, flags, module, holds, check = _COMMANDS[args.command]
+    name = next(iter(flags))[2:]  # the genus flag, g or g-max
     g = getattr(args, name.replace("-", "_"))
     from .combinatorics import _genus_error
-    if error := _genus_error(name, g, *_HOLDS[args.command](args)):
+    # the usage errors argparse leaves, the size refusal first, before the body's module loads
+    if error := _genus_error(name, g, *holds(args)) or (check and check(args)):
         _diag(error)
         return EXIT_USAGE
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
@@ -170,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         # looked up now, not when cli loaded, so a body rebound after import is the one called
-        body = getattr(import_module(f"{__package__}.{_BODIES[args.command]}"), args.command)
+        body = getattr(import_module(f"{__package__}.{module}"), args.command)
         code = body(args)
         sys.stdout.flush()
         return code

@@ -16,8 +16,9 @@ double-factorial ratio W(k), as an integer pair, turns an entry of that row
 into its normalized value.  Callers that walk a row keep their own running
 products.  Plain factorials and binomials are ``math.factorial`` and
 ``math.comb``.  ``_genus_error`` sizes what a command holds, for the one
-refusal of a genus too large to hold, in ``cli.main``; ``_check_entry`` is
-the one bounds check of an entry (g, k) that the row sources take.
+refusal of a genus too large to hold, in ``cli.main``; ``_entry_error`` is
+the one bounds check of an entry (g, k), which ``cli.main`` reports and the
+row sources raise through ``_check_entry``.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
@@ -75,12 +76,19 @@ def _exact(n: int, d: int, g: int, k: int) -> int:
     return q
 
 
-def _check_entry(g: int, k: int | None = None) -> None:
-    """ValueError unless g >= 1 and, given k, 0 <= k <= 3g-1: entry k of a genus g row."""
+def _entry_error(g: int, k: int | None = None) -> str | None:
+    """The error for entry k of a genus g row, None when g >= 1 and, given k, 0 <= k <= 3g-1."""
     if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+        return f"genus must be >= 1, got {g}"
     if k is not None and not 0 <= k <= 3 * g - 1:
-        raise ValueError(f"k must be in 0..{3 * g - 1} at genus {g}, got {k}")
+        return f"k must be in 0..{3 * g - 1} at genus {g}, got {k}"
+    return None
+
+
+def _check_entry(g: int, k: int | None = None) -> None:
+    """ValueError with ``_entry_error``'s message unless (g, k) is entry k of a genus g row."""
+    if error := _entry_error(g, k):
+        raise ValueError(error)
 
 
 def double_factorial_odd(m: int) -> int:

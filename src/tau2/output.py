@@ -1,7 +1,8 @@
 """The ``value`` and ``table`` commands: integer entries S(g, k) up to their printed text.
 
-``value`` and ``table`` are the two commands' bodies.  ``cli.main`` imports
-this module only to call one of them, so ``--help``, ``verify`` and
+``value`` and ``table`` are the two commands' bodies, and return 0 or 3.
+``cli.main`` imports this module only to call one of them, once it has
+refused what is off the row, so ``--help``, usage errors, ``verify`` and
 ``bench`` neither compile nor load it.  An entry stays an integer until it
 becomes text, over the L(g) that its path's row source
 (``closedform.two_point_closed`` or ``recursion.recursive_row``) hands out
@@ -18,10 +19,9 @@ from __future__ import annotations
 import sys
 from math import gcd
 from time import perf_counter
-from types import SimpleNamespace
 
-from .cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _diag
-from .combinatorics import _check_entry, _denominator, _ratio_str, _weight
+from .cli import EXIT_MISMATCH, EXIT_OK, _diag
+from .combinatorics import _denominator, _ratio_str, _weight
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -36,12 +36,6 @@ def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    try:
-        _check_entry(g, k)
-    except ValueError as error:
-        _diag(str(error))
-        return EXIT_USAGE
-
     if args.method != "recursive":
         from . import closedform
         lam, s = closedform.two_point_closed(g, k)

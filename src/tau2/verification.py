@@ -46,8 +46,9 @@ them to each check, and keeps only genera g-1 and g.  Each S row comes with
 its path's L(g), read by the checks of its rows (by ``cross``, both).
 
 ``verify`` is the body of the ``tau2 verify`` command: ``cli.main`` calls
-it, and it imports what it needs of ``cli`` when it runs, so a library
-import of this module loads no ``cli``.
+it once the selection ``cli._selection`` reads from ``--checks`` is valid,
+and it imports what it needs of ``cli`` when it runs, so a library import
+of this module loads no ``cli``.  It returns 0 or 1.
 
 Checks never abort mid-scan.  Each returns a :class:`CheckReport` named tuple
 whose failures pinpoint every offending (g, k) locus in (g, k) order, none when
@@ -60,7 +61,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 from time import perf_counter
-from types import SimpleNamespace
 
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
@@ -256,19 +256,9 @@ def verify(args: SimpleNamespace) -> int:
     Each check's time goes to stderr.  ``args.verdict`` is set before the
     report is printed, so a reader that closes stdout early still gets it.
     """
-    from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _diag
-
-    names = list(_CHECKS) if args.checks is None else [c.strip() for c in args.checks.split(",")]
-    unknown = [c for c in names if c not in _CHECKS]
-    if unknown:
-        _diag(f"unknown checks: {', '.join(map(repr, unknown))} (valid: {', '.join(_CHECKS)})")
-        return EXIT_USAGE
-    if len(set(names)) < len(names):
-        _diag(f"each check may be named once, got --checks {args.checks}")
-        return EXIT_USAGE
-
+    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _diag, _selection
     times = {}
-    reports = _run(names, args.g_max, times)
+    reports = _run(_selection(args.checks)[0], args.g_max, times)
     args.verdict = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
     for name, seconds in times.items():
         _diag(f"verify: {name} in {seconds * 1000:.1f} ms")

@@ -40,7 +40,7 @@ def run_cli(capsys, *argv):
 
 def admitted(monkeypatch, argv) -> bool:
     """Whether ``cli.main`` lets ``argv`` past its size refusal, with the body stubbed out."""
-    home = importlib.import_module(f"tau2.{cli._BODIES[argv[0]]}")
+    home = importlib.import_module(f"tau2.{cli._COMMANDS[argv[0]][2]}")
     monkeypatch.setattr(home, argv[0], lambda args: cli.EXIT_OK)
     with redirect_stderr(StringIO()):
         return cli.main(argv) == cli.EXIT_OK
@@ -961,7 +961,7 @@ class TestReadme:
             for m in method or (METHODS if "--method" in flags else [None]):
                 for figure, k in figures:
                     documented[command, m, k] = int(figure)
-        expected = {(c, m) for c, (_, flags) in cli._COMMANDS.items()
+        expected = {(c, m) for c, (_, flags, *_) in cli._COMMANDS.items()
                     for m in (METHODS if "--method" in flags else [None])}  # fmt: skip
         assert {(c, m) for c, m, _ in documented} == expected
         assert documented["value", "recursive", "3g-1"] == 4087

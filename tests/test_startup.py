@@ -7,6 +7,7 @@ counted against tau2.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -182,7 +183,17 @@ DISPATCH = {
                {"command": "verify", "g_max": 3, "checks": None, "format": "plain"}),
     "bench": (["bench", "--g-max", "3"], {"command": "bench", "g_max": 3, "method": "both"}),
 }  # fmt: skip
-BODY_MODULES = {f"tau2.{module}" for module in cli._BODIES.values()}
+# tools/same_stdout.py, for the --checks values that verify refuses (CHECKS_REFUSED)
+_spec = importlib.util.spec_from_file_location("same_stdout", ROOT / "tools" / "same_stdout.py")
+same_stdout = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_stdout)
+# argv that pass the size refusal and fail the row's usage check: an off-row --k (the
+# negative one read by argparse), and each --checks that verify refuses
+CHECKED = {
+    "value": [["value", "--g", "3", "--k", "9"], ["value", "--g", "3", "--k", "-1"]],
+    "verify": [["verify", "--g-max", "3", "--checks", c] for c in same_stdout.CHECKS_REFUSED],
+}
+BODY_MODULES = {f"tau2.{module}" for _, _, module, *_ in cli._COMMANDS.values()}
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -190,7 +201,7 @@ class TestDispatch:
     """``main`` calls each command's body where it lives, and loads it only to call it."""
 
     def test_body_is_the_function_named_after_the_command(self, command):
-        module = importlib.import_module(f"tau2.{cli._BODIES[command]}")
+        module = importlib.import_module(f"tau2.{cli._COMMANDS[command][2]}")
         body = getattr(module, command)
         assert isinstance(body, types.FunctionType)
         assert (body.__module__, body.__name__) == (module.__name__, command)
@@ -209,7 +220,7 @@ class TestDispatch:
             argv = [argv[0], *map("=".join, zip(argv[1::2], argv[2::2]))]
             assert cli._parse(argv) is None
         calls = []
-        module = importlib.import_module(f"tau2.{cli._BODIES[command]}")
+        module = importlib.import_module(f"tau2.{cli._COMMANDS[command][2]}")
         monkeypatch.setattr(module, command, lambda args: calls.append(args) or 0)
         assert cli.main(argv) == 0
         assert [vars(args) for args in calls] == [fields]
@@ -217,7 +228,8 @@ class TestDispatch:
     def test_help_usage_errors_and_refusals_load_no_body(self, command):
         genus = next(iter(cli._COMMANDS[command][1]))
         refused = [command, genus, "10000000", *(["--k", "0"] if command == "value" else [])]
-        for argv in ([command, "--help"], [command, "--frob", "1"], refused):
+        usage = [[command, "--help"], [command, "--frob", "1"], refused, *CHECKED.get(command, [])]
+        for argv in usage:
             assert not _modules(argv) & BODY_MODULES, argv
 
 

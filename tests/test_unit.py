@@ -6,13 +6,13 @@ rebuilt below by that recursion with ``math`` only, sharing no code with
 tau2, and rescaled by L(g) / D(g) with L(g) = lcm(1, 3, ..., 2g+1).
 """
 
-import re
+from functools import partial
 from math import comb, lcm, prod
 
 import pytest
 
 import faults
-from tau2 import closedform
+from tau2 import closedform, combinatorics
 
 
 def odd_df(m):
@@ -69,7 +69,7 @@ def test_each_unit_is_the_odd_lcm(g_max, k):
         assert lam == lcm(*range(1, 2 * h + 2, 2)), h
 
 
-@pytest.mark.parametrize("path", ["closed", "recursive"])
+@pytest.mark.parametrize("path", ["closed", "recursive", "_check_entry"])
 @pytest.mark.parametrize(
     "g,k,message",
     [
@@ -81,8 +81,11 @@ def test_each_unit_is_the_odd_lcm(g_max, k):
     ],
 )
 def test_row_sources_refuse_what_is_off_the_row(path, g, k, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        faults.rows(path, g, k)
+    # each raises the message of _entry_error, which cli.main prints for value's off-row --k
+    refuse = combinatorics._check_entry if path == "_check_entry" else partial(faults.rows, path)
+    with pytest.raises(ValueError) as refused:
+        refuse(g, k)
+    assert str(refused.value) == message == combinatorics._entry_error(g, k)
 
 
 def test_closed_loop_is_exact_to_genus_300():

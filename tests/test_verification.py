@@ -240,6 +240,10 @@ class TestWalk:
         assert verification._run(["cross"], 6)[0].passed
         assert calls == [1, 2, 3, 4, 5, 6]
 
+    def test_the_command_line_names_each_check_of_the_walk(self):
+        # verify runs the names cli._selection reads, by default all of cli._CHECKS
+        assert cli._CHECKS == tuple(verification._CHECKS)
+
     def test_times_cover_each_check_and_the_rows(self):
         times = {}
         verification._run(["bounds", "cross"], 3, times)

@@ -10,12 +10,13 @@ goes back to the operating system, which this tool does not show.
 
 The first table is, for each module under ``src/tau2`` of this checkout, the
 peak that ``tracemalloc`` records while ``compile()`` runs on its source.
-The second runs one argv per command and method in a fresh ``python -S``,
-through ``tau2.cli.main``, and lists the tau2 modules it loaded, the
-largest footprint among them, and the standard-library modules it loaded
-beyond a bare ``python -S``: the top-level public ones by name
-(``__future__`` among them), with the count of all, private modules
-(``_collections``) and submodules included.  Without ``site``, no
+The second runs one argv per command and method, and one usage error of
+each command that has a usage check (an exit 2 that loads no body), in a
+fresh ``python -S``, through ``tau2.cli.main``, and lists the tau2 modules
+it loaded, the largest footprint among them, and the standard-library
+modules it loaded beyond a bare ``python -S``: the top-level public ones
+by name (``__future__`` among them), with the count of all, private
+modules (``_collections``) and submodules included.  Without ``site``, no
 ``.pth`` file loads a module first and so hides that a command loads it.
 1 KB is 1024 bytes.  Standard library only.
 """
@@ -36,6 +37,9 @@ ARGV = (
     *(["table", "--g", "3", "--method", m] for m in ("closed", "recursive", "both")),
     ["verify", "--g-max", "3"],
     *(["bench", "--g-max", "2", "--method", m] for m in ("closed", "recursive", "both")),
+    # a usage error of each command that has a usage check, refused before its body loads
+    ["value", "--g", "3", "--k", "99"],
+    ["verify", "--g-max", "3", "--checks", "bogus"],
 )
 PROBE = """
 import sys

@@ -29,6 +29,11 @@ The commands cover every format and method wherever a command takes them:
   too.  ``value`` on the recursion is refused at k = 3g-1, where its cone
   is the whole row and the row below; at k = 0 the cone is one entry, and
   ``value --g 4088 --k 0`` runs;
+- argv that both the size refusal and a command's usage check refuse
+  (``ORDER``), where the refusal's line is the one printed: ``value --g
+  3532038 --k -1 --method closed`` and ``--g 4088 --k 12264 --method
+  recursive``, an off-row k past the genus limit, and ``verify --g-max
+  1318`` with ``--checks bogus`` and ``cross,cross``;
 - ``--help``, and ``--help`` of each command in ``cli._COMMANDS``;
 - argv that ``tau2.cli`` leaves to argparse (``FALLBACK``): a missing flag,
   ``--flag=value``, an abbreviation, a negative number, a flag of another
@@ -67,6 +72,12 @@ LIMITS = (
     ["value", "--g", "4088", "--k", "12263", "--method", "recursive"],
     ["value", "--g", "4088", "--k", "12263", "--method", "both"],
 )  # fmt: skip
+ORDER = (
+    ["value", "--g", "3532038", "--k", "-1", "--method", "closed"],
+    ["value", "--g", "4088", "--k", "12264", "--method", "recursive"],
+    ["verify", "--g-max", "1318", "--checks", "bogus"],
+    ["verify", "--g-max", "1318", "--checks", "cross,cross"],
+)
 
 
 def commands() -> Iterator[list[str]]:
@@ -106,6 +117,7 @@ def commands() -> Iterator[list[str]]:
         for method in METHODS:
             yield ["bench", "--g-max", str(g_max), "--method", method]
     yield from LIMITS
+    yield from ORDER
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
