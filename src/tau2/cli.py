@@ -25,8 +25,9 @@ Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
 error (a genus too large to hold included), 3 mismatch between the two
 computation paths, 4 internal error (any other exception, reported as one
-line on stderr).  A reader that closes stdout early ends the command quietly
-with the code it had reached: 0, or ``verify``'s 1.
+line on stderr), 130 an interrupt (one line on stderr).  A reader that closes
+stdout early ends the command quietly with the code it had reached: 0, or
+``verify``'s 1.
 
 Values past Python's default int -> str digit limit are printed in full: the
 limit is lifted while a command runs, and kept while argv is parsed.
@@ -46,6 +47,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 _CHECKS = ("cross", "symmetry", "bounds", "residual-tau", "residual-a", "residual-b")
 _METHODS = ("closed", "recursive", "both")
@@ -188,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return getattr(args, "verdict", EXIT_OK)
+    except KeyboardInterrupt:
+        _diag(f"{args.command}: interrupted")
+        return EXIT_INTERRUPTED
     except Exception as exc:
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]

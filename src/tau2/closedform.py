@@ -24,12 +24,11 @@ S(g, 0) = L(g) and, for k = 0..floor((3g-1)/2)-1,
 fills the first half of the row; S(g, k) = S(g, 3g-1-k) gives the rest.
 This is b(g, k) = a(g, k+1) - a(g, k) multiplied through by
 L(g) D / ((2k+1)!! (6g-3-2k)!!), with a(g, k) = W(k) S(g, k) / L(g) and the
-weight W(k) = (2k+1)!! (6g-1-2k)!! / D (``combinatorics._weight``), which
-``b_value``, ``normalize`` and the CLI's printed values share.
-L(g) q(g, k) comes from one running value, L C(g-1, j), advanced by its
-ratio (g-1-j)/(j+1), and the value before it, so L is only ever multiplied
-or divided by small integers.  Every division is checked; a nonzero
-remainder raises ``ArithmeticError`` instead of truncating.
+weight W(k) = (2k+1)!! (6g-1-2k)!! / D (``combinatorics._weight`` for
+``b_value`` and ``normalize``).  L(g) q(g, k) comes from one running value,
+L C(g-1, j), advanced by its ratio (g-1-j)/(j+1), and the value before it, so
+L is only ever multiplied or divided by small integers.  Every division is
+checked; a nonzero remainder raises ``ArithmeticError`` instead of truncating.
 
 L(g) keeps every division by 2k+3 exact at every genus: that holds exactly
 when every S(g, .) is an integer, which the ``combinatorics`` docstring
@@ -50,6 +49,7 @@ there is a single source of truth.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial, lcm
 
 from . import _LAYERS
@@ -114,17 +114,14 @@ def _mirrored(g: int, half: tuple | list) -> tuple:
 def two_point_closed(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
     """(L(g), the full row S(g, .)), or given k, (L(g), S(g, k)); ValueError off the row.
 
-    Given k, the whole half row is still run and only entry min(k, 3g-1-k)
-    is kept: no row is held, and the time depends on g alone, where stopping
-    at k would make it vary tenfold with k.
+    Given k, the half row is run up to entry min(k, 3g-1-k), the only one kept.
     """
     _check_entry(g, k)
     lam = odd_lcm(2 * g + 1)
     half = _t_half(g, lam)
     if k is None:
         return lam, _mirrored(g, tuple(half))
-    m = min(k, 3 * g - 1 - k)
-    return lam, [s for i, s in enumerate(half) if i == m][0]
+    return lam, next(islice(half, min(k, 3 * g - 1 - k), None))
 
 
 def _rows(g_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:

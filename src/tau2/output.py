@@ -8,10 +8,12 @@ becomes text, over the L(g) that its path's row source
 (``closedform.two_point_closed`` or ``recursion.recursive_row``) hands out
 with it: the correlator is S / N(g) and the normalized value W(k) S / L(g),
 each reduced to lowest terms by ``combinatorics._ratio_str``; no
-``fractions.Fraction`` is built.  With
-W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels crosswise, as
-``Fraction.__mul__`` does: one gcd of S and wd, and none with wn, which
-``_ratio_str`` takes as its factor c.
+``fractions.Fraction`` is built.  With W(k) / L(g) = wn / wd in lowest terms,
+S wn / wd cancels crosswise, as ``Fraction.__mul__`` does: one gcd of S and
+wd, and none with wn, which ``_ratio_str`` takes as its factor c.  ``table``
+steps wn / wd along its row by ``combinatorics._weights``, whose steps
+``verify`` checks; ``value`` multiplies its one W(k) out by ``_weight``, which
+is faster for a lone entry (the ``combinatorics`` docstring has the figures).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import gcd
 from time import perf_counter
 
 from .cli import EXIT_MISMATCH, EXIT_OK, _diag
-from .combinatorics import _denominator, _ratio_str, _weight
+from .combinatorics import _denominator, _ratio_str, _weight, _weights
 
 CSV_HEADER = "g,k,correlator,normalized"
 
@@ -63,13 +65,11 @@ def value(args: SimpleNamespace) -> int:
 def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
     """Write one integer genus row S(g, .) over lam = L(g) to stdout, a line as soon as it is made.
 
-    w = W(k) / L(g) runs along the row in lowest terms, as wn / wd, by
-    W(k+1) = W(k) (2k+3)/(6g-1-2k).  As W(k) = W(3g-1-k), an entry equal to its
-    mirror reuses the texts kept for the first half.  json goes in pieces that
-    join to json.dumps({"g": g, "rows": [...]}).
+    W(k) / L(g) = wn / wd in lowest terms comes from ``_weights``.  As
+    W(k) = W(3g-1-k), an entry equal to its mirror reuses the texts kept for the
+    first half.  json goes in pieces that join to json.dumps({"g": g, "rows": [...]}).
     """
     n = _denominator(g, lam)
-    wn, wd = 1, lam
     write = sys.stdout.write
     if fmt == "json":
         import json
@@ -78,7 +78,7 @@ def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
         write(CSV_HEADER + "\n")
     sep = "," if fmt == "csv" else " "
     half = []
-    for k, s in enumerate(row):
+    for k, (s, (wn, wd)) in enumerate(zip(row, _weights(g, 1, lam))):
         m = 3 * g - 1 - k
         c, a = half[m] if m < k and row[m] == s else (_ratio_str(s, n), _ratio_str(s, wd, wn))
         if k <= m:
@@ -87,12 +87,6 @@ def _write_table(g: int, lam: int, row: tuple[int, ...], fmt: str) -> None:
             write((", " if k else "") + json.dumps({"k": k, "correlator": c, "normalized": a}))
         else:
             write(f"{g}{sep}{k}{sep}{c}{sep}{a}\n")
-        # the step ratio in lowest terms, then crosswise, as Fraction.__mul__ does
-        up, down = 2 * k + 3, 6 * g - 1 - 2 * k
-        e = gcd(up, down)
-        up, down = up // e, down // e
-        x, y = gcd(up, wd), gcd(down, wn)
-        wn, wd = wn // y * (up // x), wd // x * (down // y)
     if fmt == "json":
         write("]}\n")
 

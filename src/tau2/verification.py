@@ -9,12 +9,12 @@ genus rows are read as
     B(g, k) = D(g) b(g, k) = P(g, k) q(g, k) / (6g-1-2k)
 
 for the normalized values a and their differences b (see ``closedform``).
-P(g, .) is one running product per genus, from P(g, 0) = D(g) by
-P(g, k+1) = P(g, k) (2k+3) / (6g-1-2k).  Every division is checked; a
-remainder raises ``ArithmeticError``.  B is read from
-``closedform._scaled_q``, not from differences of A.  S and A are 0 outside
-0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0), and past
-the middle of the row B(g, k) = -B(g, 3g-2-k).
+P(g, .) is D(g) W(k) from ``combinatorics._weights``, the stepping that
+``table`` prints, begun at D(g) / 1: each pair must be an integer over 1.
+Every division is checked; a remainder raises ``ArithmeticError``.  B is read
+from ``closedform._scaled_q``, not from differences of A.  S and A are 0
+outside 0..3g-1, B is 0 below k = -1, B(g, -1) = D(g) (it is a(g, 0) - 0), and
+past the middle of the row B(g, k) = -B(g, 3g-2-k).
 
 The residuals test the closed form against three recursions it was not built
 from, each multiplied through by a scale that makes every term an integer.
@@ -64,7 +64,7 @@ from time import perf_counter
 
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
-from .combinatorics import _denominator, _exact, double_factorial_odd, rational_str
+from .combinatorics import _denominator, _exact, _weights, double_factorial_odd, rational_str
 from .recursion import _int_rows, _step_terms
 
 __all__ = _LAYERS["verification"].split()
@@ -121,10 +121,8 @@ def _rows(g: int, need: set, recursive: Iterator | None, closed: Iterator | None
     if need & {"s", "a"}:
         rows["lam"], rows["s"] = lam, s = next(closed)
     if need & {"a", "b"}:
-        p = [double_factorial_odd(6 * g - 1)]
-        for k in range((3 * g - 1) // 2):
-            p.append(_exact(p[k] * (2 * k + 3), 6 * g - 1 - 2 * k, g, k + 1))
-        rows["p"] = p = _mirrored(g, p)
+        pairs = zip(range((3 * g + 1) // 2), _weights(g, double_factorial_odd(6 * g - 1), 1))
+        rows["p"] = p = _mirrored(g, [_exact(wn, wd, g, k) for k, (wn, wd) in pairs])
         # P(g, k) C(g, j) at k = 3j-1, else 0
         rows["one"] = [p[k] * comb(g, (k + 1) // 3) if k % 3 == 2 else 0 for k in range(3 * g)]
     if "a" in need:

@@ -186,6 +186,21 @@ def break_unit(monkeypatch, g: int, delta: int) -> None:
     bind_everywhere(monkeypatch, real, lambda h, lam: real(h, lam + delta * (h == g)))
 
 
+def plant_weight(monkeypatch, g: int, k: int, factor: int) -> None:
+    """``combinatorics._weights`` yields factor times its numerator at (g, k), and steps on from
+    the true pair: ``table`` prints a(g, k) from the one yielded, and ``verify`` reads it as P(g, k).
+    """
+    import tau2.output  # noqa: F401  loaded first, so that its name is rebound too
+
+    real = combinatorics._weights
+
+    def weights(h, wn, wd):
+        for i, (n, d) in enumerate(real(h, wn, wd)):
+            yield n * factor ** ((h, i) == (g, k)), d
+
+    bind_everywhere(monkeypatch, real, weights)
+
+
 def plant_in_walk(monkeypatch, name: str, values: dict) -> None:
     """``verify``'s walk reads values[(g, k)] in place of entry (g, k) of its row ``name``."""
     real = verification._rows
@@ -214,6 +229,21 @@ def count_builds(monkeypatch) -> dict[str, list[int]]:
         monkeypatch, walked, lambda g_max, *k: built["recursive"].append(g_max) or walked(g_max, *k)
     )
     return built
+
+
+def count_drawn(monkeypatch) -> list[int]:
+    """A list that gets a count for each closed half row begun: the entries drawn from it."""
+    real, drawn = closedform._t_half, []
+
+    def half(g, lam):
+        drawn.append(0)
+        at = len(drawn) - 1
+        for s in real(g, lam):
+            drawn[at] += 1
+            yield s
+
+    bind_everywhere(monkeypatch, real, half)
+    return drawn
 
 
 def count_sources(monkeypatch) -> dict[str, int]:

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -720,6 +721,33 @@ class TestClosedPipe:
             monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
             assert cli.main(argv) == code
         assert "internal error" not in capsys.readouterr().err
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_with_one_line(self):
+        # table --g 2000 runs for seconds after its first line
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tau2", "table", "--g", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+            # a job a shell starts in the background ignores SIGINT, and Python keeps that
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"2000 0 ")
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        err = err.decode()
+        assert "Traceback" not in err
+        assert re.fullmatch(
+            r"table: computed genus 2000 \(closed\) in \d+\.\d ms\ntable: interrupted\n", err
+        ), err
 
 
 METHODS = ["closed", "recursive", "both"]

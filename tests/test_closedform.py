@@ -305,7 +305,14 @@ class TestBinomialOracle:
 
 
 class TestSourceHoldsNoRow:
-    """Given k, the closed source runs the whole half row and keeps one entry of it."""
+    """Given k, the closed source runs its half row up to entry min(k, 3g-1-k) and keeps that one."""
+
+    @pytest.mark.parametrize("k,drawn", [(0, 1), (119, 1), (59, 60), (60, 60)])
+    def test_value_draws_the_half_row_up_to_its_entry(self, monkeypatch, k, drawn):
+        # genus 40's half row has the 60 entries k = 0..59
+        counts = faults.count_drawn(monkeypatch)
+        assert cli.main(["value", "--g", "40", "--k", str(k), "--method", "closed"]) == 0
+        assert counts == [drawn]
 
     @pytest.mark.parametrize("g,k", [(1000, 1500), (1200, 1799)])
     def test_one_entry_peaks_far_below_a_row(self, g, k):

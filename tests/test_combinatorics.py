@@ -14,6 +14,7 @@ from tau2.combinatorics import (
     _denominator,
     _genus_error,
     _weight,
+    _weights,
     double_factorial_odd,
     odd_lcm,
     rational_str,
@@ -111,6 +112,19 @@ class TestGenusError:
     @pytest.mark.parametrize("g", [0, -1])
     def test_below_one_is_refused(self, g):
         assert _genus_error("g-max", g, 3) == f"g-max must be >= 1, got {g}"
+
+
+class TestWeights:
+    """W(k) has two implementations, stepped along a row (``table``, ``verify``) and
+    multiplied out for one entry (``value``), and they agree at every entry.
+    """
+
+    def test_the_stepping_is_the_products_over_the_unit(self):
+        for g in range(1, 61):
+            lam = odd_lcm(2 * g + 1)
+            products = [Fraction(*_weight(g, k)) / lam for k in range(3 * g)]
+            expected = [(w.numerator, w.denominator) for w in products]
+            assert list(_weights(g, 1, lam)) == expected, g
 
 
 class TestNormalizedTerms:

@@ -105,6 +105,13 @@ class TestTheSweepNamesAFault:
         found = sweep_value(capsys, "closed", "csv")
         assert found == "first difference at (3, 0, 'normalized'): printed '2', expected '1'"
 
+    def test_in_the_stepped_weights(self, capsys, monkeypatch):
+        # table's stepped W(2) doubled at genus 3; value multiplies its W out itself
+        faults.plant_weight(monkeypatch, 3, 2, 2)
+        assert sweep_value(capsys, "closed", "csv") is None
+        found = sweep_table(capsys, "closed", "plain")
+        assert found == "first difference at (3, 2, 'normalized'): printed '154/85', expected '77/85'"
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_in_the_denominator(self, capsys, monkeypatch, fmt):
         # N(g) twice as large from genus 40 on: every correlator halves

@@ -430,6 +430,31 @@ class TestShiftedCore:
         assert md5(out) == digest
 
 
+class TestSteppedWeight:
+    """``verify`` reads P from the stepping of W(k) that ``table`` prints, so a fault there fails it."""
+
+    @pytest.fixture(autouse=True)
+    def doubled(self, monkeypatch):
+        # the stepped D(3) W(2), and with it table's a(3, 2) = 77/85, doubled
+        faults.plant_weight(monkeypatch, 3, 2, 2)
+
+    def test_the_checks_that_read_p_fail_from_genus_3(self, capsys):
+        code, out, _ = run_verify(capsys, "--g-max", "4", "--format", "csv")
+        assert code == 1
+        failed = [line.split(",")[0] for line in out.splitlines() if ",false," in line]
+        assert failed == ["bounds", "residual-a", "residual-b"]
+        reports = verification._run(failed, 4)
+        assert [r.failures[0].g for r in reports] == [3, 3, 3]
+
+    def test_bounds_names_the_entry_and_its_mirror(self, capsys):
+        code, out, _ = run_verify(capsys, "--g-max", "4", "--checks", "bounds")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "  (3,2): expected 1, got 154/85",
+            "  (3,6): expected 1, got 154/85",
+        ]
+
+
 class TestInexactDivision:
     @pytest.fixture(autouse=True)
     def broken_unit(self, monkeypatch):
