@@ -24,10 +24,10 @@ genus too large to hold, by the counts of the row, then the row's check
 Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
 error (a genus too large to hold included), 3 mismatch between the two
-computation paths, 4 internal error (any other exception, reported as one
-line on stderr), 130 an interrupt (one line on stderr).  A reader that closes
-stdout early ends the command quietly with the code it had reached: 0, or
-``verify``'s 1.
+computation paths, 4 internal error (any other exception, one line on stderr;
+a failed write names stdout), 130 an interrupt (one line on stderr); 4 and 130
+hold past argv parsing's milliseconds.  A reader that closes stdout early ends
+the command quietly with the code it had reached: 0, or ``verify``'s 1.
 
 Values past Python's default int -> str digit limit are printed in full: the
 limit is lifted while a command runs, and kept while argv is parsed.
@@ -169,16 +169,16 @@ def main(argv: list[str] | None = None) -> int:
     _, flags, module, holds, check = _COMMANDS[args.command]
     name = next(iter(flags))[2:]  # the genus flag, g or g-max
     g = getattr(args, name.replace("-", "_"))
-    from .combinatorics import _genus_error
-    # the usage errors argparse leaves, the size refusal first, before the body's module loads
-    if error := _genus_error(name, g, *holds(args)) or (check and check(args)):
-        _diag(error)
-        return EXIT_USAGE
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        from .combinatorics import _genus_error
+        # the usage errors argparse leaves, the size refusal first, before the body's module loads
+        if error := _genus_error(name, g, *holds(args)) or (check and check(args)):
+            _diag(error)
+            return EXIT_USAGE
+        if saved is not None:
+            sys.set_int_max_str_digits(0)
         # looked up now, not when cli loaded, so a body rebound after import is the one called
         body = getattr(import_module(f"{__package__}.{module}"), args.command)
         code = body(args)
@@ -190,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return getattr(args, "verdict", EXIT_OK)
+    except OSError as exc:
+        # the commands open no file, so a write failed: to stdout, or to stderr, as this line would
+        _diag(f"{args.command}: cannot write stdout: {exc}")
+        return EXIT_INTERNAL
     except KeyboardInterrupt:
         _diag(f"{args.command}: interrupted")
         return EXIT_INTERRUPTED

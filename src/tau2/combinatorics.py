@@ -11,14 +11,15 @@ Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 largest power <= n.  The closed path sieves the unit L(g) = odd_lcm(2g+1) once
 per lone row and the recursion once per run, and each hands it out with its
 rows; from it, ``_denominator(g, L(g))`` is the one common denominator N(g) of
-a genus g row.  The weight W(k) has one implementation per shape: ``_weights``
-steps it along a row (``table``, ``verify``), and ``_weight`` multiplies it out
-for a lone entry (``value``), faster there: 2.1 against 6.8 ms at (1000, 1499),
-0.83 against 1.95 s at (20000, 29999), on Python 3.11 and 2 vCPUs.  Factorials
-and binomials are ``math.factorial`` and ``math.comb``.  ``_genus_error``
-sizes what a command holds, for the one refusal of a genus too large to hold,
-in ``cli.main``; ``_entry_error`` is the one bounds check of an entry (g, k),
-which ``cli.main`` reports and the row sources raise through ``_check_entry``.
+a genus g row.  The weight W(k), in lowest terms, has one implementation per
+shape: ``_weights`` steps it along a row (``table``, ``verify``), ``_weight``
+multiplies it out for one entry (``value``), faster there: 1.5 against 6.1 ms
+at (1000, 1499), 0.87 against 1.91 s at (20000, 29999), on Python 3.11 and 2
+vCPUs.  Factorials and binomials are ``math.factorial`` and ``math.comb``.
+``_genus_error`` sizes what a command holds, for the one refusal of a genus
+too large to hold, in ``cli.main``; ``_entry_error`` is the one bounds check
+of an entry (g, k), which ``cli.main`` reports and the row sources raise
+through ``_check_entry``.
 
 Exactness.  Both computation paths divide with ``_exact``, which raises on a
 remainder.  The quotient of each division by 2k+3 in ``closedform._t_half``
@@ -155,11 +156,12 @@ def _genus_error(name: str, g: int, numbers: int, texts: int = 0, wide: int = 0)
 def _weight(g: int, k: int) -> tuple[int, int]:
     """W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!! = W(3g-1-k), so that a(g, k) = W(k) S(g, k) / L(g).
 
-    With m = min(k, 3g-1-k), the pair (3 * 5 * ... * (2m+1), (6g-1) (6g-3) ... (6g+1-2m)),
-    not reduced.
+    With m = min(k, 3g-1-k), the pair (3 * 5 * ... * (2m+1), (6g-1) (6g-3) ... (6g+1-2m))
+    in lowest terms.
     """
     m = min(k, 3 * g - 1 - k)
-    return prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2))
+    wn, wd = prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2))
+    return wn // (d := gcd(wn, wd)), wd // d
 
 
 def _weights(g: int, wn: int, wd: int) -> Iterator[tuple[int, int]]:

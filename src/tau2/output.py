@@ -3,17 +3,17 @@
 ``value`` and ``table`` are the two commands' bodies, and return 0 or 3.
 ``cli.main`` imports this module only to call one of them, once it has
 refused what is off the row, so ``--help``, usage errors, ``verify`` and
-``bench`` neither compile nor load it.  An entry stays an integer until it
-becomes text, over the L(g) that its path's row source
-(``closedform.two_point_closed`` or ``recursion.recursive_row``) hands out
-with it: the correlator is S / N(g) and the normalized value W(k) S / L(g),
-each reduced to lowest terms by ``combinatorics._ratio_str``; no
-``fractions.Fraction`` is built.  With W(k) / L(g) = wn / wd in lowest terms,
-S wn / wd cancels crosswise, as ``Fraction.__mul__`` does: one gcd of S and
-wd, and none with wn, which ``_ratio_str`` takes as its factor c.  ``table``
-steps wn / wd along its row by ``combinatorics._weights``, whose steps
-``verify`` checks; ``value`` multiplies its one W(k) out by ``_weight``, which
-is faster for a lone entry (the ``combinatorics`` docstring has the figures).
+``bench`` neither compile nor load it.  Each reads the paths through one
+reader, ``_read``, in one order: its method's path, the recursion on
+``both``, and there the closed path after it, to compare.  An entry stays an
+integer until it becomes text, over the L(g) handed out with it: the
+correlator is S / N(g) and the normalized value W(k) S / L(g), each reduced
+to lowest terms by ``combinatorics._ratio_str``; no ``Fraction`` is built.
+With W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels crosswise, as
+``Fraction.__mul__`` does: one gcd of S and wd, and none with wn, which
+``_ratio_str`` takes as its factor c.  ``table`` steps wn / wd along its row
+by ``combinatorics._weights``, whose steps ``verify`` checks; ``value``
+cancels L(g) against ``_weight``'s W(k) in lowest terms, to the same pair.
 """
 
 from __future__ import annotations
@@ -35,23 +35,25 @@ def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int
     return EXIT_MISMATCH
 
 
+def _read(method: str, g: int, k: int | None = None) -> tuple:
+    """(L(g), S(g, .)), or given k, (L(g), S(g, k)), on the closed path or on the recursion."""
+    if method == "closed":
+        from . import closedform
+        return closedform.two_point_closed(g, k)
+    from . import recursion
+    return recursion.recursive_row(g, k)
+
+
 def value(args: SimpleNamespace) -> int:
     """``tau2 value``: one entry on the chosen paths, as correlator and normalized value."""
     g, k = args.g, args.k
-    if args.method != "recursive":
-        from . import closedform
-        lam, s = closedform.two_point_closed(g, k)
-    if args.method != "closed":
-        from . import recursion
-        unit, row = recursion.recursive_row(g, k)
-        if args.method == "both" and (lam, s) != (unit, row[k]):
-            return _mismatch(g, k, (lam, s), (unit, row[k]))
-        lam, s = unit, row[k]
+    lam, s = _read(args.method, g, k)
+    if args.method == "both" and (closed := _read("closed", g, k)) != (lam, s):
+        return _mismatch(g, k, closed, (lam, s))
 
     wn, wd = _weight(g, k)
-    wd *= lam
-    d = gcd(wn, wd)
-    corr, norm = _ratio_str(s, _denominator(g, lam)), _ratio_str(s, wd // d, wn // d)
+    d = gcd(wn, lam)
+    corr, norm = _ratio_str(s, _denominator(g, lam)), _ratio_str(s, wd * (lam // d), wn // d)
     if args.format == "csv":
         print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
     elif args.format == "json":
@@ -95,20 +97,14 @@ def table(args: SimpleNamespace) -> int:
     """``tau2 table``: one genus row on the chosen paths, one line per entry."""
     g = args.g
     start = perf_counter()
-    if args.method == "closed":
-        from . import closedform
-        lam, row = closedform.two_point_closed(g)
-    else:
-        from . import recursion
-        lam, row = recursion.recursive_row(g)
+    lam, row = _read(args.method, g)
     ms = (perf_counter() - start) * 1000
     _diag(f"table: computed genus {g} ({args.method}) in {ms:.1f} ms")
 
     if args.method == "both":
         # rows are written only after both paths agree on the unit and entry by entry
-        from . import closedform
         start = perf_counter()
-        unit, closed = closedform.two_point_closed(g)
+        unit, closed = _read("closed", g)
         if (unit, closed) != (lam, row):
             k = next(k for k, (c, r) in enumerate(zip(closed, row)) if (unit, c) != (lam, r))
             return _mismatch(g, k, (unit, closed[k]), (lam, row[k]))

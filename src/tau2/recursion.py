@@ -34,15 +34,15 @@ instead of truncating.  Rows stay integers: ``genus_row`` is the one
 recursion step, from row g-1 and L(g-1) to row g and the L(g) it was computed
 over, the row's own ``top``, never its entry 0; ``_int_rows``, which holds the
 genus 1 seed, calls it once per row it builds, and ``recursive_row`` hands
-out the last row of that walk.  No ``Fraction`` is built: the value of entry
-k is S(g, k) / N(g).
+out the last row of that walk, or given k its entry k, in the closed source's
+shape.  No ``Fraction`` is built: the value of entry k is S(g, k) / N(g).
 
 ``table``, ``verify`` and ``bench`` compute each row over the full range
-k = 0..3g-1; ``value`` computes only the prefix of each row that its entry
-reads (``recursive_row`` with k).  Neither mirrors: entry k is
-computed itself, never read as 3g-1-k, so the k <-> 3g-1-k symmetry of the
-result stays an independent consistency check, and ``value --method both``
-still sees an asymmetric recursion in the upper half of a row.
+k = 0..3g-1; ``value`` computes only the cone of its entry, the prefix of
+each row that the entry reads (``recursive_row`` with k).  Neither mirrors:
+entry k is computed itself, never read as 3g-1-k, so the k <-> 3g-1-k
+symmetry of the result stays an independent consistency check, and
+``value --method both`` still sees an asymmetric recursion in the upper half of a row.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def _int_rows(g_max: int, k: int | None = None) -> Iterator[tuple[int, tuple[int
         yield unit, row
 
 
-def recursive_row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """(L(g), S(g, .)) at the end of ``_int_rows(g, k)``, keeping no row below it.
+def recursive_row(g: int, k: int | None = None) -> tuple[int, tuple[int, ...] | int]:
+    """(L(g), the full row S(g, .)), or given k, (L(g), S(g, k)) over the cone of (g, k).
 
-    Given k, that is the prefix S(g, 0..k), computed over the cone of (g, k).
+    From the last pair of ``_int_rows(g, k)``; no row below it is kept.
     ValueError unless g >= 1 and, given k, 0 <= k <= 3g-1.
     """
     _check_entry(g, k)
-    for last in _int_rows(g, k):
+    for lam, row in _int_rows(g, k):
         pass
-    return last
+    return lam, row if k is None else row[k]

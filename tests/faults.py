@@ -32,12 +32,7 @@ def rows(path: str, g: int, k: int | None = None) -> tuple:
 
     On the recursion, S(g, k) is computed over the cone of (g, k) only.
     """
-    if path == "closed":
-        return closedform.two_point_closed(g, k)
-    if k is None:
-        return recursion.recursive_row(g)
-    lam, prefix = recursion.recursive_row(g, k)
-    return lam, prefix[k]
+    return (closedform.two_point_closed if path == "closed" else recursion.recursive_row)(g, k)
 
 
 def value(g: int, lam: int, s: int) -> Fraction:

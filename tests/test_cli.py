@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, diagnostics, documented flags."""
 
 import argparse
+import errno
 import hashlib
 import importlib
 import json
@@ -748,6 +749,50 @@ class TestInterrupt:
         assert re.fullmatch(
             r"table: computed genus 2000 \(closed\) in \d+\.\d ms\ntable: interrupted\n", err
         ), err
+
+
+    @pytest.mark.parametrize(
+        "raised,code,line",
+        [(KeyboardInterrupt, 130, "value: interrupted\n"), (RuntimeError, 4, "internal error: ")],
+        ids=["interrupt", "fault"],
+    )
+    def test_the_size_refusal_ends_inside_the_contract(
+        self, capsys, monkeypatch, raised, code, line
+    ):
+        def refusal(*_):
+            raise raised
+
+        monkeypatch.setattr(combinatorics, "_genus_error", refusal)
+        got, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and err.startswith(line), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+class TestStdoutFull:
+    """A write to stdout that fails ends the command with exit 4 and one line naming stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["value", "--g", "3", "--k", "2"], ["table", "--g", "3"], ["verify", "--g-max", "3"]],
+        ids=["value", "table", "verify"],
+    )
+    def test_exits_4_with_a_line_that_names_stdout(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tau2", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
+            )
+        assert proc.returncode == 4, proc.stderr
+        no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert proc.stderr.splitlines()[-1] == f"{argv[0]}: cannot write stdout: {no_space}"
+        assert "internal error" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 METHODS = ["closed", "recursive", "both"]

@@ -116,7 +116,8 @@ class TestGenusError:
 
 class TestWeights:
     """W(k) has two implementations, stepped along a row (``table``, ``verify``) and
-    multiplied out for one entry (``value``), and they agree at every entry.
+    multiplied out for one entry (``value``), each in lowest terms, and they agree
+    at every entry.
     """
 
     def test_the_stepping_is_the_products_over_the_unit(self):
@@ -125,6 +126,20 @@ class TestWeights:
             products = [Fraction(*_weight(g, k)) / lam for k in range(3 * g)]
             expected = [(w.numerator, w.denominator) for w in products]
             assert list(_weights(g, 1, lam)) == expected, g
+
+    def test_the_products_are_in_lowest_terms(self):
+        for g in range(1, 61):
+            for k in range(3 * g):
+                assert gcd(*_weight(g, k)) == 1, (g, k)
+
+    def test_value_cancels_the_unit_to_the_stepped_pair(self):
+        # value's pair: L(g) cancelled against the numerator of W(k) = wn / wd alone
+        for g in range(1, 61):
+            lam = odd_lcm(2 * g + 1)
+            for k, pair in enumerate(_weights(g, 1, lam)):
+                wn, wd = _weight(g, k)
+                d = gcd(wn, lam)
+                assert (wn // d, wd * (lam // d)) == pair, (g, k)
 
 
 class TestNormalizedTerms:

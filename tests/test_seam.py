@@ -17,11 +17,13 @@ SOURCES = {
     "two_point_closed", "_rows", "_t_half", "genus_row", "_int_rows", "recursive_row", "_step_terms",
 }  # fmt: skip
 # tests of a source's own contract, which call it directly: the closed loop divides
-# exactly over the unit it is handed; and the tables of public names that the
-# start-up tests check the package against, which name the public sources
+# exactly over the unit it is handed, and the two row sources answer in one shape;
+# and the tables of public names that the start-up tests check the package
+# against, which name the public sources
 ALLOWED = {
     "test_unit.py::test_closed_loop_is_exact_to_genus_300",
     "test_unit.py::test_closed_loop_is_exact_at_large_genera",
+    "test_unit.py::test_row_sources_share_one_contract_to_genus_40",
     "test_startup.py::PUBLIC",
     "test_startup.py::TRACED",
 }

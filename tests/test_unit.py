@@ -12,7 +12,7 @@ from math import comb, lcm, prod
 import pytest
 
 import faults
-from tau2 import closedform, combinatorics
+from tau2 import closedform, combinatorics, recursion
 
 
 def odd_df(m):
@@ -98,3 +98,12 @@ def test_closed_loop_is_exact_at_large_genera():
     for g in (1000, 1200, 2000):
         *_, last = closedform._t_half(g, lcm(*range(1, 2 * g + 2, 2)))
         assert last > 0
+
+
+def test_row_sources_share_one_contract_to_genus_40():
+    # (L(g), the full row) without k, and (L(g), S(g, k)) with k, an int, on both sources
+    for g in range(1, 41):
+        assert recursion.recursive_row(g) == closedform.two_point_closed(g), g
+        for k in range(3 * g):
+            got = recursion.recursive_row(g, k)
+            assert type(got[1]) is int and got == closedform.two_point_closed(g, k), (g, k)

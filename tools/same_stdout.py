@@ -11,9 +11,10 @@ and ``verify`` write timings on stderr, so every ``<n> ms`` is masked before
 hashing; ``bench`` is hashed on its ``g`` and ``max_bits`` columns only.
 The commands cover every format and method wherever a command takes them:
 
-- ``value`` at g = 0..30 and k = -1..3g; ``--method closed`` at four
-  points past the 4300-digit int -> str limit or near it, and at
-  g = 5000, past the benchmark's genera, with k at both ends of the row
+- ``value`` at g = 0..30 and k = -1..3g; ``--method closed`` at five
+  points past the 4300-digit int -> str limit or near it, among them
+  (1000, 1499) and (1200, 1799), where value's weight in lowest terms
+  changes its arithmetic most, and at g = 5000, past the benchmark's genera, with k at both ends of the row
   and at the middle; in plain format at g = 20000, k = 0 and k = 59999,
   where the closed source stopping at its entry saves the most; and
   ``--method recursive|both`` at g = 120 and 300 with k at both ends of
@@ -91,8 +92,8 @@ def commands() -> Iterator[list[str]]:
             for method in METHODS:
                 for fmt in FORMATS:
                     yield ["value", "--g", str(g), "--k", str(k), "--method", method, "--format", fmt]
-    for g, k in ((700, 2000), (1000, 1500), (1200, 1799), (1100, 0), (5000, 0), (5000, 7499),
-                 (5000, 14999)):
+    for g, k in ((700, 2000), (1000, 1499), (1000, 1500), (1200, 1799), (1100, 0), (5000, 0),
+                 (5000, 7499), (5000, 14999)):
         for fmt in FORMATS:
             yield ["value", "--g", str(g), "--k", str(k), "--method", "closed", "--format", fmt]
     for k in (0, 59999):
