@@ -90,8 +90,17 @@ _COMMANDS = {
 }  # fmt: skip
 
 
+def _drop(stream) -> None:
+    """Point ``stream``'s descriptor at /dev/null, so what it still buffers goes nowhere at exit."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
 def _diag(message: str) -> None:
-    print(message, file=sys.stderr)
+    try:
+        print(message, file=sys.stderr)
+    except OSError:  # stderr refuses the line: drop it, and leave the exit code to tell
+        _drop(sys.stderr)
 
 
 def _selection(checks: str | None) -> tuple[list[str], str | None]:
@@ -181,19 +190,19 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         # looked up now, not when cli loaded, so a body rebound after import is the one called
         body = getattr(import_module(f"{__package__}.{module}"), args.command)
-        code = body(args)
-        sys.stdout.flush()
+        try:
+            code = body(args)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the bodies open no file and _diag drops what stderr refuses, so stdout failed
+            _drop(sys.stdout)
+            if isinstance(exc, BrokenPipeError):
+                # the reader left: end quietly; table and value print only after every
+                # check, verify after args.verdict is set
+                return getattr(args, "verdict", EXIT_OK)
+            _diag(f"{args.command}: cannot write stdout: {exc}")
+            return EXIT_INTERNAL
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: end quietly, with the exit-time flush going nowhere;
-        # table and value print only after every check, verify after args.verdict is set
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return getattr(args, "verdict", EXIT_OK)
-    except OSError as exc:
-        # the commands open no file, so a write failed: to stdout, or to stderr, as this line would
-        _diag(f"{args.command}: cannot write stdout: {exc}")
-        return EXIT_INTERNAL
     except KeyboardInterrupt:
         _diag(f"{args.command}: interrupted")
         return EXIT_INTERRUPTED

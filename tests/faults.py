@@ -24,15 +24,16 @@ from fractions import Fraction
 from io import StringIO
 from math import factorial
 
-from tau2 import cli, closedform, combinatorics, recursion, verification
+from tau2 import cli, closedform, combinatorics, output, recursion, verification
 
 
 def rows(path: str, g: int, k: int | None = None) -> tuple:
     """(L(g), the full row S(g, .)) of genus g on ``path``; given k, (L(g), S(g, k)).
 
-    On the recursion, S(g, k) is computed over the cone of (g, k) only.
+    Read as ``value`` and ``table`` read it, through ``output._read``; on the
+    recursion, S(g, k) is computed over the cone of (g, k) only.
     """
-    return (closedform.two_point_closed if path == "closed" else recursion.recursive_row)(g, k)
+    return output._read(path, g, k)
 
 
 def value(g: int, lam: int, s: int) -> Fraction:

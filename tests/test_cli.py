@@ -751,14 +751,15 @@ class TestInterrupt:
         ), err
 
 
+class TestExitInsideTheContract:
+    """Past argv parsing, a run cut short ends with one line and exit 130 or 4."""
+
     @pytest.mark.parametrize(
         "raised,code,line",
         [(KeyboardInterrupt, 130, "value: interrupted\n"), (RuntimeError, 4, "internal error: ")],
         ids=["interrupt", "fault"],
     )
-    def test_the_size_refusal_ends_inside_the_contract(
-        self, capsys, monkeypatch, raised, code, line
-    ):
+    def test_in_the_size_refusal(self, capsys, monkeypatch, raised, code, line):
         def refusal(*_):
             raise raised
 
@@ -767,32 +768,63 @@ class TestInterrupt:
         assert (got, out) == (code, "")
         assert err.count("\n") == 1 and err.startswith(line), err
 
+    def test_a_module_that_cannot_be_read_is_no_stdout_failure(self, capsys, monkeypatch):
+        def unreadable(name):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "import_module", unreadable)
+        got, out, err = run_cli(capsys, "value", "--g", "3", "--k", "1")
+        assert (got, out) == (4, "")
+        assert err.count("\n") == 1 and err.startswith("internal error: OSError: "), err
+
+
+def run_with(argv, stdout, stderr, buffered):
+    """``python -m tau2 argv`` with these streams; buffered or not, as PYTHONUNBUFFERED says."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "tau2", *argv], stdout=stdout, stderr=stderr, text=True, env=env
+    )
+
+
+FULL_ARGV = pytest.mark.parametrize(
+    "argv",
+    [["value", "--g", "3", "--k", "2"], ["table", "--g", "3"], ["verify", "--g-max", "3"]],
+    ids=["value", "table", "verify"],
+)
+BUFFERED = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-class TestStdoutFull:
-    """A write to stdout that fails ends the command with exit 4 and one line naming stdout."""
+class TestStreamFull:
+    """A stdout that cannot be written ends the command with exit 4 and one line naming it;
+    a stderr that cannot be written loses its lines and changes neither stdout nor the exit.
+    """
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["value", "--g", "3", "--k", "2"], ["table", "--g", "3"], ["verify", "--g-max", "3"]],
-        ids=["value", "table", "verify"],
-    )
-    def test_exits_4_with_a_line_that_names_stdout(self, argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
+    @FULL_ARGV
+    @BUFFERED
+    def test_stdout_exits_4_with_a_line_that_names_it(self, argv, buffered):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "tau2", *argv],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")),
-            )
+            proc = run_with(argv, full, subprocess.PIPE, buffered)
         assert proc.returncode == 4, proc.stderr
         no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert proc.stderr.splitlines()[-1] == f"{argv[0]}: cannot write stdout: {no_space}"
         assert "internal error" not in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @FULL_ARGV
+    @BUFFERED
+    def test_stderr_is_dropped(self, argv, buffered):
+        expected = run_with(argv, subprocess.PIPE, subprocess.DEVNULL, buffered)
+        with open("/dev/full", "w") as full:
+            proc = run_with(argv, subprocess.PIPE, full, buffered)
+        assert (proc.returncode, expected.returncode) == (0, 0)
+        assert proc.stdout == expected.stdout != ""
 
 
 METHODS = ["closed", "recursive", "both"]
