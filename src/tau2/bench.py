@@ -24,7 +24,7 @@ def bench(args: SimpleNamespace) -> int:
     """``tau2 bench``: one line per genus 1..g-max, with the chosen paths' times and max_bits."""
     # each chosen path's source, yielding (L(g), integer row) for g = 1, 2, ...
     paths = {
-        "closed": closedform._rows(args.g_max),
+        "closed": map(closedform.two_point_closed, range(1, args.g_max + 1)),
         "recursive": recursion._int_rows(args.g_max),
     }
     paths = {name: rows for name, rows in paths.items() if args.method in (name, "both")}

@@ -25,9 +25,9 @@ Data goes to stdout, every diagnostic and timing goes to stderr.  Exit codes
 are a stable contract: 0 success, 1 verification failure, 2 usage or range
 error (a genus too large to hold included), 3 mismatch between the two
 computation paths, 4 internal error (any other exception, one line on stderr;
-a failed write names stdout), 130 an interrupt (one line on stderr); 4 and 130
-hold past argv parsing's milliseconds.  A reader that closes stdout early ends
-the command quietly with the code it had reached: 0, or ``verify``'s 1.
+a failed write names stdout), 130 an interrupt (one line on stderr).  A
+reader that closes stdout early ends the command quietly with the code it had
+reached: 0, or ``verify``'s 1.
 
 Values past Python's default int -> str digit limit are printed in full: the
 limit is lifted while a command runs, and kept while argv is parsed.
@@ -172,15 +172,15 @@ def _build_parser():
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-    _, flags, module, holds, check = _COMMANDS[args.command]
-    name = next(iter(flags))[2:]  # the genus flag, g or g-max
-    g = getattr(args, name.replace("-", "_"))
     # sys.set_int_max_str_digits exists from Python 3.11 (and patched 3.10)
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    args = SimpleNamespace(command="tau2")  # the name an interrupt gives until argv is read
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parse(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        _, flags, module, holds, check = _COMMANDS[args.command]
+        name = next(iter(flags))[2:]  # the genus flag, g or g-max
+        g = getattr(args, name.replace("-", "_"))
         from .combinatorics import _genus_error
         # the usage errors argparse leaves, the size refusal first, before the body's module loads
         if error := _genus_error(name, g, *holds(args)) or (check and check(args)):

@@ -36,11 +36,10 @@ proves.  The unit (6g-1)!!, a multiple of every (2k+3)!!, would suffice too,
 but over 80% of its entries' bits at g = 1000 are a common factor.
 
 Each genus row is a direct O(g) computation with no recursion over genus.
-``two_point_closed`` hands out L(g) with the full row or one entry, and
-computes it afresh on every call; ``_rows`` walks the genera, stepping
-L(g) = lcm(L(g-1), 2g+1) as the recursion does.  Neither builds a
-``Fraction``: the value of entry k is S(g, k) / N(g), and its normalized value
-W(k) S(g, k) / L(g).
+``two_point_closed``, the one row source of every command, hands out L(g)
+with the full row or one entry, and sieves L(g) afresh on every call, where
+the recursion steps it.  It builds no ``Fraction``: the value of entry k is
+S(g, k) / N(g), and its normalized value W(k) S(g, k) / L(g).
 
 The stated value a(g, 1) = (6g-3)/(6g-1) is deliberately not a second code
 path here; it is reproduced as 1 + b(g, 0) and asserted in the test suite, so
@@ -50,7 +49,7 @@ there is a single source of truth.
 from __future__ import annotations
 
 from itertools import islice
-from math import factorial, lcm
+from math import factorial
 
 from . import _LAYERS
 from .combinatorics import _check_entry, _exact, _weight, odd_lcm
@@ -122,14 +121,6 @@ def two_point_closed(g: int, k: int | None = None) -> tuple[int, tuple[int, ...]
     if k is None:
         return lam, _mirrored(g, tuple(half))
     return lam, next(islice(half, min(k, 3 * g - 1 - k), None))
-
-
-def _rows(g_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(L(g), the full row S(g, .)) for g = 1..g_max in order; L(g) is stepped, not sieved."""
-    lam = 1
-    for g in range(1, g_max + 1):
-        lam = lcm(lam, 2 * g + 1)
-        yield lam, _mirrored(g, tuple(_t_half(g, lam)))
 
 
 def normalize(g: int, k: int, corr: Fraction) -> Fraction:

@@ -9,7 +9,7 @@ reduced q is 1.  :func:`rational_str` applies it to a ``fractions.Fraction``
 Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 ``odd_lcm(n) = lcm(1, 3, ..., n)`` is a sieve that takes each odd prime at its
 largest power <= n.  The closed path sieves the unit L(g) = odd_lcm(2g+1) once
-per lone row and the recursion once per run, and each hands it out with its
+per row and the recursion once per run, and each hands it out with its
 rows; from it, ``_denominator(g, L(g))`` is the one common denominator N(g) of
 a genus g row.  The weight W(k), in lowest terms, has one implementation per
 shape: ``_weights`` steps it along a row (``table``, ``verify``), ``_weight``

@@ -43,7 +43,8 @@ paths' pairs (L(g), S(g, k)), each side of a failure over its own N(g),
 The checks share one walk over g = 1..g_max.  At each genus it builds the
 rows the selected checks read once (recursive S, closed S, P, A, B), hands
 them to each check, and keeps only genera g-1 and g.  Each S row comes with
-its path's L(g), read by the checks of its rows (by ``cross``, both).
+its path's L(g), read by the checks of its rows (by ``cross``, both): the
+closed path sieves L(g) at each genus, and the recursion steps it.
 
 ``verify`` is the body of the ``tau2 verify`` command: ``cli.main`` calls
 it once the selection ``cli._selection`` reads from ``--checks`` is valid,
@@ -110,16 +111,16 @@ def _failure(g: int, k: int, expected, actual, scale: int) -> CheckFailure:
     return CheckFailure(g, k, Fraction(expected, scale), Fraction(actual, scale))
 
 
-def _rows(g: int, need: set, recursive: Iterator | None, closed: Iterator | None) -> dict:
+def _rows(g: int, need: set, recursive: Iterator | None) -> dict:
     """Genus g's rows in ``need``: "rec" (next of ``recursive``) with its L(g) "rec_lam",
-    "s" (closed S, next of ``closed``) with "lam", "a" (and "s"), and "b" (from k = -1);
+    "s" (``two_point_closed(g)``) with "lam", "a" (and "s"), and "b" (from k = -1);
     "a" or "b" also builds "p" and its "one" terms.
     """
     rows = {}
     if "rec" in need:
         rows["rec_lam"], rows["rec"] = next(recursive)
     if need & {"s", "a"}:
-        rows["lam"], rows["s"] = lam, s = next(closed)
+        rows["lam"], rows["s"] = lam, s = closedform.two_point_closed(g)
     if need & {"a", "b"}:
         pairs = zip(range((3 * g + 1) // 2), _weights(g, double_factorial_odd(6 * g - 1), 1))
         rows["p"] = p = _mirrored(g, [_exact(wn, wd, g, k) for k, (wn, wd) in pairs])
@@ -225,14 +226,13 @@ def _run(names: Sequence[str], g_max: int, times: dict | None = None) -> list[Ch
     checks = {name: _CHECKS[name] for name in names}
     need = set().union(*(reads for _, reads, _ in checks.values()))
     recursive = _int_rows(g_max) if "rec" in need else None
-    closed = closedform._rows(g_max) if need & {"s", "a"} else None
     seconds = {} if times is None else times
     seconds.update(dict.fromkeys(["rows", *names], 0.0))
     found = {name: [0, []] for name in names}  # checked, failures
     below = None
     for g in range(1, g_max + 1):
         start = perf_counter()
-        rows = _rows(g, need, recursive, closed)
+        rows = _rows(g, need, recursive)
         seconds["rows"] += perf_counter() - start
         for name, (first, _, check) in checks.items():
             if g >= first:

@@ -1,7 +1,7 @@
 """The one seam between the tests and each path's row sources.
 
 Tests read rows and plant faults through these functions, never through
-``closedform.two_point_closed``, ``_rows`` or ``_t_half``, or
+``closedform.two_point_closed`` or ``_t_half``, or
 ``recursion._int_rows``, ``genus_row``, ``recursive_row`` or ``_step_terms``
 themselves (``test_seam.py`` guards that), so reshaping a source edits this
 module alone.  A path is "closed" or "recursive", and every row is handed out
@@ -59,15 +59,16 @@ def step(g: int, below: tuple[int, ...], unit: int) -> tuple:
 
 
 def walk(path: str, g_max: int, k: int | None = None):
-    """(L(g), S(g, .)) for g = 1..g_max in order on ``path``.
+    """(L(g), S(g, .)) for g = 1..g_max in order on ``path``, as ``verify`` and ``bench`` read it.
 
+    The closed path computes each genus on its own, with ``two_point_closed(g)``.
     Given k (on the recursion only), the rows of the cone of (g_max, k): the
     prefixes of rows max(1, g_max - k)..g_max that entry (g_max, k) reads.
     """
     if path == "recursive":
         return recursion._int_rows(g_max, k)
-    assert k is None, "the closed walk has no cone"
-    return closedform._rows(g_max)
+    assert k is None, "the closed path has no cone"
+    return map(closedform.two_point_closed, range(1, g_max + 1))
 
 
 def bind_everywhere(monkeypatch, real, replacement) -> list[str]:
@@ -152,17 +153,6 @@ def plant_core(monkeypatch, g: int, k: int | None, times: int) -> None:
             yield sq + times * s * (h == g and k in (None, i))
 
     bind_everywhere(monkeypatch, real, core)
-
-
-def plant_unit(monkeypatch, g: int, factor: int) -> None:
-    """The closed walk hands out factor L(g) as genus g's unit, with its true row."""
-    real = closedform._rows
-
-    def walked(g_max):
-        for h, (lam, row) in enumerate(real(g_max), start=1):
-            yield lam * factor ** (h == g), row
-
-    bind_everywhere(monkeypatch, real, walked)
 
 
 def plant_lone_unit(monkeypatch, g: int, factor: int) -> None:
@@ -261,13 +251,26 @@ def count_sources(monkeypatch) -> dict[str, int]:
     return counts
 
 
-def count_sieves(monkeypatch) -> list[int]:
-    """A list that gets n at each call of ``odd_lcm(n)`` by any tau2 module."""
-    # load the modules that commands load lazily first, so that none binds the wrapper for good
+def _sieve():
+    """``combinatorics.odd_lcm``, once the modules that commands load lazily hold it too.
+
+    Loaded first, none of them binds a wrapper of it for good.
+    """
     import tau2.bench  # noqa: F401
     import tau2.output  # noqa: F401
 
-    real, calls = combinatorics.odd_lcm, []
+    return combinatorics.odd_lcm
+
+
+def plant_sieve(monkeypatch, n: int, factor: int) -> None:
+    """``odd_lcm(n)`` returns factor times its value, whichever tau2 module calls it."""
+    real = _sieve()
+    bind_everywhere(monkeypatch, real, lambda m: real(m) * factor ** (m == n))
+
+
+def count_sieves(monkeypatch) -> list[int]:
+    """A list that gets n at each call of ``odd_lcm(n)`` by any tau2 module."""
+    real, calls = _sieve(), []
 
     def counted(n):
         calls.append(n)

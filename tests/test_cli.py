@@ -554,13 +554,14 @@ class TestOneSievePerGenusPerPath:
     Each path's source hands out the L(g) it computed its rows over, and no
     reader sieves again.  The recursion sieves only its first row's unit and
     steps L(g) = lcm(L(g-1), 2g+1) from it, so it sieves once per run; the
-    closed walk of ``verify`` and ``bench`` steps it from L(0) = 1 and never sieves.
+    closed path sieves L(g) at each genus it computes, so ``verify`` and
+    ``bench`` sieve once per genus and once more for the recursion.
     ``combinatorics.odd_lcm`` is wrapped under every name a loaded tau2 module
     holds it by, as ``perfbench/trace_job.py`` wraps names.
     """
 
     @pytest.mark.parametrize(
-        "argv,paths,most",
+        "argv,paths,total",
         [
             (("value", "--g", "100", "--k", "30"), 2, 2),
             (("value", "--g", "100", "--k", "30", "--method", "closed"), 1, 1),
@@ -568,16 +569,15 @@ class TestOneSievePerGenusPerPath:
             (("table", "--g", "100"), 1, 1),
             (("table", "--g", "100", "--method", "recursive"), 1, 1),
             (("table", "--g", "100", "--method", "both"), 2, 2),
-            (("verify", "--g-max", "40"), 2, 2),
-            (("bench", "--g-max", "20"), 2, 2),
+            (("verify", "--g-max", "40"), 2, 41),
+            (("bench", "--g-max", "20"), 2, 21),
         ],
     )
-    def test_each_genus_is_sieved_once_per_path(self, capsys, monkeypatch, argv, paths, most):
+    def test_each_genus_is_sieved_once_per_path(self, capsys, monkeypatch, argv, paths, total):
         calls = faults.count_sieves(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
-        assert calls
         assert max(Counter(calls).values()) <= paths
-        assert len(calls) <= most
+        assert len(calls) == total
 
     def test_only_the_paths_hold_the_sieve(self):
         importlib.import_module("tau2.bench")
@@ -752,7 +752,17 @@ class TestInterrupt:
 
 
 class TestExitInsideTheContract:
-    """Past argv parsing, a run cut short ends with one line and exit 130 or 4."""
+    """A run cut short ends with one line and exit 130 or 4, from argv parsing on."""
+
+    @pytest.mark.parametrize("reader", ["_parse", "_build_parser"])
+    def test_an_interrupt_in_argv_parsing(self, capsys, monkeypatch, reader):
+        def interrupted(*_):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, reader, interrupted)
+        # "--g=3" is left to argparse, so the parser is built
+        got, out, err = run_cli(capsys, "value", "--g=3", "--k", "1")
+        assert (got, out, err) == (130, "", "tau2: interrupted\n")
 
     @pytest.mark.parametrize(
         "raised,code,line",

@@ -186,11 +186,6 @@ class TestIntegerHalfRow:
             assert closed == row, g
             assert closed_lam == lam, g
 
-    def test_walk_is_each_row_to_genus_120(self):
-        # the walk steps L(g) = lcm(L(g-1), 2g+1) where a lone row sieves it
-        walked = list(faults.walk("closed", 120))
-        assert walked == [faults.rows("closed", g) for g in range(1, 121)]
-
     def test_one_entry_equals_the_full_row(self):
         for g in range(1, 41):
             full_lam, full = faults.rows("closed", g)

@@ -14,7 +14,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = {
-    "two_point_closed", "_rows", "_t_half", "genus_row", "_int_rows", "recursive_row", "_step_terms",
+    "two_point_closed", "_t_half", "genus_row", "_int_rows", "recursive_row", "_step_terms",
 }  # fmt: skip
 # tests of a source's own contract, which call it directly: the closed loop divides
 # exactly over the unit it is handed, and the two row sources answer in one shape;
@@ -78,7 +78,7 @@ def test_only_the_helper_names_a_row_source():
     [
         "from tau2.recursion import _int_rows",
         "from tau2.closedform import b_value, two_point_closed",
-        "closedform._rows(3)",
+        "closedform._t_half(3, 7)",
         "x = recursion.recursive_row",
         "lam, s = closedform.two_point_closed(3, 1)",
         'monkeypatch.setattr(recursion, "_step_terms", step)',

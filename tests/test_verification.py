@@ -256,8 +256,8 @@ class TestCrossUnits:
 
     @pytest.fixture(autouse=True)
     def planted_unit(self, monkeypatch):
-        # the closed walk hands out 7 L(4) with its true row: each closed value is a seventh
-        faults.plant_unit(monkeypatch, 4, 7)
+        # the closed source hands out 7 L(4) with its true row: each closed value is a seventh
+        faults.plant_lone_unit(monkeypatch, 4, 7)
 
     def test_fails_at_every_k_of_the_planted_genus(self):
         report = cross_validate(5)
@@ -271,6 +271,17 @@ class TestCrossUnits:
         code, out, _ = run_verify(capsys, "--g-max", "5", "--checks", "cross", "--format", "csv")
         assert code == 1
         assert out == "check,passed,checked,failures\ncross,false,45,12\n"
+
+
+class TestCrossSieve:
+    """``cross`` compares the closed path's sieved L(g) with the recursion's stepped one."""
+
+    def test_a_faulty_sieve_fails_every_k_of_its_genus(self, capsys, monkeypatch):
+        # odd_lcm(9) = L(4) comes out 5 L(4): the closed row is 5 times S(4, .), each value true
+        faults.plant_sieve(monkeypatch, 9, 5)
+        code, out, _ = run_verify(capsys, "--g-max", "4", "--checks", "cross", "--format", "csv")
+        assert code == 1
+        assert out == "check,passed,checked,failures\ncross,false,30,12\n"
 
 
 class TestCheckReport:
@@ -460,7 +471,7 @@ class TestInexactDivision:
     def broken_unit(self, monkeypatch):
         # the closed source hands out 10007 L(4) as the unit of its genus 4 row; 10007
         # divides no P(4, k) S(4, k), so A(4, 0) = 23!! L(4) / (L(4) 10007) is inexact
-        faults.plant_unit(monkeypatch, 4, 10007)
+        faults.plant_lone_unit(monkeypatch, 4, 10007)
 
     @pytest.mark.parametrize("check", [check_bounds, check_residual_a])
     def test_raises(self, check):
