@@ -1,4 +1,4 @@
-"""Exact combinatorial primitives: odd double factorials, odd lcms, canonical p/q text.
+"""Exact combinatorial primitives: double factorials, odd lcms, weights, row comparison, p/q text.
 
 Everything here is integer arithmetic with no rounding, built on Python's
 arbitrary-precision ``int``.  A rational p/q reaches text through one rule,
@@ -11,11 +11,12 @@ Nothing is memoized: ``double_factorial_odd`` is a plain product, and
 largest power <= n.  The closed path sieves the unit L(g) = odd_lcm(2g+1) once
 per row and the recursion once per run, and each hands it out with its
 rows; from it, ``_denominator(g, L(g))`` is the one common denominator N(g) of
-a genus g row.  The weight W(k), in lowest terms, has one implementation per
-shape: ``_weights`` steps it along a row (``table``, ``verify``), ``_weight``
-multiplies it out for one entry (``value``), faster there: 1.5 against 6.1 ms
-at (1000, 1499), 0.87 against 1.91 s at (20000, 29999), on Python 3.11 and 2
-vCPUs.  Factorials and binomials are ``math.factorial`` and ``math.comb``.
+a genus g row, and ``_differences`` the one comparison of two (L(g), row)
+pairs.  ``_times`` takes a start pair times the weight W(k) to lowest terms,
+along a row in ``_weights`` (``table``, ``verify``) and for one entry in
+``_weight`` (``value``), faster there: 2.1 against 6.8 ms at (1000, 1499),
+0.66 against 1.98 s at (20000, 29999), on Python 3.11 and 2 vCPUs.
+Factorials and binomials are ``math.factorial`` and ``math.comb``.
 ``_genus_error`` sizes what a command holds, for the one refusal of a genus
 too large to hold, in ``cli.main``; ``_entry_error`` is the one bounds check
 of an entry (g, k), which ``cli.main`` reports and the row sources raise
@@ -129,6 +130,16 @@ def _denominator(g: int, lam: int) -> int:
     return 24**g * math.factorial(g) * lam
 
 
+def _differences(g: int, actual: tuple, expected: tuple) -> tuple[int, list]:
+    """(scale, [(k, expected, actual), ...]) at each k where two (L(g), row) pairs differ in (L, S),
+    each side its S / N(g) times scale = N_actual N_expected; (1, []) if the pairs are equal."""
+    if actual == expected:
+        return 1, []
+    (la, ra), (le, re) = actual, expected
+    na, ne, pairs = _denominator(g, la), _denominator(g, le), enumerate(zip(ra, re))
+    return na * ne, [(k, e * na, a * ne) for k, (a, e) in pairs if (la, a) != (le, e)]
+
+
 # bytes that one command may hold in its odd_lcm sieve, numbers and texts: 256 MiB
 HOLD_LIMIT = 1 << 28
 
@@ -153,26 +164,29 @@ def _genus_error(name: str, g: int, numbers: int, texts: int = 0, wide: int = 0)
     return None
 
 
-def _weight(g: int, k: int) -> tuple[int, int]:
-    """W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!! = W(3g-1-k), so that a(g, k) = W(k) S(g, k) / L(g).
+def _times(wn: int, wd: int, up: int, down: int) -> tuple[int, int]:
+    """(wn/wd) (up/down) in lowest terms, from wn/wd in lowest terms: reduced, then crosswise."""
+    up, down = up // (e := gcd(up, down)), down // e
+    x, y = gcd(up, wd), gcd(down, wn)
+    return wn // y * (up // x), wd // x * (down // y)
 
-    With m = min(k, 3g-1-k), the pair (3 * 5 * ... * (2m+1), (6g-1) (6g-3) ... (6g+1-2m))
-    in lowest terms.
+
+def _weight(g: int, k: int, wn: int = 1, wd: int = 1) -> tuple[int, int]:
+    """(wn/wd) W(k) in lowest terms from wn/wd in lowest terms: the pair ``_weights`` yields at k.
+
+    W(k) = (2k+1)!! (6g-1-2k)!! / (6g-1)!! = W(3g-1-k), so that a(g, k) = W(k) S(g, k) / L(g):
+    with m = min(k, 3g-1-k), (3 * 5 * ... * (2m+1)) / ((6g-1) (6g-3) ... (6g+1-2m)).
     """
     m = min(k, 3 * g - 1 - k)
-    wn, wd = prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2))
-    return wn // (d := gcd(wn, wd)), wd // d
+    up, down = prod(range(3, 2 * m + 2, 2)), prod(range(6 * g - 1, 6 * g - 1 - 2 * m, -2))
+    return _times(wn, wd, up, down)
 
 
 def _weights(g: int, wn: int, wd: int) -> Iterator[tuple[int, int]]:
     """(wn/wd) W(k) in lowest terms, as a pair, for k = 0..3g-1, from wn/wd in lowest terms."""
     for k in range(3 * g):
         yield wn, wd
-        # W(k+1) = W(k) (2k+3)/(6g-1-2k): the ratio in lowest terms, then crosswise
-        e = gcd(2 * k + 3, 6 * g - 1 - 2 * k)
-        up, down = (2 * k + 3) // e, (6 * g - 1 - 2 * k) // e
-        x, y = gcd(up, wd), gcd(down, wn)
-        wn, wd = wn // y * (up // x), wd // x * (down // y)
+        wn, wd = _times(wn, wd, 2 * k + 3, 6 * g - 1 - 2 * k)  # W(k+1) = W(k) (2k+3)/(6g-1-2k)
 
 
 def _ratio_str(p: int, q: int, c: int = 1) -> str:

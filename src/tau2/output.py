@@ -5,33 +5,34 @@
 refused what is off the row, so ``--help``, usage errors, ``verify`` and
 ``bench`` neither compile nor load it.  Each reads the paths through one
 reader, ``_read``, in one order: its method's path, the recursion on
-``both``, and there the closed path after it, to compare.  An entry stays an
-integer until it becomes text, over the L(g) handed out with it: the
-correlator is S / N(g) and the normalized value W(k) S / L(g), each reduced
-to lowest terms by ``combinatorics._ratio_str``; no ``Fraction`` is built.
-With W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels crosswise, as
-``Fraction.__mul__`` does: one gcd of S and wd, and none with wn, which
-``_ratio_str`` takes as its factor c.  ``table`` steps wn / wd along its row
-by ``combinatorics._weights``, whose steps ``verify`` checks; ``value``
-cancels L(g) against ``_weight``'s W(k) in lowest terms, to the same pair.
+``both``, and there the closed path after it, to compare; ``_mismatch``
+reports the first entry that ``combinatorics._differences`` lists.  An
+entry stays an integer until it becomes text, over the L(g) handed out with
+it: the correlator is S / N(g) and the normalized value W(k) S / L(g), each
+reduced to lowest terms by ``combinatorics._ratio_str``; no ``Fraction`` is
+built.  With W(k) / L(g) = wn / wd in lowest terms, S wn / wd cancels
+crosswise, as ``Fraction.__mul__`` does: one gcd of S and wd, and none with
+wn, which ``_ratio_str`` takes as its factor c.  ``table`` steps wn / wd
+along its row by ``combinatorics._weights``, whose steps ``verify`` checks,
+and ``value`` asks ``_weight`` for the same pair at its entry.
 """
 
 from __future__ import annotations
 
 import sys
-from math import gcd
 from time import perf_counter
 
 from .cli import EXIT_MISMATCH, EXIT_OK, _diag
-from .combinatorics import _denominator, _ratio_str, _weight, _weights
+from .combinatorics import _denominator, _differences, _ratio_str, _weight, _weights
 
 CSV_HEADER = "g,k,correlator,normalized"
 
 
-def _mismatch(g: int, k: int, closed: tuple[int, int], recursive: tuple[int, int]) -> int:
-    """Report entry (g, k), where the paths' (L(g), S(g, k)) differ; the exit code."""
-    c, r = (_ratio_str(s, _denominator(g, lam)) for lam, s in (closed, recursive))
-    _diag(f"path mismatch at ({g},{k}): closed {c}, recursive {r}")
+def _mismatch(g: int, closed: tuple, recursive: tuple, k: int = 0) -> int:
+    """Report the first entry where the paths' (L(g), row) differ, rows from entry k; exit 3."""
+    scale, [(j, r, c), *_] = _differences(g, closed, recursive)
+    c, r = _ratio_str(c, scale), _ratio_str(r, scale)
+    _diag(f"path mismatch at ({g},{k + j}): closed {c}, recursive {r}")
     return EXIT_MISMATCH
 
 
@@ -49,11 +50,10 @@ def value(args: SimpleNamespace) -> int:
     g, k = args.g, args.k
     lam, s = _read(args.method, g, k)
     if args.method == "both" and (closed := _read("closed", g, k)) != (lam, s):
-        return _mismatch(g, k, closed, (lam, s))
+        return _mismatch(g, (closed[0], closed[1:]), (lam, (s,)), k)  # one-entry rows at k
 
-    wn, wd = _weight(g, k)
-    d = gcd(wn, lam)
-    corr, norm = _ratio_str(s, _denominator(g, lam)), _ratio_str(s, wd * (lam // d), wn // d)
+    wn, wd = _weight(g, k, 1, lam)
+    corr, norm = _ratio_str(s, _denominator(g, lam)), _ratio_str(s, wd, wn)
     if args.format == "csv":
         print(CSV_HEADER, f"{g},{k},{corr},{norm}", sep="\n")
     elif args.format == "json":
@@ -104,10 +104,8 @@ def table(args: SimpleNamespace) -> int:
     if args.method == "both":
         # rows are written only after both paths agree on the unit and entry by entry
         start = perf_counter()
-        unit, closed = _read("closed", g)
-        if (unit, closed) != (lam, row):
-            k = next(k for k, (c, r) in enumerate(zip(closed, row)) if (unit, c) != (lam, r))
-            return _mismatch(g, k, (unit, closed[k]), (lam, row[k]))
+        if (closed := _read("closed", g)) != (lam, row):
+            return _mismatch(g, closed, (lam, row))
         ms = (perf_counter() - start) * 1000
         _diag(f"table: cross-checked genus {g} on both paths in {ms:.1f} ms")
 

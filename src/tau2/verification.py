@@ -35,10 +35,10 @@ and [k = 3j-1] C(g, j) is C(g, j) at k = 3j-1 and 0 otherwise:
     - [k = 3j-2] C(g,j) P(g,k+1) + [k = 3j-1] C(g,j) P(g,k)
 
 Over its scale each is LHS - RHS of the rational recursion (4g A(g-1, .) is
-4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` compares the
-paths' pairs (L(g), S(g, k)), each side of a failure over its own N(g),
-``symmetry`` a recursive row with its reverse, and ``bounds`` checks
-(6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
+4g/((6g-1)(6g-3)(6g-5)) a(g-1, .) times D(g)).  ``cross`` (the paths'
+(L(g), S(g, .)), closed as actual) and ``symmetry`` (a recursive half row
+and its mirror) compare through ``combinatorics._differences``.  ``bounds``
+checks (6g-3) D(g) < (6g-1) A(g, k) and A(g, k) < D(g).
 
 The checks share one walk over g = 1..g_max.  At each genus it builds the
 rows the selected checks read once (recursive S, closed S, P, A, B), hands
@@ -65,7 +65,8 @@ from time import perf_counter
 
 from . import _LAYERS, closedform
 from .closedform import _mirrored, b_domain_max
-from .combinatorics import _denominator, _exact, _weights, double_factorial_odd, rational_str
+from .combinatorics import _denominator, _differences, _exact, _weights
+from .combinatorics import double_factorial_odd, rational_str
 from .recursion import _int_rows, _step_terms
 
 __all__ = _LAYERS["verification"].split()
@@ -95,12 +96,7 @@ class CheckReport(namedtuple("CheckReport", "check_name g_range failures checked
             "g_max": self.g_range[1],
             "passed": self.passed,
             "failures": [
-                {
-                    "g": f.g,
-                    "k": f.k,
-                    "expected": rational_str(f.expected),
-                    "actual": rational_str(f.actual),
-                }
+                dict(f._asdict(), expected=rational_str(f.expected), actual=rational_str(f.actual))
                 for f in self.failures
             ],
         }
@@ -180,18 +176,12 @@ def _b_residuals(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
 
 
 def _cross(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
-    lr, lc = rows["rec_lam"], rows["lam"]
-    if (lr, rows["rec"]) == (lc, rows["s"]):
-        return 3 * g, 1, []
-    nr, nc = _denominator(g, lr), _denominator(g, lc)
-    pairs = enumerate(zip(rows["rec"], rows["s"]))
-    return 3 * g, nr * nc, [(k, r * nc, c * nr) for k, (r, c) in pairs if (lr, r) != (lc, c)]
+    return 3 * g, *_differences(g, (rows["lam"], rows["s"]), (rows["rec_lam"], rows["rec"]))
 
 
 def _symmetry(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
-    row, half = rows["rec"], range((3 * g - 1) // 2 + 1)
-    pairs = [(k, row[-1 - k], row[k]) for k in half]
-    return len(half), _denominator(g, rows["rec_lam"]), [(k, e, a) for k, e, a in pairs if e != a]
+    lam, row, half = rows["rec_lam"], rows["rec"], (3 * g + 1) // 2
+    return half, *_differences(g, (lam, row[:half]), (lam, row[::-1][:half]))
 
 
 def _bounds(g: int, rows: dict, below: dict) -> tuple[int, int, list]:
@@ -272,10 +262,8 @@ def verify(args: SimpleNamespace) -> int:
             status = "PASS" if r.passed else "FAIL"
             print(f"{r.check_name}: {status} (checked {r.checked})")
             for f in r.failures:
-                print(
-                    f"  ({f.g},{f.k}): expected {rational_str(f.expected)}, "
-                    f"got {rational_str(f.actual)}"
-                )
+                e, a = rational_str(f.expected), rational_str(f.actual)
+                print(f"  ({f.g},{f.k}): expected {e}, got {a}")
     return args.verdict
 
 

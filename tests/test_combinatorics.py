@@ -133,13 +133,11 @@ class TestWeights:
                 assert gcd(*_weight(g, k)) == 1, (g, k)
 
     def test_value_cancels_the_unit_to_the_stepped_pair(self):
-        # value's pair: L(g) cancelled against the numerator of W(k) = wn / wd alone
+        # value's call: W(k) from the start pair 1 / L(g), as table steps it from there
         for g in range(1, 61):
             lam = odd_lcm(2 * g + 1)
             for k, pair in enumerate(_weights(g, 1, lam)):
-                wn, wd = _weight(g, k)
-                d = gcd(wn, lam)
-                assert (wn // d, wd * (lam // d)) == pair, (g, k)
+                assert _weight(g, k, 1, lam) == pair, (g, k)
 
 
 class TestNormalizedTerms:

@@ -96,9 +96,9 @@ class TestTheSweepNamesAFault:
         # value's W(k) one too large in its numerator at genus 3; table steps W itself
         real = combinatorics._weight
 
-        def weight(g, k):
-            wn, wd = real(g, k)
-            return wn + (g == 3), wd
+        def weight(g, k, wn=1, wd=1):
+            n, d = real(g, k, wn, wd)
+            return n + (g == 3), d
 
         faults.bind_everywhere(monkeypatch, real, weight)
         assert sweep_table(capsys, "closed", "plain") is None

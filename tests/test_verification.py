@@ -284,6 +284,45 @@ class TestCrossSieve:
         assert out == "check,passed,checked,failures\ncross,false,30,12\n"
 
 
+class TestOneFaultOneReport:
+    """``--method both`` and ``cross`` report a fault alike: the same first entry, the same texts."""
+
+    LINE = re.compile(r"^path mismatch at \((\d+),(\d+)\): closed (\S+), recursive (\S+)$", re.M)
+
+    def mismatch(self, capsys, *argv):
+        """(g, k, closed text, recursive text) of the one mismatch line of a command exiting 3."""
+        assert cli.main([*argv, "--method", "both"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [(g, k, closed, recursive)] = self.LINE.findall(captured.err)
+        return int(g), int(k), closed, recursive
+
+    def cross(self, capsys, g_max):
+        """``cross``'s failures as (g, k, expected, actual), from ``verify``'s json."""
+        argv = ("--g-max", str(g_max), "--checks", "cross", "--format", "json")
+        code, out, _ = run_verify(capsys, *argv)
+        assert code == 1
+        [report] = json.loads(out)
+        return [(f["g"], f["k"], f["expected"], f["actual"]) for f in report["failures"]]
+
+    def test_an_entry_fault(self, capsys, monkeypatch):
+        faults.plant(monkeypatch, "recursive", 5, 3, 1)
+        line = self.mismatch(capsys, "value", "--g", "5", "--k", "3")
+        assert self.mismatch(capsys, "table", "--g", "5") == line
+        g, k, closed, recursive = line
+        assert (g, k) == (5, 3)
+        assert self.cross(capsys, 5)[0] == (5, 3, recursive, closed)
+
+    def test_a_unit_fault(self, capsys, monkeypatch):
+        # every entry of genus 4 differs in its unit: table stops at the first, cross lists all
+        faults.plant_lone_unit(monkeypatch, 4, 7)
+        g, k, closed, recursive = self.mismatch(capsys, "table", "--g", "4")
+        assert (g, k) == (4, 0)
+        failures = self.cross(capsys, 5)
+        assert [f[:2] for f in failures] == [(4, k) for k in range(12)]
+        assert failures[0][2:] == (recursive, closed)
+
+
 class TestCheckReport:
     def test_passed_tracks_failures(self):
         ok = CheckReport("cross", (1, 3), (), 18)
