@@ -49,10 +49,9 @@ there is a single source of truth.
 from __future__ import annotations
 
 from itertools import islice
-from math import factorial
 
 from . import _LAYERS
-from .combinatorics import _check_entry, _exact, _weight, odd_lcm
+from .combinatorics import _check_entry, _denominator, _exact, _weight, odd_lcm
 
 __all__ = _LAYERS["closedform"].split()
 
@@ -127,4 +126,4 @@ def normalize(g: int, k: int, corr: Fraction) -> Fraction:
     """Rescale a two-point correlator to its normalized value a(g, k) = 24^g g! W(k) corr."""
     _check_entry(g, k)
     from fractions import Fraction
-    return corr * (24**g * factorial(g)) * Fraction(*_weight(g, k))
+    return corr * _denominator(g, 1) * Fraction(*_weight(g, k))

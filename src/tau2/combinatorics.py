@@ -14,8 +14,9 @@ rows; from it, ``_denominator(g, L(g))`` is the one common denominator N(g) of
 a genus g row, and ``_differences`` the one comparison of two (L(g), row)
 pairs.  ``_times`` takes a start pair times the weight W(k) to lowest terms,
 along a row in ``_weights`` (``table``, ``verify``) and for one entry in
-``_weight`` (``value``), faster there: 2.1 against 6.8 ms at (1000, 1499),
-0.66 against 1.98 s at (20000, 29999), on Python 3.11 and 2 vCPUs.
+``_weight`` (``value``, ``closedform.b_value`` and ``closedform.normalize``),
+faster there: 2.1 against 6.8 ms at (1000, 1499), 0.66 against 1.98 s at
+(20000, 29999), on Python 3.11 and 2 vCPUs.
 Factorials and binomials are ``math.factorial`` and ``math.comb``.
 ``_genus_error`` sizes what a command holds, for the one refusal of a genus
 too large to hold, in ``cli.main``; ``_entry_error`` is the one bounds check

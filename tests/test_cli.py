@@ -49,38 +49,6 @@ def admitted(monkeypatch, argv) -> bool:
 
 
 class TestValue:
-    def test_plain_prints_correlator_then_normalized(self, capsys):
-        code, out, err = run_cli(capsys, "value", "--g", "2", "--k", "2")
-        assert code == 0
-        assert out.splitlines() == ["29/5760", "29/33"]
-        assert err == ""
-
-    def test_genus_one(self, capsys):
-        code, out, _ = run_cli(capsys, "value", "--g", "1", "--k", "1")
-        assert code == 0
-        assert out.splitlines()[0] == "1/24"
-
-    def test_json(self, capsys):
-        code, out, _ = run_cli(capsys, "value", "--g", "2", "--k", "2", "--format", "json")
-        assert code == 0
-        assert json.loads(out) == {
-            "g": 2,
-            "k": 2,
-            "correlator": "29/5760",
-            "normalized": "29/33",
-        }
-
-    def test_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "value", "--g", "2", "--k", "0", "--format", "csv")
-        assert code == 0
-        assert out.splitlines() == ["g,k,correlator,normalized", "2,0,1/1152,1"]
-
-    @pytest.mark.parametrize("method", ["closed", "recursive", "both"])
-    def test_methods_agree(self, capsys, method):
-        code, out, _ = run_cli(capsys, "value", "--g", "3", "--k", "4", "--method", method)
-        assert code == 0
-        assert out.splitlines()[0] == "607/1451520"
-
     @pytest.mark.parametrize("method", ["closed", "recursive", "both"])
     @pytest.mark.parametrize("k", [-1, 6, 7])
     def test_k_out_of_range_exits_2(self, capsys, k, method):
@@ -96,13 +64,6 @@ class TestValue:
         code, _, err = run_cli(capsys, "value", "--g", "0", "--k", "0")
         assert code == 2
         assert "g must be >= 1" in err
-
-    @pytest.mark.parametrize("k", [0, 1, 179, 358, 359])
-    def test_recursive_prints_closed_bytes_at_genus_120(self, capsys, k):
-        argv = ["value", "--g", "120", "--k", str(k), "--method"]
-        recursive = run_cli(capsys, *argv, "recursive")
-        assert recursive == run_cli(capsys, *argv, "closed")
-        assert recursive[0] == 0
 
     @needs_digit_limit
     def test_values_past_the_digit_limit_print(self):
@@ -217,47 +178,6 @@ class TestValue:
 
 
 class TestTable:
-    def test_csv_genus2(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--g", "2", "--format", "csv")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "g,k,correlator,normalized"
-        assert lines[1] == "2,0,1/1152,1"
-        assert len(lines) == 1 + 6
-
-    def test_csv_genus3_endpoint(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--g", "3", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[1] == "3,0,1/82944,1"
-
-    def test_json_genus1(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--g", "1", "--format", "json")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["g"] == 1
-        assert [row["correlator"] for row in obj["rows"]] == ["1/24"] * 3
-        assert [row["k"] for row in obj["rows"]] == [0, 1, 2]
-
-    def test_plain_row_count(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--g", "4")
-        assert code == 0
-        assert len(out.splitlines()) == 12
-
-    def test_csv_json_value_identical(self, capsys):
-        _, csv_out, _ = run_cli(capsys, "table", "--g", "3", "--format", "csv")
-        _, json_out, _ = run_cli(capsys, "table", "--g", "3", "--format", "json")
-        csv_rows = [line.split(",") for line in csv_out.splitlines()[1:]]
-        obj = json.loads(json_out)
-        assert [(int(r[1]), r[2], r[3]) for r in csv_rows] == [
-            (row["k"], row["correlator"], row["normalized"]) for row in obj["rows"]
-        ]
-
-    @pytest.mark.parametrize("method", ["closed", "recursive", "both"])
-    def test_methods_emit_same_rows(self, capsys, method):
-        code, out, _ = run_cli(capsys, "table", "--g", "3", "--method", method, "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[3] == "3,2,77/414720,77/85"
-
     def test_genus_below_one_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "--g", "0")
         assert code == 2
@@ -314,15 +234,6 @@ class TestTable:
         assert code == 3
         assert out == ""
         assert "path mismatch at (3,6): closed 77/414720, recursive 809/4354560\n" in err
-
-    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    @pytest.mark.parametrize("g", [1, 2, 30, 120])
-    def test_recursive_and_both_print_closed_bytes(self, capsys, g, fmt):
-        argv = ["table", "--g", str(g), "--format", fmt, "--method"]
-        code, closed, _ = run_cli(capsys, *argv, "closed")
-        assert code == 0
-        for method in ("recursive", "both"):
-            assert run_cli(capsys, *argv, method)[:2] == (0, closed)
 
     def test_csv_at_genus_200_is_pinned(self, capsys):
         # md5 recorded while the row was still built as T(g, k) over (6g-1)!!

@@ -85,14 +85,6 @@ class TestBValue:
 class TestAClosed:
     """a(g, k) on the closed path, from its integer entries."""
 
-    def test_base_value(self):
-        for g in range(1, 21):
-            assert a(g, 0) == 1
-
-    def test_next_value(self):
-        for g in range(1, 21):
-            assert a(g, 1) == Fraction(6 * g - 3, 6 * g - 1)
-
     @pytest.mark.parametrize(
         "g,k,expected",
         [

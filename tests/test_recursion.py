@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import faults
 from tau2.combinatorics import _denominator
-from tau2.verification import check_symmetry, cross_validate
 
 
 def _df(m: int) -> int:
@@ -142,6 +141,9 @@ class TestGenusRow:
     def test_genus2_row(self):
         assert stepped(2) == GENUS2_ROW
 
+    def test_genus3_row(self):
+        assert stepped(3) == faults.values("recursive", 3) == GENUS3_ROW
+
     def test_inexact_division_is_loud(self):
         # (3, 4, 3) over L(1) = 3 is 1/18 = 4/N(1) at k = 1: integral but wrong,
         # so (2,3) divides 7 with remainder 5
@@ -149,12 +151,17 @@ class TestGenusRow:
             faults.step(2, (3, 4, 3), 3)
 
     def test_requires_row_below(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="from 0 entries of row 1 over 3$"):
             faults.step(2, (), 3)
 
     def test_rejects_wrong_length_row(self):
         with pytest.raises(ValueError):
             faults.step(2, (3, 3, 3, 3), 3)
+
+    def test_rejects_a_short_row_below(self):
+        # the genus 1 row stands where the 6-entry genus 2 row belongs, over L(2) = 15
+        with pytest.raises(ValueError, match="from 3 entries of row 2 over 15$"):
+            faults.step(3, (3, 3, 3), 15)
 
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError, match=r"no step to S\(0, 0\.\.-1\)"):
@@ -187,9 +194,24 @@ class TestRecursiveRow:
         k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
         assert stepped(g)[k] == row[k]
 
-    def test_rejects_genus_zero(self):
-        with pytest.raises(ValueError):
-            faults.rows("recursive", 0)
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_a_step_agrees_with_the_walk(self, g):
+        assert stepped(g) == _rows(g)[g - 1]
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_rows_match_oracle(self, g):
+        row = _rows(g)[g - 1]
+        for k in range(3 * g):
+            assert row[k] == oracle(g, (k, 3 * g - 1 - k)), (g, k)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_every_row_is_positive_and_symmetric_with_both_endpoints(self, g):
+        for gg, row in enumerate(_rows(g), start=1):
+            assert row[0] == one_point(gg)
+            assert row[1] == (2 * gg - 1) * one_point(gg)
+            for k, v in enumerate(row):
+                assert v > 0, (gg, k)
+                assert v == row[3 * gg - 1 - k], (gg, k)
 
 
 class TestCone:
@@ -218,132 +240,3 @@ class TestCone:
             for h, (lam, row) in enumerate(cone, start=first):
                 assert lam == full[h - 1][0], (g, k, h)
                 assert row == full[h - 1][1][: min(3 * h, h + k - g + 1)], (g, k, h)
-
-
-class TestTwoPointRecursive:
-    """Single values read off one recursion step or the recursive row."""
-
-    @pytest.mark.parametrize("k,expected", [(0, "1/24"), (1, "1/24"), (2, "1/24")])
-    def test_genus1_needs_no_table(self, k, expected):
-        assert faults.values("recursive", 1)[k] == Fraction(expected)
-
-    @pytest.mark.parametrize(
-        "k,expected",
-        [
-            (0, Fraction(1, 1152)),
-            (1, Fraction(1, 384)),
-            (2, Fraction(29, 5760)),
-            (3, Fraction(29, 5760)),
-        ],
-    )
-    def test_genus2_steps(self, k, expected):
-        assert stepped(2)[k] == expected
-
-    def test_out_of_range_k(self):
-        row = faults.values("recursive", 2)
-        assert len(row) == 6
-        with pytest.raises(IndexError):
-            row[7]  # noqa: B018
-
-    def test_missing_table(self):
-        with pytest.raises(ValueError, match="from 0 entries of row 1 over 3"):
-            faults.step(2, (), 3)
-
-    def test_incomplete_table(self):
-        # the genus 1 row stands where the 6-entry genus 2 row belongs, over L(2) = 15
-        with pytest.raises(ValueError, match="from 3 entries of row 2 over 15"):
-            faults.step(3, (3, 3, 3), 15)
-
-    def test_uses_stored_row_when_available(self):
-        assert stepped(3)[4] == faults.values("recursive", 3)[4]
-
-    def test_advances_row_without_mutating(self):
-        unit, below = faults.rows("recursive", 2)
-        lam, row = faults.step(3, below, unit)
-        assert faults.value(3, lam, row[5]) == GENUS3_ROW[5]
-        assert tuple(faults.value(2, unit, s) for s in below) == GENUS2_ROW
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.data())
-    def test_agrees_with_built_table(self, g, data):
-        k = data.draw(st.integers(min_value=0, max_value=3 * g - 1))
-        assert stepped(g)[k] == _rows(g)[g - 1][k]
-
-
-class TestBuildTable:
-    """Whole chains of rows 1..g from the integer recursion."""
-
-    def test_genus1_table(self):
-        rows = _rows(1)
-        assert len(rows) == 1
-        assert list(rows[0]) == [Fraction(1, 24)] * 3
-
-    def test_genus2_row_frozen(self):
-        assert _rows(2)[1] == GENUS2_ROW
-
-    def test_genus3_row_frozen(self):
-        assert _rows(3)[2] == GENUS3_ROW
-
-    @pytest.mark.parametrize("g", range(1, 5))
-    def test_rows_match_oracle(self, g):
-        row = _rows(g)[g - 1]
-        for k in range(3 * g):
-            assert row[k] == oracle(g, (k, 3 * g - 1 - k)), (g, k)
-
-    def test_rejects_g_max_below_one(self):
-        for g in (0, -1):
-            with pytest.raises(ValueError):
-                faults.rows("recursive", g)
-
-    def test_deterministic_serialization(self):
-        assert list(faults.walk("recursive", 5)) == list(faults.walk("recursive", 5))
-
-    @pytest.mark.parametrize("g", range(1, 9))
-    def test_validate_passes(self, g):
-        """Every row keeps positivity, symmetry and both endpoint identities."""
-        for gg, row in enumerate(_rows(g), start=1):
-            assert row[0] == one_point(gg)
-            assert row[1] == (2 * gg - 1) * one_point(gg)
-            for k, v in enumerate(row):
-                assert v > 0, (gg, k)
-                assert v == row[3 * gg - 1 - k], (gg, k)
-
-    def test_string_endpoint(self):
-        for g, row in enumerate(_rows(8), start=1):
-            assert row[0] == one_point(g)
-
-    def test_dilaton_endpoint(self):
-        for g, row in enumerate(_rows(8), start=1):
-            assert row[1] == (2 * g - 1) * one_point(g)
-
-
-class TestTwoPointTable:
-    """A corrupted integer row of the two-point table, fed to the verification
-    engine in place of the recursion's, fails at exactly its loci: the
-    symmetry check, and cross-validation against the closed form."""
-
-    @staticmethod
-    def _corrupt(monkeypatch, g, entries):
-        _, row = faults.rows("recursive", g)
-        for k, value in entries.items():
-            faults.plant(monkeypatch, "recursive", g, k, value(row[k]) - row[k])
-
-    def test_validate_rejects_broken_symmetry(self, monkeypatch):
-        self._corrupt(monkeypatch, 1, {2: lambda s: s + 1})
-        report = check_symmetry(1)
-        assert [(f.g, f.k) for f in report.failures] == [(1, 0)]
-
-    def test_validate_rejects_nonpositive(self, monkeypatch):
-        self._corrupt(monkeypatch, 2, {2: lambda s: -s, 3: lambda s: -s})
-        report = cross_validate(2)
-        assert [(f.g, f.k) for f in report.failures] == [(2, 2), (2, 3)]
-
-    def test_validate_rejects_bad_string_endpoint(self, monkeypatch):
-        self._corrupt(monkeypatch, 2, {0: lambda s: s + 1, 5: lambda s: s + 1})
-        report = cross_validate(2)
-        assert [(f.g, f.k) for f in report.failures] == [(2, 0), (2, 5)]
-
-    def test_validate_rejects_bad_dilaton_endpoint(self, monkeypatch):
-        self._corrupt(monkeypatch, 2, {1: lambda s: s + 1, 4: lambda s: s + 1})
-        report = cross_validate(2)
-        assert [(f.g, f.k) for f in report.failures] == [(2, 1), (2, 4)]

@@ -79,6 +79,19 @@ class TestCrossValidate:
         assert failure.expected == Fraction(607, 1451520) + Fraction(1, 8709120)
         assert failure.actual == Fraction(607, 1451520)
 
+    # a mirrored pair keeps the row symmetric, so only cross sees it: at the string
+    # endpoint, at the dilaton endpoint, and negated in the middle of the row
+    @pytest.mark.parametrize(
+        "k,new",
+        [(0, lambda s: s + 1), (1, lambda s: s + 1), (2, lambda s: -s)],
+        ids=["string", "dilaton", "negated"],
+    )
+    def test_names_both_entries_of_a_mirrored_pair(self, monkeypatch, k, new):
+        _, row = faults.rows("recursive", 2)
+        for j in (k, 5 - k):
+            faults.plant(monkeypatch, "recursive", 2, j, new(row[j]) - row[j])
+        assert [(f.g, f.k) for f in cross_validate(2).failures] == [(2, k), (2, 5 - k)]
+
     def test_rejects_g_max_below_one(self):
         with pytest.raises(ValueError):
             cross_validate(0)
@@ -90,11 +103,13 @@ class TestCheckSymmetry:
         assert report.passed
         assert report.check_name == "symmetry"
 
-    def test_detects_asymmetric_corruption(self, monkeypatch):
-        faults.plant(monkeypatch, "recursive", 2, 1, 1)
-        report = check_symmetry(2)
+    # a broken pair is named at its lower entry
+    @pytest.mark.parametrize("g,k,lower", [(2, 1, 1), (1, 2, 0)])
+    def test_detects_asymmetric_corruption(self, monkeypatch, g, k, lower):
+        faults.plant(monkeypatch, "recursive", g, k, 1)
+        report = check_symmetry(g)
         assert not report.passed
-        assert (2, 1) in [(f.g, f.k) for f in report.failures]
+        assert [(f.g, f.k) for f in report.failures] == [(g, lower)]
 
     def test_rejects_g_max_below_one(self):
         with pytest.raises(ValueError):
